@@ -46,7 +46,7 @@ from .pipeline import (
     score_scenes,
     snippet_features_from_store,
 )
-from .pose_io import load_tracks, write_tracks
+from .pose_io import load_tracks, parse_snippet_ref, write_tracks
 from .scoring import (
     build_score_series,
     read_frame_scores,
@@ -173,7 +173,7 @@ def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
         class_map = read_class_map(args.classes)
         labels = {}
         for ref in refs:
-            video_id = ref.rsplit(":", 2)[0]
+            video_id = parse_snippet_ref(ref)[0]
             if video_id in class_map:
                 labels[ref] = class_map[video_id]
         store = FeatureStore(refs, matrix)
@@ -193,7 +193,7 @@ def cmd_select(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     spec = load_typicality_spec(args.spec)
     labels = {}
     for ref in store.refs:
-        video_id = ref.rsplit(":", 2)[0]
+        video_id = parse_snippet_ref(ref)[0]
         if video_id in class_map:
             labels[ref] = class_map[video_id]
     result = select_typical(store, texts, labels, spec, cfg.beta_normal, cfg.beta_abnormal)

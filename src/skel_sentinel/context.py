@@ -1,15 +1,54 @@
 """Test-time context analysis: per-video nearest-neighbor graphs over snippet
 features and the uniqueness scores derived from them.
 
-Neighbor search is an exact brute-force scan. Scenes hold at most a few
-thousand snippets, and exactness is part of the contract (an approximate
-index would need to reproduce these results bit for bit to be admissible).
+Neighbor search is exact, and exactness is part of the contract: every
+neighbor, distance and score is bit for bit what a per-query brute-force scan
+gives, where the scan computes `sqrt(sum((x_j - x_i)**2))` for every admitted
+snippet j and sorts by (distance, snippet_ref).
+
+The search is the brute-force "flat" index done by matrix products (Johnson,
+Douze & Jegou, *Billion-scale similarity search with GPUs*, 2017), as a
+shortlist followed by an exact re-rank:
+
+1. For a block of at most `BLOCK_ROWS` query rows, squared distances to every
+   column come from the Gram identity |a|^2 + |b|^2 - 2 a.b in one BLAS
+   matmul. Masked pairs are set to +inf. Memory stays O(block * (n + k * D)).
+2. `np.partition` finds each row's k-th smallest Gram value g_k. Every
+   admitted column whose Gram value is within `tol` of g_k is a candidate.
+3. Candidates are re-ranked with the scan's own formula and the scan's
+   (distance, ref rank) order, and the first k are kept.
+
+Why no true neighbor is missed. With u the unit roundoff and D the feature
+dimension, both the Gram value G and the scan's squared distance S of a pair
+(a, b) lie within gamma_{D+2} (|a| + |b|)^2 of the exact squared distance,
+for any summation order and with or without FMA (gamma_n = n u / (1 - n u)).
+So |G - S| <= E = 2 gamma_{D+2} R^2, with R = |a| + max |b| over the block.
+The k columns with the smallest G all have S <= g_k + E, so the scan's k-th
+distance comes from some S <= g_k + E. A true member j has a rounded distance
+no larger than that one; since sqrt is monotone and correctly rounded,
+S_j <= (g_k + E)(1 + 4u), and then G_j <= g_k + 2E + 4u (g_k + E), where
+4u (g_k + E) is about 4u R^2 since g_k <= R^2 (1 + gamma_{D+2}). `tol` is
+4 (D + 2) eps R^2 = 8 (D + 2) u R^2, about 4E: twice the 2E term, and its
+second half, about 4 (D + 2) u R^2 >= 8u R^2, covers the 4u R^2 term. So
+every true member is a candidate. The candidates' order and distances come
+from the scan's formula, so the kept set, its order and its distances are
+the scan's.
+
+Why the scores are the same bits. A branch scores k * mean(distances) over
+its m <= k kept members. Rows are averaged in groups of equal m, each over
+exactly m columns, so NumPy's pairwise summation adds the same numbers in the
+same order as `np.mean` over the scan's list. Padding rows to k columns would
+change that order.
+
+Features are assumed finite; the feature stores and the flow reject
+non-finite values before scoring.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,6 +58,8 @@ logger = logging.getLogger(__name__)
 
 CROSS_PERSON = "cross_person"
 SELF_INSPECTION = "self_inspection"
+
+BLOCK_ROWS = 256  # query rows per Gram block
 
 
 @dataclass(frozen=True)
@@ -31,6 +72,14 @@ class Neighborhood:
     @property
     def distances(self) -> list[float]:
         return [d for _, d in self.members]
+
+
+class BranchScores(NamedTuple):
+    """One branch over a whole scene, per row: k * mean distance of the kept
+    neighbors (0 when there are none) and how many neighbors were kept."""
+
+    scores: np.ndarray
+    counts: np.ndarray
 
 
 class SceneIndex:
@@ -73,42 +122,125 @@ class SceneIndex:
         except KeyError:
             raise UnknownSnippetError(f"{ref!r} is not in scene {self.video_id!r}")
 
-    def _neighbors(self, query_ref: str, mask: np.ndarray, k: int, kind: str) -> Neighborhood:
-        row = self.row(query_ref)
-        candidates = np.flatnonzero(mask)
-        if candidates.size == 0:
-            return Neighborhood(query_ref, kind, [], 0.0)
-        diff = self.features[candidates] - self.features[row]
-        dists = np.sqrt((diff * diff).sum(axis=1))
-        order = np.lexsort((self._ref_rank[candidates], dists))
-        keep = candidates[order[:k]]
-        kept_dists = dists[order[:k]]
-        members = [(self.refs[i], float(d)) for i, d in zip(keep, kept_dists)]
-        return Neighborhood(query_ref, kind, members, float(kept_dists[-1]))
+
+# admit(rows, cols) -> boolean (len(rows), len(cols)) matrix of allowed pairs
+Admit = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def cross_person_neighbors(index: SceneIndex, query_ref: str, k: int) -> Neighborhood:
-    """k nearest snippets of *other* persons, ties broken by snippet_ref."""
+def _search(
+    index: SceneIndex, rows: np.ndarray, cols: np.ndarray, admit: Admit, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact k nearest admitted `cols` of each of `rows` (see the module docstring).
+
+    Returns `(members, dists, counts)`: row i keeps `counts[i]` neighbors,
+    scene rows `members[i, :counts[i]]` at distances `dists[i, :counts[i]]`.
+    """
+    features = index.features
+    queries, columns = features[rows], features[cols]
+    q_sq = np.einsum("ij,ij->i", queries, queries)
+    c_sq = np.einsum("ij,ij->i", columns, columns)
+    allowed = admit(rows, cols)
+    gram = q_sq[:, None] + c_sq[None, :] - 2.0 * (queries @ columns.T)
+    gram[~allowed] = np.inf
+    counts = np.minimum(allowed.sum(axis=1), k)
+    if k < len(cols):
+        kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+    else:
+        kth = np.full(len(rows), np.inf)
+    reach = np.sqrt(q_sq) + np.sqrt(c_sq.max(initial=0.0))
+    tol = 4 * (features.shape[1] + 2) * np.finfo(np.float64).eps * reach * reach
+    qi, cj = np.nonzero(allowed & (gram <= (kth + tol)[:, None]))
+
+    diff = features[cols[cj]] - features[rows[qi]]
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    order = np.lexsort((index._ref_rank[cols[cj]], dist, qi))
+    qi, cj, dist = qi[order], cj[order], dist[order]
+    slot = np.arange(len(qi)) - np.searchsorted(qi, qi)
+    keep = slot < counts[qi]
+    qi, slot = qi[keep], slot[keep]
+    width = min(k, len(cols))
+    members = np.zeros((len(rows), width), dtype=np.int64)
+    dists = np.zeros((len(rows), width))
+    members[qi, slot] = cols[cj[keep]]
+    dists[qi, slot] = dist[keep]
+    return members, dists, counts
+
+
+def _branch(
+    index: SceneIndex,
+    query_ref: str | None,
+    k: int,
+    kind: str,
+    groups: list[np.ndarray],
+    admit: Admit,
+) -> Neighborhood | BranchScores:
+    """Search each group's rows against the group's own rows (disjoint groups
+    covering the scene): one query's Neighborhood, or the whole scene's scores."""
+    if query_ref is not None:
+        row = index.row(query_ref)
+        group = next(g for g in groups if row in g)
+        members, dists, counts = _search(index, np.array([row]), group, admit, k)
+        m = int(counts[0])
+        kept = [(index.refs[j], float(d)) for j, d in zip(members[0, :m], dists[0, :m])]
+        return Neighborhood(query_ref, kind, kept, kept[-1][1] if kept else 0.0)
+
+    n = len(index)
+    all_dists = np.zeros((n, min(k, n)))
+    all_counts = np.zeros(n, dtype=np.int64)
+    for group in groups:
+        for start in range(0, len(group), BLOCK_ROWS):
+            rows = group[start:start + BLOCK_ROWS]
+            _, dists, counts = _search(index, rows, group, admit, k)
+            all_dists[rows, :dists.shape[1]] = dists
+            all_counts[rows] = counts
+    scores = np.zeros(n)
+    for m in np.unique(all_counts[all_counts > 0]):
+        rows = np.flatnonzero(all_counts == m)
+        # one mean per member count: see "Why the scores are the same bits"
+        scores[rows] = k * all_dists[rows, :m].mean(axis=1)
+    return BranchScores(scores, all_counts)
+
+
+def cross_person_neighbors(
+    index: SceneIndex, query_ref: str | None, k: int
+) -> Neighborhood | BranchScores:
+    """k nearest snippets of *other* persons, ties broken by snippet_ref.
+
+    With `query_ref` None, searches for every row of the scene at once and
+    returns its `BranchScores`.
+    """
     if k < 1:
         raise SchemaError(f"k must be >= 1, got {k}")
-    row = index.row(query_ref)
-    mask = index.person_ids != index.person_ids[row]
-    return index._neighbors(query_ref, mask, k, CROSS_PERSON)
+    persons = index.person_ids
+
+    def admit(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return persons[rows, None] != persons[None, cols]
+
+    return _branch(index, query_ref, k, CROSS_PERSON, [np.arange(len(index))], admit)
 
 
 def self_inspection_neighbors(
-    index: SceneIndex, query_ref: str, k: int, alpha: float, window_length: int
-) -> Neighborhood:
+    index: SceneIndex, query_ref: str | None, k: int, alpha: float, window_length: int
+) -> Neighborhood | BranchScores:
     """k nearest snippets of the *same* person outside the temporal mask
-    |t_i - t_j| > alpha * window_length."""
+    |t_i - t_j| > alpha * window_length.
+
+    With `query_ref` None, searches for every row of the scene at once and
+    returns its `BranchScores`.
+    """
     if k < 1:
         raise SchemaError(f"k must be >= 1, got {k}")
     if alpha < 0:
         raise SchemaError(f"alpha must be >= 0, got {alpha}")
-    row = index.row(query_ref)
-    gap = np.abs(index.times - index.times[row])
-    mask = (index.person_ids == index.person_ids[row]) & (gap > alpha * window_length)
-    return index._neighbors(query_ref, mask, k, SELF_INSPECTION)
+    times = index.times
+
+    def admit(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        gap = np.abs(times[None, cols] - times[rows, None])
+        return gap > alpha * window_length
+
+    persons = index.person_ids
+    groups = [np.flatnonzero(persons == p) for p in np.unique(persons)]
+    return _branch(index, query_ref, k, SELF_INSPECTION, groups, admit)
 
 
 def uniqueness_score(nc: Neighborhood, ns: Neighborhood, k: int) -> float:
@@ -135,13 +267,18 @@ def uniqueness_score(nc: Neighborhood, ns: Neighborhood, k: int) -> float:
 def video_uniqueness_scores(
     index: SceneIndex, k: int, alpha: float, window_length: int
 ) -> tuple[dict[str, float], set[str]]:
-    """Uniqueness score for every snippet in the scene, plus the isolated refs."""
-    scores: dict[str, float] = {}
-    isolated: set[str] = set()
-    for ref in index.refs:
-        nc = cross_person_neighbors(index, ref, k)
-        ns = self_inspection_neighbors(index, ref, k, alpha, window_length)
-        if not nc.members and not ns.members:
-            isolated.add(ref)
-        scores[ref] = uniqueness_score(nc, ns, k)
-    return scores, isolated
+    """Uniqueness score for every snippet in the scene, plus the isolated refs.
+
+    Per snippet this is `uniqueness_score` of its two neighborhoods, computed
+    for the whole scene with one call per branch.
+    """
+    cross = cross_person_neighbors(index, None, k)
+    inspect = self_inspection_neighbors(index, None, k, alpha, window_length)
+    # branch scores are >= 0 and exactly 0 when the branch is empty, so the
+    # elementwise max is uniqueness_score's max over the non-empty branches
+    values = np.maximum(cross.scores, inspect.scores)
+    isolated = set()
+    for i in np.flatnonzero((cross.counts == 0) & (inspect.counts == 0)):
+        logger.debug("snippet %s is isolated (no context neighbors)", index.refs[i])
+        isolated.add(index.refs[i])
+    return dict(zip(index.refs, values.tolist())), isolated

@@ -28,6 +28,7 @@ from .pipeline import (
 from .pose_io import load_tracks
 from .scoring import (
     build_score_series,
+    smooth_scores,
     write_frame_scores,
     write_snippet_details,
 )
@@ -193,11 +194,14 @@ def run_benchmark(
                 st, su, video_length, cfg.window_length, cfg.epsilon,
             )
 
+        def frames_for(st, su):
+            return smooth_scores(series_for(st, su).frame_scores, cfg.smoothing_window)
+
         series = series_for(vs.typicality, vs.uniqueness)
         all_series[video_id] = series
-        frame_scores[video_id] = series.frame_scores
-        frames_typ[video_id] = series_for(vs.typicality, zeros).frame_scores
-        frames_unq[video_id] = series_for(zeros, vs.uniqueness).frame_scores
+        frame_scores[video_id] = smooth_scores(series.frame_scores, cfg.smoothing_window)
+        frames_typ[video_id] = frames_for(vs.typicality, zeros)
+        frames_unq[video_id] = frames_for(zeros, vs.uniqueness)
 
     micro = stage("evaluate", _micro_for, labels, frame_scores)
     micro_typ = _micro_for(labels, frames_typ)

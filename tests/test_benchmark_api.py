@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from skel_sentinel.cli import command_dispatch
 from skel_sentinel.config import RunConfig
 from skel_sentinel.errors import StageError
 from skel_sentinel.evaluation import run_benchmark, write_labels
@@ -92,6 +93,27 @@ class TestRunBenchmark:
             tmp_path / "t" / "scores.tsv"
         ).read_bytes()
         assert serial.micro == threaded.micro
+
+    @pytest.mark.parametrize("window", [0, 5])
+    def test_cli_score_eval_reports_same_micro_auc(self, small_run, tmp_path, window):
+        root, cfg = small_run
+        cfg = cfg.replace(smoothing_window=window)
+        cfg.to_file(tmp_path / "run.cfg")
+        report = run_benchmark(
+            root / "tracks.tsv", "kinematic", root / "model.skfl",
+            root / "labels.tsv", tmp_path / "bench", cfg,
+        )
+        assert command_dispatch([
+            "score", "--tracks", str(root / "tracks.tsv"), "--model", str(root / "model.skfl"),
+            "--out", str(tmp_path / "scores"), "--config", str(tmp_path / "run.cfg"),
+        ]) == 0
+        assert command_dispatch([
+            "eval", "--scores", str(tmp_path / "scores" / "scores.tsv"),
+            "--labels", str(root / "labels.tsv"), "--out", str(tmp_path / "report"),
+        ]) == 0
+        lines = (tmp_path / "report" / "report.txt").read_text().splitlines()
+        # report.txt carries 6 decimals
+        assert "micro_auc = " + f"{report.micro:.6f}" in lines
 
 
 class TestRunConfig:

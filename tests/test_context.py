@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skel_sentinel.context import (
+    BLOCK_ROWS,
+    CROSS_PERSON,
+    SELF_INSPECTION,
+    Neighborhood,
     SceneIndex,
     cross_person_neighbors,
     self_inspection_neighbors,
@@ -205,3 +211,163 @@ def test_duplicate_person_time_rejected():
     feats = np.zeros((2, 4))
     with pytest.raises(SchemaError):
         SceneIndex("v", ["a", "b"], np.zeros(2, dtype=int), np.zeros(2, dtype=int), feats)
+
+
+# Frozen reference: the per-query scan that the batched engine replaced. Each
+# query masks the scene, computes every admitted distance, and lexsorts them by
+# (distance, ref rank). The engine must reproduce it bit for bit.
+
+
+def scan_neighbors(index, query_ref, mask, k, kind):
+    row = index.row(query_ref)
+    candidates = np.flatnonzero(mask)
+    if candidates.size == 0:
+        return Neighborhood(query_ref, kind, [], 0.0)
+    diff = index.features[candidates] - index.features[row]
+    dists = np.sqrt((diff * diff).sum(axis=1))
+    order = np.lexsort((index._ref_rank[candidates], dists))
+    keep = candidates[order[:k]]
+    kept_dists = dists[order[:k]]
+    members = [(index.refs[i], float(d)) for i, d in zip(keep, kept_dists)]
+    return Neighborhood(query_ref, kind, members, float(kept_dists[-1]))
+
+
+def scan_cross(index, query_ref, k):
+    row = index.row(query_ref)
+    mask = index.person_ids != index.person_ids[row]
+    return scan_neighbors(index, query_ref, mask, k, CROSS_PERSON)
+
+
+def scan_self(index, query_ref, k, alpha, window_length):
+    row = index.row(query_ref)
+    gap = np.abs(index.times - index.times[row])
+    mask = (index.person_ids == index.person_ids[row]) & (gap > alpha * window_length)
+    return scan_neighbors(index, query_ref, mask, k, SELF_INSPECTION)
+
+
+def scan_scores(index, k, alpha, window_length):
+    scores, isolated = {}, set()
+    for ref in index.refs:
+        nc = scan_cross(index, ref, k)
+        ns = scan_self(index, ref, k, alpha, window_length)
+        if not nc.members and not ns.members:
+            isolated.add(ref)
+        scores[ref] = uniqueness_score(nc, ns, k)
+    return scores, isolated
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64)
+
+
+def assert_matches_scan(index, k, alpha, window_length):
+    got_scores, got_isolated = video_uniqueness_scores(index, k, alpha, window_length)
+    want_scores, want_isolated = scan_scores(index, k, alpha, window_length)
+    assert list(got_scores) == index.refs
+    np.testing.assert_array_equal(
+        bits([got_scores[r] for r in index.refs]), bits([want_scores[r] for r in index.refs])
+    )
+    assert got_isolated == want_isolated
+
+    cross = cross_person_neighbors(index, None, k)
+    inspect = self_inspection_neighbors(index, None, k, alpha, window_length)
+    for row, ref in enumerate(index.refs):
+        want_c = scan_cross(index, ref, k)
+        want_s = scan_self(index, ref, k, alpha, window_length)
+        assert cross_person_neighbors(index, ref, k) == want_c
+        assert self_inspection_neighbors(index, ref, k, alpha, window_length) == want_s
+        assert cross.counts[row] == len(want_c.members)
+        assert inspect.counts[row] == len(want_s.members)
+
+
+def oracle_scene(seed, n, persons, dim=8, scale=1.0, duplicates=0):
+    rng = np.random.default_rng(seed)
+    person_ids = rng.integers(0, persons, n)
+    times = rng.permutation(n * 4)[:n]
+    feats = rng.standard_normal((n, dim)) * scale
+    if duplicates:
+        # exact copies of other rows: equal distances, decided by ref rank
+        src = rng.integers(0, n, duplicates)
+        dst = rng.integers(0, n, duplicates)
+        feats[dst] = feats[src]
+    refs = [f"v{seed}:{p}:{t}" for p, t in zip(person_ids, times)]
+    return SceneIndex(f"v{seed}", refs, person_ids, times, feats)
+
+
+class TestBatchedEngineMatchesScan:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_random_scenes_with_ties(self, scale, k):
+        for seed in range(4):
+            idx = oracle_scene(seed, n=70, persons=4, scale=scale, duplicates=15)
+            assert_matches_scan(idx, k, alpha=2.0, window_length=4)
+
+    def test_all_rows_identical(self):
+        idx = oracle_scene(5, n=40, persons=3)
+        tied = SceneIndex(idx.video_id, idx.refs, idx.person_ids, idx.times,
+                          np.ones_like(idx.features))
+        assert_matches_scan(tied, 5, alpha=1.0, window_length=3)
+
+    def test_k_larger_than_candidates(self):
+        idx = oracle_scene(6, n=25, persons=3)
+        assert_matches_scan(idx, 100, alpha=0.5, window_length=4)
+
+    def test_one_person_scene_has_empty_cross_branch(self):
+        idx = oracle_scene(7, n=30, persons=1)
+        assert not cross_person_neighbors(idx, None, 4).counts.any()
+        assert_matches_scan(idx, 4, alpha=1.0, window_length=8)
+
+    def test_isolated_snippets(self):
+        # one person, all windows within the temporal mask: every row isolated
+        idx = oracle_scene(8, n=12, persons=1)
+        _, isolated = video_uniqueness_scores(idx, 4, alpha=100.0, window_length=16)
+        assert isolated == set(idx.refs)
+        assert_matches_scan(idx, 4, alpha=100.0, window_length=16)
+
+    def test_multiple_query_blocks(self):
+        idx = oracle_scene(9, n=600, persons=2, dim=4, duplicates=50)
+        assert len(idx) > 2 * BLOCK_ROWS
+        got, _ = video_uniqueness_scores(idx, 6, 4.0, 16)
+        want, _ = scan_scores(idx, 6, 4.0, 16)
+        np.testing.assert_array_equal(
+            bits([got[r] for r in idx.refs]), bits([want[r] for r in idx.refs])
+        )
+
+
+@st.composite
+def small_scenes(draw):
+    n = draw(st.integers(1, 60))
+    persons = draw(st.integers(1, 5))
+    person_ids = np.array(draw(st.lists(st.integers(0, persons - 1), min_size=n, max_size=n)))
+    times = np.array(draw(st.permutations(range(3 * n))))[:n]
+    dim = draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(-3, 3), min_size=n * dim, max_size=n * dim))
+    # coarse integer grid: many exact distance ties
+    feats = np.array(values, dtype=np.float64).reshape(n, dim) * 0.5
+    refs = [f"v:{p}:{t}" for p, t in zip(person_ids, times)]
+    return SceneIndex("v", refs, person_ids, times, feats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    idx=small_scenes(),
+    k=st.integers(1, 70),
+    alpha=st.floats(0.0, 8.0, allow_nan=False),
+    window_length=st.integers(2, 24),
+)
+def test_engine_agrees_with_math_sqrt_oracle(idx, k, alpha, window_length):
+    scores, isolated = video_uniqueness_scores(idx, k, alpha, window_length)
+    for row, ref in enumerate(idx.refs):
+        want_c = oracle_neighbors(
+            idx, ref, k, lambda j: idx.person_ids[j] != idx.person_ids[row]
+        )
+        want_s = oracle_neighbors(
+            idx, ref, k,
+            lambda j: idx.person_ids[j] == idx.person_ids[row]
+            and abs(int(idx.times[j]) - int(idx.times[row])) > alpha * window_length,
+        )
+        assert cross_person_neighbors(idx, ref, k).members == want_c
+        assert self_inspection_neighbors(idx, ref, k, alpha, window_length).members == want_s
+        branches = [k * float(np.mean([d for _, d in w])) for w in (want_c, want_s) if w]
+        assert bits([scores[ref]]) == bits([max(branches, default=0.0)])
+        assert (ref in isolated) == (not branches)
