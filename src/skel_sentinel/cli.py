@@ -5,9 +5,11 @@ score, eval, check. Every run resolves one RunConfig (defaults, then
 --config file, then explicit flags) and writes it next to its outputs as
 ``config.<stage>.resolved``. Failures print a single machine-parsable line
 
-    error<TAB><stage><TAB><exception type><TAB><message>
+    error<TAB><command><TAB><exception type><TAB><message>
 
-to stderr and exit 1; usage problems exit 2.
+to stderr and exit 1; usage problems exit 2. When a pipeline stage fails, the
+type is that of the underlying error and the message starts with the stage
+name, e.g. ``load-tracks: line 3: ...``.
 """
 
 from __future__ import annotations
@@ -23,14 +25,8 @@ import numpy as np
 
 from . import checks
 from .config import RunConfig, resolve_threads
-from .errors import SchemaError, SentinelError
-from .evaluation import (
-    LabeledVideo,
-    micro_auc,
-    read_labels,
-    write_labels,
-    write_report,
-)
+from .errors import SchemaError, SentinelError, StageError
+from .evaluation import evaluate, read_labels, write_labels, write_report
 from .featurize import (
     FeatureStore,
     class_prototypes,
@@ -38,29 +34,16 @@ from .featurize import (
     load_text_embeddings,
     write_embeddings,
 )
-from .flow import TrainConfig, init_flow, load_flow, save_flow, train_flow
-from .pipeline import (
-    build_scene_indices,
-    extract_snippets,
-    featurize_snippets,
-    score_scenes,
-    snippet_features_from_store,
-)
+from .flow import TrainConfig, init_flow, save_flow, train_flow
+from .pipeline import extract_snippets, featurize_snippets, score_tracks, stage
 from .pose_io import load_tracks, parse_snippet_ref, write_tracks
-from .scoring import (
-    build_score_series,
-    read_frame_scores,
-    smooth_scores,
-    write_frame_scores,
-    write_snippet_details,
-)
+from .scoring import read_frame_scores, write_frame_scores, write_snippet_details
 from .synth import make_benchmark, read_class_map, write_class_map
 from .typicality import (
     load_typicality_spec,
     save_typicality_spec,
     select_typical,
 )
-from .errors import UndefinedMetricError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -158,6 +141,16 @@ def _featurize_out_paths(out: Path) -> tuple[Path, Path]:
     return out / "features.skem", out
 
 
+def _class_labels(refs: list[str], class_map: dict[str, str]) -> dict[str, str]:
+    """snippet_ref -> class of its video, for the videos the class map names."""
+    labels = {}
+    for ref in refs:
+        video_id = parse_snippet_ref(ref)[0]
+        if video_id in class_map:
+            labels[ref] = class_map[video_id]
+    return labels
+
+
 def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     features_path, out_dir = _featurize_out_paths(out)
     videos = load_tracks(args.tracks, cfg.joints)
@@ -170,14 +163,8 @@ def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     if args.classes or args.text_out:
         if not (args.classes and args.text_out):
             raise SchemaError("--classes and --text-out must be given together")
-        class_map = read_class_map(args.classes)
-        labels = {}
-        for ref in refs:
-            video_id = parse_snippet_ref(ref)[0]
-            if video_id in class_map:
-                labels[ref] = class_map[video_id]
-        store = FeatureStore(refs, matrix)
-        prototypes = class_prototypes(store, labels)
+        labels = _class_labels(refs, read_class_map(args.classes))
+        prototypes = class_prototypes(FeatureStore(refs, matrix), labels)
         names = sorted(prototypes)
         write_embeddings(
             names, np.vstack([prototypes[n].values for n in names]), Path(args.text_out)
@@ -189,13 +176,8 @@ def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 def cmd_select(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     store = load_embeddings(args.features)
     texts = load_text_embeddings(args.texts)
-    class_map = read_class_map(args.classes)
+    labels = _class_labels(store.refs, read_class_map(args.classes))
     spec = load_typicality_spec(args.spec)
-    labels = {}
-    for ref in store.refs:
-        video_id = parse_snippet_ref(ref)[0]
-        if video_id in class_map:
-            labels[ref] = class_map[video_id]
     result = select_typical(store, texts, labels, spec, cfg.beta_normal, cfg.beta_abnormal)
     _write_resolved(cfg, out, "select")
     for name, refs in (("normal", result.normal_refs), ("abnormal", result.abnormal_refs)):
@@ -247,73 +229,26 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_score(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
-    model = load_flow(args.model)
-    videos = load_tracks(args.tracks, cfg.joints)
-    snippets = extract_snippets(videos, cfg.window_length, cfg.stride)
-    if cfg.features == "file" or args.features:
-        if not args.features:
-            raise SchemaError("config says features = file but --features is missing")
-        store = load_embeddings(args.features)
-        refs, matrix, meta = snippet_features_from_store(snippets, store)
-    else:
-        refs, matrix, meta = featurize_snippets(snippets, cfg.feature_dim, cfg.seed)
-    indices = build_scene_indices(refs, matrix, meta)
-    scored = score_scenes(model, indices, cfg, cfg.threads)
-
-    frame_scores = {}
-    all_series = {}
-    for video_id, vs in scored.items():
-        video_length = max(vs.start_times) + cfg.window_length
-        series = build_score_series(
-            video_id, vs.refs, vs.person_ids, vs.start_times,
-            vs.typicality, vs.uniqueness, video_length, cfg.window_length, cfg.epsilon,
-        )
-        all_series[video_id] = series
-        scores = series.frame_scores
-        if cfg.smoothing_window > 1:
-            scores = smooth_scores(scores, cfg.smoothing_window)
-        frame_scores[video_id] = scores
-
+    run = score_tracks(cfg, args.tracks, args.model, args.features)
     _write_resolved(cfg, out, "score")
-    write_frame_scores(frame_scores, out / "scores.tsv")
-    write_snippet_details(all_series, out / "details.tsv")
-    print(f"scored {len(frame_scores)} videos ({len(refs)} snippets)")
+    write_frame_scores(run.frame_scores, out / "scores.tsv")
+    write_snippet_details(run.series, out / "details.tsv")
+    snippets = sum(len(vs.refs) for vs in run.videos.values())
+    print(f"scored {len(run.frame_scores)} videos ({snippets} snippets)")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     started = time.perf_counter()
-    scores = read_frame_scores(args.scores)
-    labels = read_labels(args.labels)
-    videos = []
-    per_video = {}
-    for video_id in sorted(labels):
-        if video_id not in scores:
-            raise SchemaError(f"no scores for labeled video {video_id!r}")
-        frame_scores = scores[video_id]
-        length = len(labels[video_id])
-        if len(frame_scores) < length:
-            # uncovered tail; extend with the video minimum, as for empty frames
-            pad = np.full(length - len(frame_scores), frame_scores.min())
-            frame_scores = np.concatenate([frame_scores, pad])
-        video = LabeledVideo(video_id, labels[video_id], frame_scores[:length])
-        videos.append(video)
-        try:
-            per_video[video_id] = micro_auc([video])
-        except UndefinedMetricError:
-            pass
-    micro = micro_auc(videos)
-    n_frames = sum(len(v.labels) for v in videos)
+    scores = stage("load-scores", read_frame_scores, args.scores)
+    labels = stage("load-labels", read_labels, args.labels)
+    result = stage("evaluate", evaluate, labels, scores)
     _write_resolved(cfg, out, "eval")
-    entries: list[tuple[str, object]] = [
-        ("micro_auc", micro),
-        ("videos", len(videos)),
-        ("frames", n_frames),
-        ("wall_seconds", time.perf_counter() - started),
-    ]
-    entries.extend((f"video_auc.{vid}", auc) for vid, auc in sorted(per_video.items()))
-    write_report(entries, out / "report.txt")
-    print(f"micro_auc = {micro:.6f} over {n_frames} frames in {len(videos)} videos")
+    write_report(result.report_entries(time.perf_counter() - started), out / "report.txt")
+    print(
+        f"micro_auc = {result.micro:.6f} over {result.frames} frames "
+        f"in {result.videos} videos"
+    )
     return 0
 
 
@@ -374,8 +309,9 @@ def command_dispatch(argv: list[str]) -> int:
             status = max(status, handler(args, cfg, out))
         return status
     except (SentinelError, OSError, ValueError) as exc:
+        cause = exc.cause if isinstance(exc, StageError) else exc
         message = str(exc).replace("\n", " ")
-        print(f"error\t{args.command}\t{type(exc).__name__}\t{message}", file=sys.stderr)
+        print(f"error\t{args.command}\t{type(cause).__name__}\t{message}", file=sys.stderr)
         return 1
 
 

@@ -3,7 +3,8 @@
 Label files are UTF-8 lines `video_id<TAB>frame_index<TAB>label`; reports are
 key-value lines. The micro-average concatenates every labeled frame across
 videos before ranking, with tied scores credited 0.5 per positive-negative
-pair (Mann-Whitney convention).
+pair (Mann-Whitney convention). `evaluate` is the one place that aligns frame
+scores with labels; the `eval` subcommand and `run_benchmark` both use it.
 """
 
 from __future__ import annotations
@@ -15,23 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import SchemaError, StageError, UndefinedMetricError
-from .featurize import load_embeddings
-from .flow import load_flow
-from .pipeline import (
-    build_scene_indices,
-    extract_snippets,
-    featurize_snippets,
-    score_scenes,
-    snippet_features_from_store,
-)
-from .pose_io import load_tracks
-from .scoring import (
-    build_score_series,
-    smooth_scores,
-    write_frame_scores,
-    write_snippet_details,
-)
+from .errors import SchemaError, UndefinedMetricError
+from .pipeline import fuse_video, score_tracks, stage
+from .scoring import write_frame_scores, write_snippet_details
 
 
 @dataclass(frozen=True)
@@ -113,6 +100,61 @@ def write_report(entries: list[tuple[str, object]], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    micro: float
+    per_video_auc: dict[str, float]
+    videos: int
+    frames: int
+
+    def report_entries(
+        self, wall_seconds: float, ablations: tuple[tuple[str, float], ...] = ()
+    ) -> list[tuple[str, object]]:
+        entries: list[tuple[str, object]] = [
+            ("micro_auc", self.micro),
+            *ablations,
+            ("videos", self.videos),
+            ("frames", self.frames),
+            ("wall_seconds", wall_seconds),
+        ]
+        entries.extend(
+            (f"video_auc.{vid}", auc) for vid, auc in sorted(self.per_video_auc.items())
+        )
+        return entries
+
+
+def evaluate(labels: dict[str, np.ndarray], scores: dict[str, np.ndarray]) -> Evaluation:
+    """Micro-AUC and per-video AUCs over every labeled video.
+
+    A labeled video without scores is a SchemaError. Scores are cut to the
+    label length; a tail no snippet window covers (score series end at the
+    last window, max(start) + T) is padded with the video's minimum score,
+    as uncovered frames are. Single-class videos get no per-video AUC.
+    """
+    videos = []
+    per_video = {}
+    for video_id in sorted(labels):
+        if video_id not in scores:
+            raise SchemaError(f"no scores for labeled video {video_id!r}")
+        frame_scores = scores[video_id]
+        length = len(labels[video_id])
+        if len(frame_scores) < length:
+            pad = np.full(length - len(frame_scores), frame_scores.min())
+            frame_scores = np.concatenate([frame_scores, pad])
+        video = LabeledVideo(video_id, labels[video_id], frame_scores[:length])
+        videos.append(video)
+        try:
+            per_video[video_id] = micro_auc([video])
+        except UndefinedMetricError:
+            pass
+    return Evaluation(
+        micro=micro_auc(videos),
+        per_video_auc=per_video,
+        videos=len(videos),
+        frames=sum(len(v.labels) for v in videos),
+    )
+
+
 @dataclass
 class BenchmarkReport:
     micro: float
@@ -127,15 +169,6 @@ class BenchmarkReport:
     frame_scores_uniqueness: dict[str, np.ndarray] = field(repr=False)
 
 
-def _micro_for(labels: dict[str, np.ndarray], scores: dict[str, np.ndarray]) -> float:
-    videos = [
-        LabeledVideo(vid, labels[vid], scores[vid])
-        for vid in sorted(labels)
-        if vid in scores
-    ]
-    return micro_auc(videos)
-
-
 def run_benchmark(
     tracks_path: str | Path,
     features_source: str,
@@ -143,105 +176,54 @@ def run_benchmark(
     labels_path: str | Path,
     out_dir: str | Path,
     cfg: RunConfig,
-    threads: int = 1,
 ) -> BenchmarkReport:
-    """End-to-end inference over labeled videos: tracks in, report out.
+    """`score` then `eval` in one call, plus single-family ablations.
 
     `features_source` is either "kinematic" or the path of an embedding file
-    covering every snippet in the tracks. Writes scores.tsv, details.tsv, and
-    report.txt into out_dir and returns the in-memory report.
+    covering every snippet in the tracks. Scoring is `pipeline.score_tracks`
+    and evaluation is `evaluate`, as in the CLI: score series end at
+    max(start) + T, evaluation pads an uncovered tail with the video's
+    minimum, and a labeled video without scores is a SchemaError. The
+    typicality-only and uniqueness-only ablations fuse one family with zeros
+    and go through the same two functions. Writes the CLI's scores.tsv and
+    details.tsv plus report.txt into out_dir and returns the in-memory report,
+    whose frame scores are the series as written, not padded to the labels.
     """
     started = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def stage(name: str, fn, *args):
-        try:
-            return fn(*args)
-        except Exception as exc:
-            raise StageError(name, exc)
-
-    model = stage("load-model", load_flow, model_path)
     labels = stage("load-labels", read_labels, labels_path)
-    videos = stage("load-tracks", load_tracks, tracks_path, cfg.joints)
-    snippets = stage(
-        "window", extract_snippets, videos, cfg.window_length, cfg.stride
-    )
-    if features_source == "kinematic":
-        refs, matrix, meta = stage(
-            "featurize", featurize_snippets, snippets, cfg.feature_dim, cfg.seed
-        )
-    else:
-        store = stage("load-features", load_embeddings, features_source)
-        refs, matrix, meta = stage("featurize", snippet_features_from_store, snippets, store)
-    indices = stage("index", build_scene_indices, refs, matrix, meta)
-    scored = stage("score", score_scenes, model, indices, cfg, threads)
+    features_path = None if features_source == "kinematic" else features_source
+    run = score_tracks(cfg, tracks_path, model_path, features_path)
 
-    frame_scores: dict[str, np.ndarray] = {}
-    frames_typ: dict[str, np.ndarray] = {}
-    frames_unq: dict[str, np.ndarray] = {}
-    all_series = {}
-    for video_id, vs in scored.items():
-        if video_id in labels:
-            video_length = len(labels[video_id])
-        else:
-            video_length = max(t for t in vs.start_times) + cfg.window_length
-        zeros = np.zeros_like(vs.typicality)
-
-        def series_for(st, su):
-            return build_score_series(
-                video_id, vs.refs, vs.person_ids, vs.start_times,
-                st, su, video_length, cfg.window_length, cfg.epsilon,
-            )
-
-        def frames_for(st, su):
-            return smooth_scores(series_for(st, su).frame_scores, cfg.smoothing_window)
-
-        series = series_for(vs.typicality, vs.uniqueness)
-        all_series[video_id] = series
-        frame_scores[video_id] = smooth_scores(series.frame_scores, cfg.smoothing_window)
-        frames_typ[video_id] = frames_for(vs.typicality, zeros)
-        frames_unq[video_id] = frames_for(zeros, vs.uniqueness)
-
-    micro = stage("evaluate", _micro_for, labels, frame_scores)
-    micro_typ = _micro_for(labels, frames_typ)
-    micro_unq = _micro_for(labels, frames_unq)
-
-    per_video = {}
-    for video_id in sorted(labels):
-        if video_id not in frame_scores:
-            continue
-        video = LabeledVideo(video_id, labels[video_id], frame_scores[video_id])
-        try:
-            per_video[video_id] = micro_auc([video])
-        except UndefinedMetricError:
-            pass  # single-class video; no per-video AUC
-
-    n_frames = sum(len(labels[v]) for v in labels if v in frame_scores)
+    frames_typ = {
+        vid: fuse_video(vs, cfg, uniqueness=np.zeros_like(vs.uniqueness))[1]
+        for vid, vs in run.videos.items()
+    }
+    frames_unq = {
+        vid: fuse_video(vs, cfg, typicality=np.zeros_like(vs.typicality))[1]
+        for vid, vs in run.videos.items()
+    }
+    result = stage("evaluate", evaluate, labels, run.frame_scores)
+    micro_typ = evaluate(labels, frames_typ).micro
+    micro_unq = evaluate(labels, frames_unq).micro
     wall = time.perf_counter() - started
 
-    write_frame_scores(frame_scores, out_dir / "scores.tsv")
-    write_snippet_details(all_series, out_dir / "details.tsv")
-    entries: list[tuple[str, object]] = [
-        ("micro_auc", micro),
-        ("micro_auc_typicality", micro_typ),
-        ("micro_auc_uniqueness", micro_unq),
-        ("videos", len(frame_scores)),
-        ("frames", n_frames),
-        ("wall_seconds", wall),
-    ]
-    entries.extend((f"video_auc.{vid}", auc) for vid, auc in sorted(per_video.items()))
-    write_report(entries, out_dir / "report.txt")
+    write_frame_scores(run.frame_scores, out_dir / "scores.tsv")
+    write_snippet_details(run.series, out_dir / "details.tsv")
+    ablations = (("micro_auc_typicality", micro_typ), ("micro_auc_uniqueness", micro_unq))
+    write_report(result.report_entries(wall, ablations), out_dir / "report.txt")
 
     return BenchmarkReport(
-        micro=micro,
+        micro=result.micro,
         micro_typicality=micro_typ,
         micro_uniqueness=micro_unq,
-        per_video_auc=per_video,
-        videos=len(frame_scores),
-        frames=n_frames,
+        per_video_auc=result.per_video_auc,
+        videos=result.videos,
+        frames=result.frames,
         wall_seconds=wall,
-        frame_scores=frame_scores,
+        frame_scores=run.frame_scores,
         frame_scores_typicality=frames_typ,
         frame_scores_uniqueness=frames_unq,
     )

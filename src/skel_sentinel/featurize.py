@@ -184,10 +184,6 @@ def write_embeddings(refs: list[str], matrix: np.ndarray, path: str | Path) -> N
     Path(f"{path}.idx").write_text("\n".join(refs) + ("\n" if refs else ""), encoding="utf-8")
 
 
-def store_to_file(store: FeatureStore, path: str | Path) -> None:
-    write_embeddings(store.refs, store.matrix, path)
-
-
 def load_embeddings(path: str | Path) -> FeatureStore:
     path = Path(path)
     blob = path.read_bytes()

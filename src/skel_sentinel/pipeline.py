@@ -1,7 +1,9 @@
 """Glue between stages: tracks -> snippets -> features -> per-video scores.
 
-Kept separate from the CLI so benchmark orchestration and tests can drive the
-same code paths directly.
+`score_tracks` is the one path from a track file to frame scores: both the
+`score` subcommand and `evaluation.run_benchmark` call it, so they share every
+option and write the same bytes. Stage functions are looked up as module
+attributes at call time, so a tracer can wrap them by name.
 """
 
 from __future__ import annotations
@@ -9,15 +11,23 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
 from .context import SceneIndex, video_uniqueness_scores
-from .errors import DegenerateSnippetError, MissingEmbeddingError
-from .featurize import FeatureStore, kinematic_features
-from .flow import FlowModel, typicality_score
-from .pose_io import NormalizedSnippet, Track, normalize_snippet, window_snippets
+from .errors import (
+    DegenerateSnippetError,
+    MissingEmbeddingError,
+    SchemaError,
+    SentinelError,
+    StageError,
+)
+from .featurize import FeatureStore, kinematic_features, load_embeddings
+from .flow import FlowModel, load_flow, typicality_score
+from .pose_io import NormalizedSnippet, Track, load_tracks, normalize_snippet, window_snippets
+from .scoring import ScoreSeries, build_score_series, smooth_scores
 
 logger = logging.getLogger(__name__)
 
@@ -144,3 +154,73 @@ def score_scenes(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda vid: score_scene(model, indices[vid], cfg), ordered))
     return {vid: res for vid, res in zip(ordered, results)}
+
+
+def stage(name: str, fn, *args):
+    """Run one stage; an error the CLI reports is re-raised as a StageError naming it."""
+    try:
+        return fn(*args)
+    except (SentinelError, OSError, ValueError) as exc:
+        raise StageError(name, exc) from exc
+
+
+def fuse_video(
+    vs: VideoScores,
+    cfg: RunConfig,
+    typicality: np.ndarray | None = None,
+    uniqueness: np.ndarray | None = None,
+) -> tuple[ScoreSeries, np.ndarray]:
+    """Fused series and smoothed frame scores of one video.
+
+    The series ends at max(start) + T; a tail no window covers is left to
+    `evaluation.evaluate` to pad. Either score family can be replaced, for
+    the single-family ablations.
+    """
+    series = build_score_series(
+        vs.video_id, vs.refs, vs.person_ids, vs.start_times,
+        vs.typicality if typicality is None else typicality,
+        vs.uniqueness if uniqueness is None else uniqueness,
+        max(vs.start_times) + cfg.window_length, cfg.window_length, cfg.epsilon,
+    )
+    return series, smooth_scores(series.frame_scores, cfg.smoothing_window)
+
+
+@dataclass(frozen=True)
+class ScoredRun:
+    videos: dict[str, VideoScores]
+    series: dict[str, ScoreSeries]
+    frame_scores: dict[str, np.ndarray]
+
+
+def score_tracks(
+    cfg: RunConfig,
+    tracks_path: str | Path,
+    model_path: str | Path,
+    features_path: str | Path | None = None,
+) -> ScoredRun:
+    """Tracks in, per-video series and frame scores out, keyed by video_id.
+
+    Features come from `features_path` when one is given and are computed
+    from the tracks otherwise; `features = file` without a path is a
+    SchemaError. Each stage's failure is raised as a StageError naming it.
+    """
+    if cfg.features == "file" and features_path is None:
+        raise SchemaError("config says features = file but no features path is given")
+    model = stage("load-model", load_flow, model_path)
+    videos = stage("load-tracks", load_tracks, tracks_path, cfg.joints)
+    snippets = stage("window", extract_snippets, videos, cfg.window_length, cfg.stride)
+    if features_path is None:
+        refs, matrix, meta = stage(
+            "featurize", featurize_snippets, snippets, cfg.feature_dim, cfg.seed
+        )
+    else:
+        store = stage("load-features", load_embeddings, features_path)
+        refs, matrix, meta = stage("featurize", snippet_features_from_store, snippets, store)
+    indices = stage("index", build_scene_indices, refs, matrix, meta)
+    scored = stage("score", score_scenes, model, indices, cfg, cfg.threads)
+    fused = stage("series", lambda: {vid: fuse_video(vs, cfg) for vid, vs in scored.items()})
+    return ScoredRun(
+        videos=scored,
+        series={vid: series for vid, (series, _) in fused.items()},
+        frame_scores={vid: frames for vid, (_, frames) in fused.items()},
+    )

@@ -83,21 +83,29 @@ class TestRunBenchmark:
         root, cfg = small_run
         serial = run_benchmark(
             root / "tracks.tsv", "kinematic", root / "model.skfl",
-            root / "labels.tsv", tmp_path / "s", cfg, threads=1,
+            root / "labels.tsv", tmp_path / "s", cfg,
         )
         threaded = run_benchmark(
             root / "tracks.tsv", "kinematic", root / "model.skfl",
-            root / "labels.tsv", tmp_path / "t", cfg, threads=4,
+            root / "labels.tsv", tmp_path / "t", cfg.replace(threads=4),
         )
         assert (tmp_path / "s" / "scores.tsv").read_bytes() == (
             tmp_path / "t" / "scores.tsv"
         ).read_bytes()
         assert serial.micro == threaded.micro
 
-    @pytest.mark.parametrize("window", [0, 5])
-    def test_cli_score_eval_reports_same_micro_auc(self, small_run, tmp_path, window):
+    @pytest.mark.parametrize(
+        "window, stride",
+        [
+            pytest.param(0, 1, id="0"),
+            pytest.param(5, 1, id="5"),
+            # every small-bundle video leaves a 3-frame tail no window covers
+            pytest.param(0, 5, id="stride5"),
+        ],
+    )
+    def test_cli_score_eval_reports_same_micro_auc(self, small_run, tmp_path, window, stride):
         root, cfg = small_run
-        cfg = cfg.replace(smoothing_window=window)
+        cfg = cfg.replace(smoothing_window=window, stride=stride)
         cfg.to_file(tmp_path / "run.cfg")
         report = run_benchmark(
             root / "tracks.tsv", "kinematic", root / "model.skfl",
@@ -111,6 +119,10 @@ class TestRunBenchmark:
             "eval", "--scores", str(tmp_path / "scores" / "scores.tsv"),
             "--labels", str(root / "labels.tsv"), "--out", str(tmp_path / "report"),
         ]) == 0
+        for name in ("scores.tsv", "details.tsv"):
+            assert (tmp_path / "bench" / name).read_bytes() == (
+                tmp_path / "scores" / name
+            ).read_bytes()
         lines = (tmp_path / "report" / "report.txt").read_text().splitlines()
         # report.txt carries 6 decimals
         assert "micro_auc = " + f"{report.micro:.6f}" in lines

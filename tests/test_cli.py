@@ -3,6 +3,7 @@ import pytest
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.config import RunConfig
 from skel_sentinel.evaluation import write_labels
+from skel_sentinel.flow import init_flow, save_flow
 from skel_sentinel.pose_io import write_tracks
 from skel_sentinel.synth import make_benchmark, write_class_map
 from skel_sentinel.typicality import save_typicality_spec
@@ -66,6 +67,23 @@ class TestHelpAndUsage:
         err = capsys.readouterr().err
         assert err.startswith("error\teval\t")
         assert len(err.strip().splitlines()) == 1
+
+    def test_stage_failure_names_inner_stage_and_cause(self, small_benchmark, tmp_path, capsys):
+        root = small_benchmark
+        save_flow(init_flow(16, 2, 8, seed=0), tmp_path / "model.skfl")
+        lines = (root / "test_tracks.tsv").read_text().splitlines()
+        lines[2] = lines[2].replace("\t", " ", 1)
+        (tmp_path / "tracks.tsv").write_text("\n".join(lines) + "\n")
+        status = run_cli(
+            "score", "--tracks", tmp_path / "tracks.tsv", "--model", tmp_path / "model.skfl",
+            "--out", tmp_path / "out", "--config", root / "run.cfg",
+        )
+        assert status == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "error\tscore\tTrackParseError\tload-tracks: line 3: expected 4 tab-separated"
+        )
 
 
 class TestPipeline:
@@ -141,6 +159,7 @@ class TestPipeline:
             "--out", tmp_path / "out", "--config", tmp_path / "file.cfg",
         )
         assert status == 1
+        assert capsys.readouterr().err.startswith("error\tscore\tSchemaError\t")
 
 
 class TestFullScalePipeline:
