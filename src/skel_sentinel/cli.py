@@ -153,9 +153,11 @@ def _class_labels(refs: list[str], class_map: dict[str, str]) -> dict[str, str]:
 
 def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     features_path, out_dir = _featurize_out_paths(out)
-    videos = load_tracks(args.tracks, cfg.joints)
-    snippets = extract_snippets(videos, cfg.window_length, cfg.stride)
-    refs, matrix, _ = featurize_snippets(snippets, cfg.feature_dim, cfg.seed)
+    videos = stage("load-tracks", load_tracks, args.tracks, cfg.joints)
+    table = stage("window", extract_snippets, videos, cfg.window_length, cfg.stride)
+    del videos
+    refs, matrix, _ = stage("featurize", featurize_snippets, table, cfg.feature_dim, cfg.seed)
+    del table
     _write_resolved(cfg, out_dir, "featurize")
     write_embeddings(refs, matrix, features_path)
     print(f"wrote {len(refs)} features of dimension {cfg.feature_dim} to {features_path}")

@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteError,
     SchemaError,
 )
-from .pose_io import NormalizedSnippet
+from .pose_io import BLOCK_ROWS, NormalizedSnippet
 
 MAGIC = b"SKEM"
 VERSION = 1
@@ -94,16 +94,41 @@ class FeatureStore:
         return self.matrix[self.row(ref)]
 
 
+def descriptors(joints: np.ndarray) -> np.ndarray:
+    """Raw kinematic descriptors of a (B, 2, J, T) block, one row per snippet.
+
+    Each row holds the coordinates, the frame-to-frame velocities and the
+    distance of every joint pair (i < j, in `np.triu_indices` order) in every
+    frame, each flattened in C order.
+    """
+    n, _, n_joints, length = joints.shape
+    n_coords = 2 * n_joints * length
+    n_velocities = 2 * n_joints * (length - 1)
+    n_pairs = n_joints * (n_joints - 1) // 2
+    out = np.empty((n, n_coords + n_velocities + n_pairs * length), dtype=np.float64)
+    out[:, :n_coords] = joints.reshape(n, n_coords)
+    np.subtract(
+        joints[..., 1:], joints[..., :-1],
+        out=out[:, n_coords : n_coords + n_velocities].reshape(n, 2, n_joints, length - 1),
+    )
+    # Joint i against every later joint: one contiguous run of pairs per i.
+    column = n_coords + n_velocities
+    x, y = joints[:, 0], joints[:, 1]
+    for i in range(n_joints - 1):
+        dx = x[:, i : i + 1] - x[:, i + 1 :]
+        dy = y[:, i : i + 1] - y[:, i + 1 :]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        end = column + dx.shape[1] * length
+        np.sqrt(dx, out=out[:, column:end].reshape(dx.shape))
+        column = end
+    return out
+
+
 def snippet_descriptor(snippet: NormalizedSnippet) -> np.ndarray:
     """Raw kinematic descriptor: coordinates, velocities, joint-pair distances."""
-    joints = snippet.joints  # (2, J, T)
-    _, n_joints, _ = joints.shape
-    coords = joints.ravel()
-    velocities = np.diff(joints, axis=2).ravel()
-    ia, ib = np.triu_indices(n_joints, k=1)
-    deltas = joints[:, ia, :] - joints[:, ib, :]  # (2, P, T)
-    pair_distances = np.sqrt((deltas * deltas).sum(axis=0)).ravel()
-    return np.concatenate([coords, velocities, pair_distances])
+    return descriptors(snippet.joints[None])[0]
 
 
 def _projection(raw_dim: int, target_dim: int, seed: int) -> np.ndarray:
@@ -121,12 +146,30 @@ def _projection(raw_dim: int, target_dim: int, seed: int) -> np.ndarray:
     return q
 
 
-def kinematic_features(snippet: NormalizedSnippet, dim: int, seed: int) -> FeatureVector:
-    """Project the kinematic descriptor onto `dim` seeded orthonormal axes."""
+def kinematic_matrix(joints: np.ndarray, dim: int, seed: int) -> np.ndarray:
+    """(N, dim) features of an (N, 2, J, T) stack of normalized snippets.
+
+    Descriptors are built and projected BLOCK_ROWS rows at a time, so the
+    descriptor block never outgrows BLOCK_ROWS rows. The projection is a
+    stack of (1, K) @ (K, dim) products, not one (B, K) @ (K, dim) GEMM: each
+    row then goes through the same vector-matrix kernel as a single snippet
+    does, and the features are bit-identical for any block size, whereas a
+    GEMM's blocked summation changes the last bits.
+    """
     if dim < 4:
         raise DimensionError(f"feature dimension must be >= 4, got {dim}")
-    raw = snippet_descriptor(snippet)
-    values = raw @ _projection(raw.size, dim, seed)
+    n = joints.shape[0]
+    out = np.empty((n, dim), dtype=np.float64)
+    for b0 in range(0, n, BLOCK_ROWS):
+        raw = descriptors(joints[b0 : b0 + BLOCK_ROWS])
+        projection = _projection(raw.shape[1], dim, seed)
+        out[b0 : b0 + BLOCK_ROWS] = (raw[:, None, :] @ projection)[:, 0, :]
+    return out
+
+
+def kinematic_features(snippet: NormalizedSnippet, dim: int, seed: int) -> FeatureVector:
+    """Project the kinematic descriptor onto `dim` seeded orthonormal axes."""
+    values = kinematic_matrix(snippet.joints[None], dim, seed)[0]
     return FeatureVector(snippet_ref=snippet.ref, values=values)
 
 

@@ -4,6 +4,13 @@
 `score` subcommand and `evaluation.run_benchmark` call it, so they share every
 option and write the same bytes. Stage functions are looked up as module
 attributes at call time, so a tracer can wrap them by name.
+
+The snippet front end is columnar. `extract_snippets` turns all tracks into
+one `pose_io.SnippetTable` (N rows, joints as an (N, 2, J, T) tensor),
+normalized in blocks of `pose_io.BLOCK_ROWS`, and `featurize_snippets`
+projects it block by block. Both give the per-snippet functions' bits
+exactly; `featurize.kinematic_matrix` says why the projection is a stacked
+product and not a GEMM.
 """
 
 from __future__ import annotations
@@ -14,19 +21,29 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .context import SceneIndex, video_uniqueness_scores
 from .errors import (
-    DegenerateSnippetError,
     MissingEmbeddingError,
+    NonFiniteError,
     SchemaError,
     SentinelError,
     StageError,
 )
-from .featurize import FeatureStore, kinematic_features, load_embeddings
+from .featurize import FeatureStore, kinematic_matrix, load_embeddings
 from .flow import FlowModel, load_flow, typicality_score
-from .pose_io import NormalizedSnippet, Track, load_tracks, normalize_snippet, window_snippets
+from .pose_io import (
+    BLOCK_ROWS,
+    SCALE_FLOOR,
+    SnippetTable,
+    Track,
+    kept_offsets,
+    load_tracks,
+    normalize_block,
+    track_arrays,
+)
 from .scoring import ScoreSeries, build_score_series, smooth_scores
 
 logger = logging.getLogger(__name__)
@@ -41,55 +58,95 @@ class SnippetMeta:
 
 def extract_snippets(
     videos: dict[str, list[Track]], window_length: int, stride: int
-) -> list[NormalizedSnippet]:
-    """Window and normalize every track; degenerate snippets are dropped."""
-    out: list[NormalizedSnippet] = []
-    dropped = 0
+) -> SnippetTable:
+    """Window and normalize every track into one SnippetTable.
+
+    Rows come in video_id order, then track order, then start time.
+    Zero-dominated windows are never cut out. The rest are gathered and
+    normalized BLOCK_ROWS at a time, and degenerate ones are dropped. The
+    table keeps both drop counts, and both are logged.
+    """
+    coords, conf, offsets, owners = [], [], [], []
+    dropped_zero = 0
     for video_id in sorted(videos):
         for track in videos[video_id]:
-            for snippet in window_snippets(track, window_length, stride):
-                try:
-                    out.append(normalize_snippet(snippet))
-                except DegenerateSnippetError:
-                    dropped += 1
-    if dropped:
-        logger.info("dropped %d degenerate snippet(s)", dropped)
-    return out
+            track_coords, track_conf = track_arrays(track)
+            kept, dropped = kept_offsets(track_coords, window_length, stride)
+            dropped_zero += dropped
+            coords.append(track_coords)
+            conf.append(track_conf)
+            offsets.append(kept)
+            owners.append((video_id, track.person_id, track.frames[0].frame_index))
+
+    counts = [len(kept) for kept in offsets]
+    offsets = np.concatenate(offsets) if offsets else np.empty(0, dtype=np.int64)
+    n_joints = coords[0].shape[2] if coords else 0
+    joints = np.empty((len(offsets), 2, n_joints, window_length), dtype=np.float64)
+    keep = np.ones(len(offsets), dtype=bool)
+    if len(offsets):
+        # Tracks are stacked along time. A kept window never crosses the end of
+        # its track, so each window is one slice of the stacked arrays.
+        track_rows = np.cumsum([0] + [len(c) for c in coords[:-1]])
+        rows = np.repeat(track_rows, counts) + offsets
+        coord_windows = sliding_window_view(np.concatenate(coords), window_length, axis=0)
+        conf_windows = sliding_window_view(np.concatenate(conf), window_length, axis=0)
+        for b0 in range(0, len(rows), BLOCK_ROWS):
+            block = rows[b0 : b0 + BLOCK_ROWS]
+            normalized, n_valid, scale = normalize_block(
+                np.ascontiguousarray(coord_windows[block]), conf_windows[block]
+            )
+            joints[b0 : b0 + BLOCK_ROWS] = normalized
+            keep[b0 : b0 + BLOCK_ROWS] = (n_valid > 0) & ~(scale < SCALE_FLOOR)
+
+    video_ids, person_ids, firsts = zip(*owners) if owners else ((), (), ())
+    table = SnippetTable(
+        video_ids=np.repeat(np.array(video_ids, dtype=object), counts)[keep],
+        person_ids=np.repeat(np.array(person_ids, dtype=np.int64), counts)[keep],
+        starts=(np.repeat(np.array(firsts, dtype=np.int64), counts) + offsets)[keep],
+        joints=joints if keep.all() else joints[keep],
+        dropped_zero=dropped_zero,
+        dropped_degenerate=int((~keep).sum()),
+    )
+    logger.info(
+        "kept %d snippet(s); dropped %d zero-dominated and %d degenerate window(s)",
+        len(table), table.dropped_zero, table.dropped_degenerate,
+    )
+    return table
+
+
+def _snippet_meta(table: SnippetTable, refs: list[str]) -> dict[str, SnippetMeta]:
+    return {
+        ref: SnippetMeta(video_id, person_id, start)
+        for ref, video_id, person_id, start in zip(
+            refs, table.video_ids.tolist(), table.person_ids.tolist(), table.starts.tolist()
+        )
+    }
 
 
 def featurize_snippets(
-    snippets: list[NormalizedSnippet], dim: int, seed: int
+    table: SnippetTable, dim: int, seed: int
 ) -> tuple[list[str], np.ndarray, dict[str, SnippetMeta]]:
-    refs: list[str] = []
-    rows: list[np.ndarray] = []
-    meta: dict[str, SnippetMeta] = {}
-    for snip in snippets:
-        vec = kinematic_features(snip, dim, seed)
-        refs.append(vec.snippet_ref)
-        rows.append(vec.values)
-        src = snip.source
-        meta[vec.snippet_ref] = SnippetMeta(src.video_id, src.person_id, src.start_time)
-    matrix = np.vstack(rows) if rows else np.empty((0, dim))
-    return refs, matrix, meta
+    """Kinematic features of every table row, with the rows' refs and metadata."""
+    refs = table.refs
+    matrix = kinematic_matrix(table.joints, dim, seed)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(f"feature for {refs[int(np.argmin(finite))]} has non-finite values")
+    return refs, matrix, _snippet_meta(table, refs)
 
 
 def snippet_features_from_store(
-    snippets: list[NormalizedSnippet], store: FeatureStore
+    table: SnippetTable, store: FeatureStore
 ) -> tuple[list[str], np.ndarray, dict[str, SnippetMeta]]:
     """Align precomputed embeddings with the snippets derived from the tracks."""
-    refs: list[str] = []
-    rows: list[np.ndarray] = []
-    meta: dict[str, SnippetMeta] = {}
-    for snip in snippets:
-        ref = snip.ref
+    refs = table.refs
+    rows = []
+    for ref in refs:
         if ref not in store:
             raise MissingEmbeddingError(f"feature store has no row for {ref!r}")
-        refs.append(ref)
-        rows.append(store.lookup(ref).astype(np.float64))
-        src = snip.source
-        meta[ref] = SnippetMeta(src.video_id, src.person_id, src.start_time)
-    matrix = np.vstack(rows) if rows else np.empty((0, store.dimension))
-    return refs, matrix, meta
+        rows.append(store.row(ref))
+    matrix = store.matrix[rows].astype(np.float64)
+    return refs, matrix, _snippet_meta(table, refs)
 
 
 def build_scene_indices(
@@ -208,14 +265,16 @@ def score_tracks(
         raise SchemaError("config says features = file but no features path is given")
     model = stage("load-model", load_flow, model_path)
     videos = stage("load-tracks", load_tracks, tracks_path, cfg.joints)
-    snippets = stage("window", extract_snippets, videos, cfg.window_length, cfg.stride)
+    table = stage("window", extract_snippets, videos, cfg.window_length, cfg.stride)
+    del videos
     if features_path is None:
         refs, matrix, meta = stage(
-            "featurize", featurize_snippets, snippets, cfg.feature_dim, cfg.seed
+            "featurize", featurize_snippets, table, cfg.feature_dim, cfg.seed
         )
     else:
         store = stage("load-features", load_embeddings, features_path)
-        refs, matrix, meta = stage("featurize", snippet_features_from_store, snippets, store)
+        refs, matrix, meta = stage("featurize", snippet_features_from_store, table, store)
+    del table  # the joints tensor is not needed once features exist
     indices = stage("index", build_scene_indices, refs, matrix, meta)
     scored = stage("score", score_scenes, model, indices, cfg, cfg.threads)
     fused = stage("series", lambda: {vid: fuse_video(vs, cfg) for vid, vs in scored.items()})

@@ -6,15 +6,21 @@ Track file format (UTF-8, LF, one pose per line):
 
 with exactly one x,y,confidence triple per joint. Coordinates are pixels,
 confidences live in [0, 1].
+
+Windowing and normalization are array kernels (`track_arrays`,
+`kept_offsets`, `normalize_block`). `pipeline.extract_snippets` runs them over
+all tracks into one `SnippetTable`; `window_snippets` and `normalize_snippet`
+run them on one track or one snippet.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateSnippetError,
@@ -28,6 +34,10 @@ from .errors import (
 MAX_ZERO_FRAME_FRACTION = 0.5
 
 SCALE_FLOOR = 1e-12
+
+# Snippets per block in the batched front end (normalization, featurization):
+# bounds each block's temporaries at BLOCK_ROWS rows whatever the input size.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -87,17 +97,51 @@ class Snippet:
         return make_snippet_ref(self.video_id, self.person_id, self.start_time)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedSnippet:
     """Snippet coordinates after centroid removal and RMS rescaling."""
 
+    video_id: str
+    person_id: int
+    start_time: int
     joints: np.ndarray  # (2, J, T)
-    confidence: np.ndarray  # (J, T)
-    source: Snippet = field(repr=False)
 
     @property
     def ref(self) -> str:
-        return self.source.ref
+        return make_snippet_ref(self.video_id, self.person_id, self.start_time)
+
+
+@dataclass(frozen=True, eq=False)
+class SnippetTable:
+    """Normalized snippets as columns; row i is one NormalizedSnippet.
+
+    Indexing and iteration give NormalizedSnippet views of the rows. The drop
+    counts record the windows that did not become rows.
+    """
+
+    video_ids: np.ndarray  # (N,) str
+    person_ids: np.ndarray  # (N,) int64
+    starts: np.ndarray  # (N,) int64, frame index of each window's first frame
+    joints: np.ndarray  # (N, 2, J, T) normalized coordinates
+    dropped_zero: int = 0  # windows with too many zero-filled frames
+    dropped_degenerate: int = 0  # windows normalization rejects
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, row: int) -> NormalizedSnippet:
+        return NormalizedSnippet(
+            str(self.video_ids[row]), int(self.person_ids[row]), int(self.starts[row]),
+            self.joints[row],
+        )
+
+    def __iter__(self) -> Iterator[NormalizedSnippet]:
+        return (self[row] for row in range(len(self)))
+
+    @property
+    def refs(self) -> list[str]:
+        columns = (self.video_ids.tolist(), self.person_ids.tolist(), self.starts.tolist())
+        return [make_snippet_ref(v, p, s) for v, p, s in zip(*columns)]
 
 
 def make_snippet_ref(video_id: str, person_id: int, start_time: int) -> str:
@@ -186,6 +230,39 @@ def write_tracks(videos: dict[str, list[Track]], path: str | Path) -> None:
                     fh.write(f"{video_id}\t{track.person_id}\t{frame.frame_index}\t{pose}\n")
 
 
+def track_arrays(track: Track) -> tuple[np.ndarray, np.ndarray]:
+    """A track's (L, 2, J) coordinates and (L, J) confidences over its L frames.
+
+    Frames missing from the track are zero-filled, so row t holds frame
+    `first + t` and window timestamps stay aligned with the source video.
+    """
+    first = track.frames[0].frame_index
+    n_joints = track.frames[0].xy.shape[0]
+    rows = np.array([f.frame_index for f in track.frames]) - first
+    coords = np.zeros((track.length, 2, n_joints), dtype=np.float64)
+    conf = np.zeros((track.length, n_joints), dtype=np.float64)
+    coords[rows] = np.stack([f.xy for f in track.frames]).transpose(0, 2, 1)
+    conf[rows] = np.stack([f.confidence for f in track.frames])
+    return coords, conf
+
+
+def kept_offsets(coords: np.ndarray, window_length: int, stride: int) -> tuple[np.ndarray, int]:
+    """Offsets of a track's kept windows, and how many were zero-dominated.
+
+    `coords` is a track's (L, 2, J) array. A window whose zero-frame fraction
+    exceeds MAX_ZERO_FRAME_FRACTION is dropped.
+    """
+    if window_length < 2:
+        raise SchemaError("window_length must be >= 2")
+    if stride < 1:
+        raise SchemaError("stride must be >= 1")
+    offsets = np.arange(0, coords.shape[0] - window_length + 1, stride)
+    zero_frames = np.concatenate([[0], np.cumsum(~np.any(coords != 0.0, axis=(1, 2)))])
+    zeros = zero_frames[offsets + window_length] - zero_frames[offsets]
+    keep = zeros / window_length <= MAX_ZERO_FRAME_FRACTION
+    return offsets[keep], int((~keep).sum())
+
+
 def window_snippets(track: Track, window_length: int, stride: int) -> list[Snippet]:
     """Cut a track into sliding windows, dropping zero-dominated ones.
 
@@ -193,38 +270,41 @@ def window_snippets(track: Track, window_length: int, stride: int) -> list[Snipp
     aligned with the source video. Windows whose zero-frame fraction exceeds
     MAX_ZERO_FRAME_FRACTION are discarded.
     """
-    if window_length < 2:
-        raise SchemaError("window_length must be >= 2")
-    if stride < 1:
-        raise SchemaError("stride must be >= 1")
-
+    coords, conf = track_arrays(track)
+    offsets, _ = kept_offsets(coords, window_length, stride)
+    if not len(offsets):
+        return []
+    joints = sliding_window_view(coords, window_length, axis=0)[offsets]  # (n, 2, J, T)
+    confidence = sliding_window_view(conf, window_length, axis=0)[offsets]  # (n, J, T)
     first = track.frames[0].frame_index
-    length = track.length
-    n_joints = track.frames[0].xy.shape[0]
-    coords = np.zeros((2, n_joints, length), dtype=np.float64)
-    conf = np.zeros((n_joints, length), dtype=np.float64)
-    for frame in track.frames:
-        t = frame.frame_index - first
-        coords[0, :, t] = frame.xy[:, 0]
-        coords[1, :, t] = frame.xy[:, 1]
-        conf[:, t] = frame.confidence
+    return [
+        Snippet(track.video_id, track.person_id, first + offset, joints[i], confidence[i])
+        for i, offset in enumerate(offsets.tolist())
+    ]
 
-    zero_frame = ~np.any(coords != 0.0, axis=(0, 1))  # (length,)
-    snippets = []
-    for offset in range(0, length - window_length + 1, stride):
-        window = coords[:, :, offset : offset + window_length]
-        if zero_frame[offset : offset + window_length].sum() / window_length > MAX_ZERO_FRAME_FRACTION:
-            continue
-        snippets.append(
-            Snippet(
-                video_id=track.video_id,
-                person_id=track.person_id,
-                start_time=first + offset,
-                joints=window.copy(),
-                confidence=conf[:, offset : offset + window_length].copy(),
-            )
-        )
-    return snippets
+
+def normalize_block(
+    coords: np.ndarray, conf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centroid-removed, unit-RMS copies of a block of snippets.
+
+    `coords` is a C-contiguous (B, 2, J, T) block and `conf` its (B, J, T)
+    confidences. Returns the normalized block with each row's valid-joint
+    count and RMS scale. Valid joints have nonzero coordinates or positive
+    confidence; only they move, and the zero placeholders left by gap filling
+    stay at zero, so normalizing again is a fixed point. A row with no valid
+    joint or a scale below SCALE_FLOOR is degenerate and its normalized
+    values mean nothing. Each row's reductions run over its own contiguous
+    values, so a row's result does not depend on the block it sits in.
+    """
+    valid = (conf > 0) | np.any(coords != 0.0, axis=1)  # (B, J, T)
+    mask = valid[:, None, :, :]
+    n_valid = valid.sum(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = coords.sum(axis=(2, 3), where=mask) / n_valid[:, None]  # (B, 2)
+        centered = np.where(mask, coords - centroid[:, :, None, None], 0.0)
+        scale = np.sqrt((centered * centered).sum(axis=(1, 2, 3)) / (2 * n_valid))
+        return centered / scale[:, None, None, None], n_valid, scale
 
 
 def normalize_snippet(snippet: Snippet) -> NormalizedSnippet:
@@ -234,20 +314,11 @@ def normalize_snippet(snippet: Snippet) -> NormalizedSnippet:
     zero placeholders left by gap filling stay at zero so repeated
     normalization is a fixed point.
     """
-    coords = snippet.joints
-    valid = (snippet.confidence > 0) | np.any(coords != 0.0, axis=0)  # (J, T)
-    if not valid.any():
-        raise DegenerateSnippetError(f"{snippet.ref}: no valid joints")
-
-    mask = valid[None, :, :]
-    n_valid = valid.sum()
-    centroid = coords.sum(axis=(1, 2), where=mask) / n_valid  # (2,)
-    centered = np.where(mask, coords - centroid[:, None, None], 0.0)
-    scale = math.sqrt(float((centered * centered).sum()) / (2 * n_valid))
-    if scale < SCALE_FLOOR:
-        raise DegenerateSnippetError(f"{snippet.ref}: scale {scale:.3e} below floor")
-    return NormalizedSnippet(
-        joints=centered / scale,
-        confidence=snippet.confidence,
-        source=snippet,
+    joints, n_valid, scale = normalize_block(
+        np.ascontiguousarray(snippet.joints[None], dtype=np.float64), snippet.confidence[None]
     )
+    if n_valid[0] == 0:
+        raise DegenerateSnippetError(f"{snippet.ref}: no valid joints")
+    if scale[0] < SCALE_FLOOR:
+        raise DegenerateSnippetError(f"{snippet.ref}: scale {scale[0]:.3e} below floor")
+    return NormalizedSnippet(snippet.video_id, snippet.person_id, snippet.start_time, joints[0])

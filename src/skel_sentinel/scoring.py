@@ -126,13 +126,21 @@ def build_score_series(
 
 
 def smooth_scores(scores: np.ndarray, window: int) -> np.ndarray:
-    """Optional centered moving average; window <= 1 is a no-op."""
-    if window <= 1:
-        return np.asarray(scores, dtype=np.float64)
+    """Optional centered moving average; window <= 1 is a no-op.
+
+    Frame i becomes the mean of the frames i - window // 2 through
+    i + (window - 1) // 2 that exist, so the output has one value per input
+    frame, also for a window longer than the series.
+    """
     scores = np.asarray(scores, dtype=np.float64)
+    if window <= 1:
+        return scores
     kernel = np.ones(window)
-    sums = np.convolve(scores, kernel, mode="same")
-    counts = np.convolve(np.ones_like(scores), kernel, mode="same")
+    # The centered slice of the full convolution; np.convolve(mode="same")
+    # gives the same values but returns max(len, window) of them.
+    centered = slice((window - 1) // 2, (window - 1) // 2 + len(scores))
+    sums = np.convolve(scores, kernel, mode="full")[centered]
+    counts = np.convolve(np.ones_like(scores), kernel, mode="full")[centered]
     return sums / counts
 
 

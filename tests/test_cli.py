@@ -85,6 +85,21 @@ class TestHelpAndUsage:
             "error\tscore\tTrackParseError\tload-tracks: line 3: expected 4 tab-separated"
         )
 
+    def test_featurize_failure_names_inner_stage(self, small_benchmark, tmp_path, capsys):
+        lines = (small_benchmark / "corpus_tracks.tsv").read_text().splitlines()
+        lines[0] = lines[0].replace("\t", " ", 1)
+        (tmp_path / "tracks.tsv").write_text("\n".join(lines) + "\n")
+        status = run_cli(
+            "featurize", "--tracks", tmp_path / "tracks.tsv", "--out", tmp_path / "f.skem",
+            "--config", small_benchmark / "run.cfg",
+        )
+        assert status == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "error\tfeaturize\tTrackParseError\tload-tracks: line 1: expected 4 tab-separated"
+        )
+
 
 class TestPipeline:
     def test_full_pipeline_small(self, small_benchmark, tmp_path):

@@ -184,7 +184,7 @@ class TestNormalize:
                 person_id=snippet.person_id,
                 start_time=snippet.start_time,
                 joints=once.joints,
-                confidence=once.confidence,
+                confidence=snippet.confidence,
             )
         )
         np.testing.assert_allclose(once.joints, again.joints, atol=1e-9)

@@ -180,3 +180,22 @@ class TestSmoothing:
         x = np.arange(9, dtype=float)
         smoothed = smooth_scores(x, 3)
         np.testing.assert_allclose(smoothed[1:-1], x[1:-1])
+
+    @pytest.mark.parametrize("n, window", [(16, 25), (16, 17), (3, 8), (1, 4)])
+    def test_window_longer_than_series_keeps_length(self, n, window):
+        x = np.arange(float(n))
+        expected = [
+            x[max(0, i - window // 2) : i + (window - 1) // 2 + 1].mean() for i in range(n)
+        ]
+        smoothed = smooth_scores(x, window)
+        assert smoothed.shape == (n,)
+        np.testing.assert_allclose(smoothed, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 7, 16])
+    def test_bytes_unchanged_when_window_fits(self, window):
+        # np.convolve(mode="same") is the previous implementation; for a window
+        # no longer than the series its values must stay bit for bit.
+        x = np.random.default_rng(window).standard_normal(16)
+        kernel = np.ones(window)
+        old = np.convolve(x, kernel, mode="same") / np.convolve(np.ones(16), kernel, mode="same")
+        np.testing.assert_array_equal(smooth_scores(x, window).view(np.int64), old.view(np.int64))

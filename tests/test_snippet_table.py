@@ -1,0 +1,263 @@
+"""The columnar snippet front end against a frozen per-snippet reference.
+
+`reference_front_end` is the per-snippet path the table replaced (window each
+track, normalize each window, featurize each snippet), kept here unchanged so
+the table's refs, features and drop counts can be checked bit for bit.
+"""
+
+import logging
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skel_sentinel.cli import command_dispatch
+from skel_sentinel.featurize import (
+    _projection,
+    kinematic_features,
+    load_embeddings,
+    snippet_descriptor,
+    write_embeddings,
+)
+from skel_sentinel.pipeline import extract_snippets, featurize_snippets
+from skel_sentinel.pose_io import (
+    BLOCK_ROWS,
+    MAX_ZERO_FRAME_FRACTION,
+    SCALE_FLOOR,
+    PoseFrame,
+    Track,
+    make_snippet_ref,
+    normalize_snippet,
+    window_snippets,
+    write_tracks,
+)
+from skel_sentinel.synth import make_benchmark
+
+
+def reference_front_end(videos, window_length, stride, dim, seed):
+    """refs, features, zero-dominated and degenerate drop counts, one snippet at a time."""
+    refs, rows = [], []
+    dropped_zero = dropped_degenerate = 0
+    for video_id in sorted(videos):
+        for track in videos[video_id]:
+            first = track.frames[0].frame_index
+            length = track.length
+            n_joints = track.frames[0].xy.shape[0]
+            coords = np.zeros((2, n_joints, length), dtype=np.float64)
+            conf = np.zeros((n_joints, length), dtype=np.float64)
+            for frame in track.frames:
+                t = frame.frame_index - first
+                coords[0, :, t] = frame.xy[:, 0]
+                coords[1, :, t] = frame.xy[:, 1]
+                conf[:, t] = frame.confidence
+            zero_frame = ~np.any(coords != 0.0, axis=(0, 1))
+            for offset in range(0, length - window_length + 1, stride):
+                window = coords[:, :, offset : offset + window_length].copy()
+                zeros = zero_frame[offset : offset + window_length].sum()
+                if zeros / window_length > MAX_ZERO_FRAME_FRACTION:
+                    dropped_zero += 1
+                    continue
+                window_conf = conf[:, offset : offset + window_length].copy()
+                valid = (window_conf > 0) | np.any(window != 0.0, axis=0)
+                if not valid.any():
+                    dropped_degenerate += 1
+                    continue
+                mask = valid[None, :, :]
+                n_valid = valid.sum()
+                centroid = window.sum(axis=(1, 2), where=mask) / n_valid
+                centered = np.where(mask, window - centroid[:, None, None], 0.0)
+                scale = math.sqrt(float((centered * centered).sum()) / (2 * n_valid))
+                if scale < SCALE_FLOOR:
+                    dropped_degenerate += 1
+                    continue
+                joints = centered / scale
+                refs.append(make_snippet_ref(video_id, track.person_id, first + offset))
+                rows.append(reference_descriptor(joints) @ reference_projection(joints, dim, seed))
+    matrix = np.vstack(rows) if rows else np.empty((0, dim))
+    return refs, matrix, dropped_zero, dropped_degenerate
+
+
+def reference_descriptor(joints):
+    _, n_joints, _ = joints.shape
+    ia, ib = np.triu_indices(n_joints, k=1)
+    deltas = joints[:, ia, :] - joints[:, ib, :]
+    return np.concatenate([
+        joints.ravel(),
+        np.diff(joints, axis=2).ravel(),
+        np.sqrt((deltas * deltas).sum(axis=0)).ravel(),
+    ])
+
+
+def reference_projection(joints, dim, seed):
+    _, n_joints, length = joints.shape
+    raw_dim = 2 * n_joints * length + 2 * n_joints * (length - 1)
+    raw_dim += n_joints * (n_joints - 1) // 2 * length
+    return _projection(raw_dim, dim, seed)
+
+
+def assert_matches_reference(videos, window_length, stride, dim=16, seed=3):
+    table = extract_snippets(videos, window_length, stride)
+    refs, matrix, meta = featurize_snippets(table, dim, seed)
+    ref_refs, ref_matrix, dropped_zero, dropped_degenerate = reference_front_end(
+        videos, window_length, stride, dim, seed
+    )
+    assert refs == ref_refs
+    assert matrix.shape == ref_matrix.shape
+    np.testing.assert_array_equal(matrix.view(np.int64), ref_matrix.view(np.int64))
+    assert (table.dropped_zero, table.dropped_degenerate) == (dropped_zero, dropped_degenerate)
+    assert list(meta) == refs
+    return table, refs, matrix
+
+
+J = 4
+
+
+def make_track(video, person, length, start=0, gaps=(), zero=(), still=(), rng=None):
+    """A track over frames start..start+length-1 without the `gaps` frames.
+
+    Frames in `zero` have all-zero coordinates; frames in `still` put every
+    joint on one fixed point, so a window made only of them is degenerate.
+    """
+    rng = rng if rng is not None else np.random.default_rng(person)
+    still_pose = np.tile(rng.random(2) * 50.0 + 1.0, (J, 1))
+    frames = []
+    for t in range(length):
+        if t in gaps:
+            continue
+        if t in zero:
+            xy, conf = np.zeros((J, 2)), np.zeros(J)
+        elif t in still:
+            xy, conf = still_pose, np.ones(J)
+        else:
+            xy, conf = rng.random((J, 2)) * 50.0 + 5.0, rng.random(J)
+        frames.append(PoseFrame(start + t, person, xy.copy(), conf))
+    return Track(video, person, frames)
+
+
+class TestAgainstReference:
+    def test_synthetic_corpus_full_config(self):
+        data = make_benchmark(seed=1, videos_per_class=1, test_counts={"pattern": 1})
+        assert_matches_reference(data.corpus_videos, 16, 1, dim=64, seed=0)
+        assert_matches_reference(data.test_videos, 16, 5, dim=64, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+    )
+    def test_row_counts_around_block_boundaries(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        first = n_rows // 2
+        videos = {
+            "a": [make_track("a", 0, first + 5, rng=rng)],
+            "b": [make_track("b", 2, n_rows - first + 5, start=9, rng=rng)],
+        }
+        table, _, _ = assert_matches_reference(videos, 6, 1)
+        assert len(table) == n_rows
+
+    def test_gaps_zero_frames_and_still_poses(self):
+        videos = {
+            "v": [
+                make_track("v", 0, 40, gaps=set(range(10, 16)), zero={30, 31, 32, 33, 34}),
+                make_track("v", 1, 30, still=set(range(0, 12))),
+                make_track("v", 2, 8),  # exactly one window
+                make_track("v", 3, 5),  # shorter than a window
+            ],
+        }
+        table, _, _ = assert_matches_reference(videos, 8, 1)
+        assert table.dropped_zero > 0 and table.dropped_degenerate > 0
+
+    def test_all_zero_and_degenerate_everything(self):
+        videos = {
+            "z": [make_track("z", 0, 12, zero=set(range(12)))],
+            "s": [make_track("s", 1, 12, still=set(range(12)))],
+        }
+        table, refs, matrix = assert_matches_reference(videos, 4, 2)
+        assert len(table) == 0 and refs == [] and matrix.shape == (0, 16)
+        assert (table.dropped_zero, table.dropped_degenerate) == (5, 5)
+
+    def test_no_tracks(self):
+        table, refs, matrix = assert_matches_reference({}, 4, 1)
+        assert len(table) == 0 and matrix.shape == (0, 16)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tracks=st.lists(
+            st.tuples(
+                st.integers(1, 90),  # frames spanned
+                st.integers(0, 20),  # first frame index
+                st.sets(st.integers(1, 88), max_size=12),  # missing frames
+                st.tuples(st.integers(0, 89), st.integers(0, 15)),  # run of all-zero frames
+                st.tuples(st.integers(0, 89), st.integers(0, 25)),  # run of one-point poses
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        window_length=st.integers(2, 9),
+        stride=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_matches_reference(self, tracks, window_length, stride, seed):
+        rng = np.random.default_rng(seed)
+        videos = {}
+        for person, (length, start, gaps, (z0, zn), (s0, sn)) in enumerate(tracks):
+            gaps = {t for t in gaps if t < length - 1}
+            video = f"v{person % 2}"
+            videos.setdefault(video, []).append(make_track(
+                video, person, length, start, gaps,
+                set(range(z0, z0 + zn)), set(range(s0, s0 + sn)), rng,
+            ))
+        assert_matches_reference(videos, window_length, stride)
+
+    def test_block_boundaries_long_track(self):
+        # One track whose windows fill several normalization blocks.
+        videos = {"long": [make_track("long", 7, 3 * BLOCK_ROWS + 20, zero={100, 101, 102})]}
+        assert_matches_reference(videos, 5, 1)
+
+
+class TestTableViews:
+    def test_rows_are_single_snippet_results(self):
+        videos = {"v": [make_track("v", 0, 30, gaps={12}), make_track("v", 4, 20, start=3)]}
+        table = extract_snippets(videos, 8, 3)
+        singles = [
+            normalize_snippet(s)
+            for track in videos["v"]
+            for s in window_snippets(track, 8, 3)
+        ]
+        assert len(table) == len(singles) == len(list(table))
+        for row, single in zip(table, singles):
+            assert row.ref == single.ref
+            np.testing.assert_array_equal(row.joints.view(np.int64), single.joints.view(np.int64))
+        refs, matrix, _ = featurize_snippets(table, 16, 5)
+        for i, single in enumerate(singles):
+            np.testing.assert_array_equal(
+                kinematic_features(single, 16, 5).values.view(np.int64), matrix[i].view(np.int64)
+            )
+        np.testing.assert_array_equal(
+            snippet_descriptor(table[0]), reference_descriptor(singles[0].joints)
+        )
+        assert table[-1].ref == refs[-1] == singles[-1].ref
+
+    def test_drop_counts_are_logged(self, caplog):
+        zeros = make_track("v", 0, 20, zero=set(range(8)))
+        videos = {"v": [zeros, make_track("v", 1, 9, still=set(range(9)))]}
+        with caplog.at_level(logging.INFO, logger="skel_sentinel.pipeline"):
+            table = extract_snippets(videos, 4, 1)
+        assert table.dropped_zero > 0 and table.dropped_degenerate > 0
+        message = caplog.records[-1].getMessage()
+        assert f"{table.dropped_zero} zero-dominated" in message
+        assert f"{table.dropped_degenerate} degenerate" in message
+
+
+def test_cli_featurize_writes_reference_bytes(tmp_path):
+    data = make_benchmark(seed=2, videos_per_class=1, test_counts={"pattern": 1})
+    write_tracks(data.corpus_videos, tmp_path / "tracks.tsv")
+    (tmp_path / "run.cfg").write_text("joints = 17\nfeature_dim = 16\n")
+    assert command_dispatch([
+        "featurize", "--tracks", str(tmp_path / "tracks.tsv"),
+        "--out", str(tmp_path / "cli.skem"), "--config", str(tmp_path / "run.cfg"),
+    ]) == 0
+    refs, matrix, _, _ = reference_front_end(data.corpus_videos, 16, 1, 16, 0)
+    write_embeddings(refs, matrix, tmp_path / "reference.skem")
+    assert (tmp_path / "cli.skem").read_bytes() == (tmp_path / "reference.skem").read_bytes()
+    assert load_embeddings(tmp_path / "cli.skem").refs == refs

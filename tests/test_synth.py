@@ -105,7 +105,7 @@ class TestPatternSeparability:
             feats, labels = [], []
             for snip in extract_snippets({scene.video_id: tracks}, 16, 8):
                 feats.append(kinematic_features(snip, cfg.feature_dim, 0).values)
-                labels.append(owner[snip.source.person_id])
+                labels.append(owner[snip.person_id])
             feats = np.array(feats)
             for i in range(len(feats)):
                 for j in range(i + 1, len(feats)):
