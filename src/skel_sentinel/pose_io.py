@@ -123,8 +123,8 @@ class SnippetTable:
     person_ids: np.ndarray  # (N,) int64
     starts: np.ndarray  # (N,) int64, frame index of each window's first frame
     joints: np.ndarray  # (N, 2, J, T) normalized coordinates
-    dropped_zero: int = 0  # windows with too many zero-filled frames
-    dropped_degenerate: int = 0  # windows normalization rejects
+    dropped_zero: int  # windows with too many zero-filled frames
+    dropped_degenerate: int  # windows normalization rejects
 
     def __len__(self) -> int:
         return len(self.starts)
