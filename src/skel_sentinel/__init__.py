@@ -9,91 +9,41 @@ scores evaluated with micro-average AUC.
 __version__ = "0.1.0"
 
 from .config import RunConfig
-from .context import (
-    Neighborhood,
-    SceneIndex,
-    cross_person_neighbors,
-    self_inspection_neighbors,
-    uniqueness_score,
-)
+from .context import SceneIndex
 from .evaluation import LabeledVideo, micro_auc, run_benchmark
-from .featurize import (
-    FeatureStore,
-    FeatureVector,
-    TextEmbedding,
-    cosine_similarity,
-    kinematic_features,
-    load_embeddings,
-    write_embeddings,
-)
+from .featurize import FeatureStore, load_embeddings, write_embeddings
 from .flow import (
     FlowModel,
     TrainConfig,
-    flow_forward,
-    flow_inverse,
     init_flow,
     load_flow,
-    log_prob,
-    nll_loss_and_grad,
     save_flow,
     train_flow,
     typicality_score,
 )
-from .pose_io import (
-    NormalizedSnippet,
-    PoseFrame,
-    Snippet,
-    Track,
-    load_tracks,
-    normalize_snippet,
-    window_snippets,
-    write_tracks,
-)
-from .scoring import ScoreSeries, frame_level_scores, holistic_scores
-from .synth import SceneConfig, generate_scene, make_benchmark
+from .pose_io import Track, load_tracks, write_tracks
+from .synth import make_benchmark
 from .typicality import SelectionResult, TypicalitySpec, load_typicality_spec, select_typical
 
 __all__ = [
     "RunConfig",
-    "Neighborhood",
     "SceneIndex",
-    "cross_person_neighbors",
-    "self_inspection_neighbors",
-    "uniqueness_score",
     "LabeledVideo",
     "micro_auc",
     "run_benchmark",
     "FeatureStore",
-    "FeatureVector",
-    "TextEmbedding",
-    "cosine_similarity",
-    "kinematic_features",
     "load_embeddings",
     "write_embeddings",
     "FlowModel",
     "TrainConfig",
-    "flow_forward",
-    "flow_inverse",
     "init_flow",
     "load_flow",
-    "log_prob",
-    "nll_loss_and_grad",
     "save_flow",
     "train_flow",
     "typicality_score",
-    "NormalizedSnippet",
-    "PoseFrame",
-    "Snippet",
     "Track",
     "load_tracks",
-    "normalize_snippet",
-    "window_snippets",
     "write_tracks",
-    "ScoreSeries",
-    "frame_level_scores",
-    "holistic_scores",
-    "SceneConfig",
-    "generate_scene",
     "make_benchmark",
     "SelectionResult",
     "TypicalitySpec",

@@ -266,8 +266,8 @@ def uniqueness_score(nc: Neighborhood, ns: Neighborhood, k: int) -> float:
 
 def video_uniqueness_scores(
     index: SceneIndex, k: int, alpha: float, window_length: int
-) -> tuple[dict[str, float], set[str]]:
-    """Uniqueness score for every snippet in the scene, plus the isolated refs.
+) -> tuple[np.ndarray, set[str]]:
+    """Uniqueness score of every snippet in index row order, plus the isolated refs.
 
     Per snippet this is `uniqueness_score` of its two neighborhoods, computed
     for the whole scene with one call per branch.
@@ -281,4 +281,4 @@ def video_uniqueness_scores(
     for i in np.flatnonzero((cross.counts == 0) & (inspect.counts == 0)):
         logger.debug("snippet %s is isolated (no context neighbors)", index.refs[i])
         isolated.add(index.refs[i])
-    return dict(zip(index.refs, values.tolist())), isolated
+    return values, isolated

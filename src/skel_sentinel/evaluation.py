@@ -67,10 +67,17 @@ def read_labels(path: str | Path) -> dict[str, np.ndarray]:
         if len(parts) != 3:
             raise SchemaError(f"{path}, line {lineno}: expected 3 fields")
         video_id, frame_text, label_text = parts
-        label = int(label_text)
+        try:
+            frame, label = int(frame_text), int(label_text)
+        except ValueError:
+            raise SchemaError(
+                f"{path}, line {lineno}: bad frame index {frame_text!r} or label {label_text!r}"
+            ) from None
+        if frame < 0:
+            raise SchemaError(f"{path}, line {lineno}: frame index must be >= 0, got {frame}")
         if label not in (0, 1):
             raise SchemaError(f"{path}, line {lineno}: label must be 0 or 1")
-        per_video.setdefault(video_id, {})[int(frame_text)] = label
+        per_video.setdefault(video_id, {})[frame] = label
     labels = {}
     for video_id, frames in per_video.items():
         length = max(frames) + 1

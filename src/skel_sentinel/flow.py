@@ -46,6 +46,11 @@ LOG_SCALE_BOUND = 5.0
 # Per-dimension offset of the abnormal center; makes ||mu_n - mu_a|| = 10*sqrt(D).
 ABNORMAL_CENTER_OFFSET = 10.0
 
+# Adam moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class FlowLayer:
@@ -75,7 +80,6 @@ class FlowModel:
     layers: list[FlowLayer]
     mu_normal: np.ndarray
     mu_abnormal: np.ndarray
-    log_scale_bound: float = LOG_SCALE_BOUND
 
     @property
     def base_log_norm(self) -> float:
@@ -161,7 +165,6 @@ def _join(cond: np.ndarray, trans: np.ndarray, parity: int) -> np.ndarray:
 
 
 def _forward_batch(model: FlowModel, x: np.ndarray, keep_cache: bool):
-    s_max = model.log_scale_bound
     logdet = np.zeros(x.shape[0])
     caches = [] if keep_cache else None
     current = x
@@ -170,7 +173,7 @@ def _forward_batch(model: FlowModel, x: np.ndarray, keep_cache: bool):
         cond, trans = _split(a, layer.parity)
         hs = np.tanh(cond @ layer.s_w1 + layer.s_b1)
         tanh_u = np.tanh(hs @ layer.s_w2 + layer.s_b2)
-        log_scale = s_max * tanh_u
+        log_scale = LOG_SCALE_BOUND * tanh_u
         ht = np.tanh(cond @ layer.t_w1 + layer.t_b1)
         shift = ht @ layer.t_w2 + layer.t_b2
         scaled = trans * np.exp(log_scale) + shift
@@ -198,12 +201,11 @@ def flow_inverse(model: FlowModel, z: np.ndarray) -> np.ndarray:
     batch, single = _as_batch(z, model.dimension)
     if not np.isfinite(batch).all():
         raise NonFiniteError("flow inverse input contains non-finite values")
-    s_max = model.log_scale_bound
     current = batch
     for layer in reversed(model.layers):
         cond, scaled = _split(current, layer.parity)
         hs = np.tanh(cond @ layer.s_w1 + layer.s_b1)
-        log_scale = s_max * np.tanh(hs @ layer.s_w2 + layer.s_b2)
+        log_scale = LOG_SCALE_BOUND * np.tanh(hs @ layer.s_w2 + layer.s_b2)
         ht = np.tanh(cond @ layer.t_w1 + layer.t_b1)
         shift = ht @ layer.t_w2 + layer.t_b2
         trans = (scaled - shift) * np.exp(-log_scale)
@@ -247,7 +249,6 @@ def _backward_batch(
 
     g_z is dLoss/dz, g_logdet is dLoss/dlogdet per sample.
     """
-    s_max = model.log_scale_bound
     g_out = g_z
     g_ld_total = g_logdet.sum()
     for i in range(len(model.layers) - 1, -1, -1):
@@ -258,7 +259,7 @@ def _backward_batch(
         exp_ls = np.exp(log_scale)
         g_trans = g_scaled * exp_ls
         g_log_scale = g_scaled * trans * exp_ls + g_logdet[:, None]
-        g_u = g_log_scale * (s_max * (1.0 - tanh_u * tanh_u))
+        g_u = g_log_scale * (LOG_SCALE_BOUND * (1.0 - tanh_u * tanh_u))
 
         grads[f"layer{i}.s_w2"] += hs.T @ g_u
         grads[f"layer{i}.s_b2"] += g_u.sum(axis=0)
@@ -319,9 +320,6 @@ class TrainConfig:
     batch_size: int = 1024
     epochs: int = 30
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -384,16 +382,16 @@ def train_flow(
             epoch_losses.append(loss)
 
             step += 1
-            bias1 = 1.0 - cfg.adam_beta1**step
-            bias2 = 1.0 - cfg.adam_beta2**step
+            bias1 = 1.0 - ADAM_BETA1**step
+            bias2 = 1.0 - ADAM_BETA2**step
             for name, param in params.items():
                 g = grads[name]
-                adam_m[name] = cfg.adam_beta1 * adam_m[name] + (1.0 - cfg.adam_beta1) * g
-                adam_v[name] = cfg.adam_beta2 * adam_v[name] + (1.0 - cfg.adam_beta2) * (g * g)
+                adam_m[name] = ADAM_BETA1 * adam_m[name] + (1.0 - ADAM_BETA1) * g
+                adam_v[name] = ADAM_BETA2 * adam_v[name] + (1.0 - ADAM_BETA2) * (g * g)
                 if cfg.learning_rate != 0.0:
                     m_hat = adam_m[name] / bias1
                     v_hat = adam_v[name] / bias2
-                    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+                    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         history.append(float(np.mean(epoch_losses)))
     return model, history
 

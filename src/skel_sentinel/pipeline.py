@@ -5,12 +5,17 @@
 option and write the same bytes. Stage functions are looked up as module
 attributes at call time, so a tracer can wrap them by name.
 
-The snippet front end is columnar. `extract_snippets` turns all tracks into
-one `pose_io.SnippetTable` (N rows, joints as an (N, 2, J, T) tensor),
-normalized in blocks of `pose_io.BLOCK_ROWS`, and `featurize_snippets`
-projects it block by block. Both give the per-snippet functions' bits
-exactly; `featurize.kinematic_matrix` says why the projection is a stacked
-product and not a GEMM.
+The path is columnar from windows to frame scores. `extract_snippets` turns
+all tracks into one `pose_io.SnippetTable` (N rows, joints as an (N, 2, J, T)
+tensor), normalized in blocks of `pose_io.BLOCK_ROWS`, and
+`featurize_snippets` projects it block by block. Both give the per-snippet
+functions' bits exactly; `featurize.kinematic_matrix` says why the
+projection is a stacked product and not a GEMM. The features come back with
+a `SnippetMeta`, the table's id columns without the joints.
+`build_scene_indices` sorts the rows by video once and cuts each scene as a
+slice. Each scene's typicality and uniqueness are arrays in its row order
+(`VideoScores`), and `scoring.build_score_series` fuses them into a
+column-wise `scoring.ScoreSeries` and its frame scores.
 """
 
 from __future__ import annotations
@@ -51,9 +56,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SnippetMeta:
-    video_id: str
-    person_id: int
-    start_time: int
+    """Row metadata of a featurized table: its id columns, without the joints."""
+
+    video_ids: np.ndarray  # (N,) str
+    person_ids: np.ndarray  # (N,) int64
+    starts: np.ndarray  # (N,) int64
 
 
 def extract_snippets(
@@ -114,30 +121,21 @@ def extract_snippets(
     return table
 
 
-def _snippet_meta(table: SnippetTable, refs: list[str]) -> dict[str, SnippetMeta]:
-    return {
-        ref: SnippetMeta(video_id, person_id, start)
-        for ref, video_id, person_id, start in zip(
-            refs, table.video_ids.tolist(), table.person_ids.tolist(), table.starts.tolist()
-        )
-    }
-
-
 def featurize_snippets(
     table: SnippetTable, dim: int, seed: int
-) -> tuple[list[str], np.ndarray, dict[str, SnippetMeta]]:
+) -> tuple[list[str], np.ndarray, SnippetMeta]:
     """Kinematic features of every table row, with the rows' refs and metadata."""
     refs = table.refs
     matrix = kinematic_matrix(table.joints, dim, seed)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise NonFiniteError(f"feature for {refs[int(np.argmin(finite))]} has non-finite values")
-    return refs, matrix, _snippet_meta(table, refs)
+    return refs, matrix, SnippetMeta(table.video_ids, table.person_ids, table.starts)
 
 
 def snippet_features_from_store(
     table: SnippetTable, store: FeatureStore
-) -> tuple[list[str], np.ndarray, dict[str, SnippetMeta]]:
+) -> tuple[list[str], np.ndarray, SnippetMeta]:
     """Align precomputed embeddings with the snippets derived from the tracks."""
     refs = table.refs
     rows = []
@@ -146,34 +144,36 @@ def snippet_features_from_store(
             raise MissingEmbeddingError(f"feature store has no row for {ref!r}")
         rows.append(store.row(ref))
     matrix = store.matrix[rows].astype(np.float64)
-    return refs, matrix, _snippet_meta(table, refs)
+    return refs, matrix, SnippetMeta(table.video_ids, table.person_ids, table.starts)
 
 
 def build_scene_indices(
-    refs: list[str], matrix: np.ndarray, meta: dict[str, SnippetMeta]
+    refs: list[str], matrix: np.ndarray, meta: SnippetMeta
 ) -> dict[str, SceneIndex]:
-    grouped: dict[str, list[int]] = {}
-    for i, ref in enumerate(refs):
-        grouped.setdefault(meta[ref].video_id, []).append(i)
-    indices = {}
-    for video_id in sorted(grouped):
-        rows = grouped[video_id]
-        indices[video_id] = SceneIndex(
-            video_id=video_id,
-            refs=[refs[i] for i in rows],
-            person_ids=np.array([meta[refs[i]].person_id for i in rows]),
-            times=np.array([meta[refs[i]].start_time for i in rows]),
-            features=matrix[rows],
-        )
-    return indices
+    """One SceneIndex per video, keyed and ordered by video_id.
+
+    Rows are stably sorted by video once and each scene is a slice, so rows
+    keep their order inside a scene.
+    """
+    order = np.argsort(meta.video_ids, kind="stable")
+    video_ids, refs = meta.video_ids[order], np.array(refs, dtype=object)[order]
+    persons, starts, features = meta.person_ids[order], meta.starts[order], matrix[order]
+    names, firsts = np.unique(video_ids, return_index=True)
+    ends = np.r_[firsts[1:], len(order)]
+    return {
+        name: SceneIndex(name, refs[a:b].tolist(), persons[a:b], starts[a:b], features[a:b])
+        for name, a, b in zip(names.tolist(), firsts.tolist(), ends.tolist())
+    }
 
 
 @dataclass(frozen=True)
 class VideoScores:
+    """One scene's snippet columns and raw scores, in its index row order."""
+
     video_id: str
     refs: list[str]
-    person_ids: list[int]
-    start_times: list[int]
+    person_ids: np.ndarray
+    start_times: np.ndarray
     typicality: np.ndarray
     uniqueness: np.ndarray
     isolated: set[str]
@@ -183,15 +183,14 @@ def score_scene(
     model: FlowModel, index: SceneIndex, cfg: RunConfig
 ) -> VideoScores:
     st = typicality_score(model, index.features)
-    su_map, isolated = video_uniqueness_scores(
+    su, isolated = video_uniqueness_scores(
         index, cfg.k_neighbors, cfg.alpha, cfg.window_length
     )
-    su = np.array([su_map[ref] for ref in index.refs])
     return VideoScores(
         video_id=index.video_id,
-        refs=list(index.refs),
-        person_ids=index.person_ids.tolist(),
-        start_times=index.times.tolist(),
+        refs=index.refs,
+        person_ids=index.person_ids,
+        start_times=index.times,
         typicality=np.asarray(st, dtype=np.float64),
         uniqueness=su,
         isolated=isolated,
@@ -237,7 +236,7 @@ def fuse_video(
         vs.video_id, vs.refs, vs.person_ids, vs.start_times,
         vs.typicality if typicality is None else typicality,
         vs.uniqueness if uniqueness is None else uniqueness,
-        max(vs.start_times) + cfg.window_length, cfg.window_length, cfg.epsilon,
+        int(vs.start_times.max()) + cfg.window_length, cfg.window_length, cfg.epsilon,
     )
     return series, smooth_scores(series.frame_scores, cfg.smoothing_window)
 

@@ -5,17 +5,27 @@ not comparable across scenes) and summed into the holistic snippet score.
 Snippet scores spread over the frames their window covers; frames see the
 maximum over persons, and frames nobody covers fall back to the video's
 minimum snippet score.
+
+A `ScoreSeries` holds one video's snippets as columns (refs, person ids,
+start times and the three scores) next to its frame scores. The frames come
+from one scatter-max of every snippet over `start + arange(T)`: the maximum
+over persons of each person's maximum over its covering snippets is the
+maximum over all covering snippets, so no per-person pass is needed. Ties
+keep their bits as well: equal floats have equal bits except +0.0 and -0.0,
+and a fused score is never -0.0, because uniqueness distances are never -0.0
+and so neither is their z-score.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, SchemaError
+from .errors import ContractError, NonFiniteError, SchemaError
 
 logger = logging.getLogger(__name__)
 
@@ -23,19 +33,16 @@ STD_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
-class SnippetScore:
-    ref: str
-    person_id: int
-    start_time: int
-    typicality: float
-    uniqueness: float
-    holistic: float
-
-
-@dataclass(frozen=True)
 class ScoreSeries:
+    """One video's snippet scores as columns, in scene row order, plus its frame scores."""
+
     video_id: str
-    snippets: list[SnippetScore]
+    refs: list[str]
+    person_ids: np.ndarray  # (N,) int64
+    start_times: np.ndarray  # (N,) int64
+    typicality: np.ndarray  # (N,) S^t
+    uniqueness: np.ndarray  # (N,) S^u
+    holistic: np.ndarray  # (N,) fused S
     frame_scores: np.ndarray
 
 
@@ -69,60 +76,46 @@ def frame_level_scores(
     """Per-frame scores for one video; length is exactly video_length."""
     if video_length < 1:
         raise SchemaError(f"video_length must be >= 1, got {video_length}")
-    frames = np.full(video_length, -np.inf)
-    by_person: dict[int, np.ndarray] = {}
-    clipped = 0
-    for snip in series.snippets:
-        start = snip.start_time
-        end = start + window_length  # exclusive
-        if end > video_length or start < 0:
-            clipped += 1
-            start = max(start, 0)
-            end = min(end, video_length)
-            if start >= end:
-                continue
-        person = by_person.get(snip.person_id)
-        if person is None:
-            person = by_person.setdefault(snip.person_id, np.full(video_length, -np.inf))
-        np.maximum(person[start:end], snip.holistic, out=person[start:end])
+    starts = np.asarray(series.start_times, dtype=np.int64)
+    holistic = np.asarray(series.holistic, dtype=np.float64)
+    clipped = int(((starts < 0) | (starts + window_length > video_length)).sum())
     if clipped:
         logger.warning(
             "%s: clipped %d snippet window(s) outside [0, %d)",
             series.video_id, clipped, video_length,
         )
-    for person in by_person.values():
-        np.maximum(frames, person, out=frames)
-
-    uncovered = ~np.isfinite(frames)
-    if series.snippets:
-        fill = min(s.holistic for s in series.snippets)
-    else:
-        fill = 0.0
-    frames[uncovered] = fill
+    covered = starts[:, None] + np.arange(window_length)
+    inside = (covered >= 0) & (covered < video_length)
+    values = np.broadcast_to(holistic[:, None], covered.shape)
+    frames = np.full(video_length, -np.inf)
+    np.maximum.at(frames, covered[inside], values[inside])
+    frames[~np.isfinite(frames)] = holistic.min() if holistic.size else 0.0
     return frames
 
 
 def build_score_series(
     video_id: str,
     refs: list[str],
-    person_ids: list[int],
-    start_times: list[int],
+    person_ids: np.ndarray,
+    start_times: np.ndarray,
     typicality: np.ndarray,
     uniqueness: np.ndarray,
     video_length: int,
     window_length: int,
     epsilon: float = STD_EPSILON,
 ) -> ScoreSeries:
-    holistic = holistic_scores(typicality, uniqueness, epsilon)
-    snippets = [
-        SnippetScore(ref, person, start, float(st), float(su), float(s))
-        for ref, person, start, st, su, s in zip(
-            refs, person_ids, start_times, typicality, uniqueness, holistic
-        )
-    ]
-    series = ScoreSeries(video_id=video_id, snippets=snippets, frame_scores=np.empty(0))
+    series = ScoreSeries(
+        video_id=video_id,
+        refs=refs,
+        person_ids=np.asarray(person_ids, dtype=np.int64),
+        start_times=np.asarray(start_times, dtype=np.int64),
+        typicality=np.asarray(typicality, dtype=np.float64),
+        uniqueness=np.asarray(uniqueness, dtype=np.float64),
+        holistic=holistic_scores(typicality, uniqueness, epsilon),
+        frame_scores=np.empty(0),
+    )
     frames = frame_level_scores(series, video_length, window_length)
-    return ScoreSeries(video_id=video_id, snippets=snippets, frame_scores=frames)
+    return replace(series, frame_scores=frames)
 
 
 def smooth_scores(scores: np.ndarray, window: int) -> np.ndarray:
@@ -161,7 +154,17 @@ def read_frame_scores(path: str | Path) -> dict[str, np.ndarray]:
         if len(parts) != 3:
             raise SchemaError(f"{path}, line {lineno}: expected 3 fields")
         video_id, frame_text, score_text = parts
-        per_video.setdefault(video_id, {})[int(frame_text)] = float(score_text)
+        try:
+            frame, score = int(frame_text), float(score_text)
+        except ValueError:
+            raise SchemaError(
+                f"{path}, line {lineno}: bad frame index {frame_text!r} or score {score_text!r}"
+            ) from None
+        if frame < 0:
+            raise SchemaError(f"{path}, line {lineno}: frame index must be >= 0, got {frame}")
+        if not math.isfinite(score):
+            raise NonFiniteError(f"{path}, line {lineno}: score {score_text!r} is not finite")
+        per_video.setdefault(video_id, {})[frame] = score
     out = {}
     for video_id, frames in per_video.items():
         length = max(frames) + 1
@@ -178,8 +181,7 @@ def write_snippet_details(all_series: dict[str, ScoreSeries], path: str | Path) 
     """Optional per-snippet detail: video, person, start, S^t, S^u, S."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for video_id in sorted(all_series):
-            for snip in all_series[video_id].snippets:
-                fh.write(
-                    f"{video_id}\t{snip.person_id}\t{snip.start_time}\t"
-                    f"{snip.typicality:.6f}\t{snip.uniqueness:.6f}\t{snip.holistic:.6f}\n"
-                )
+            s = all_series[video_id]
+            columns = (s.person_ids, s.start_times, s.typicality, s.uniqueness, s.holistic)
+            for person, start, st, su, fused in zip(*(c.tolist() for c in columns)):
+                fh.write(f"{video_id}\t{person}\t{start}\t{st:.6f}\t{su:.6f}\t{fused:.6f}\n")

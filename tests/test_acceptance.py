@@ -78,7 +78,7 @@ def run_full_pipeline(out_dir, seed=0):
     corpus_snippets = extract_snippets(data.corpus_videos, cfg.window_length, cfg.stride)
     refs, matrix, meta = featurize_snippets(corpus_snippets, cfg.feature_dim, cfg.seed)
     store = FeatureStore(refs, matrix)
-    labels_map = {r: data.corpus_classes[meta[r].video_id] for r in refs}
+    labels_map = {r: data.corpus_classes[v] for r, v in zip(refs, meta.video_ids)}
     prototypes = class_prototypes(store, labels_map)
     selection = select_typical(
         store, prototypes, labels_map, data.typicality, cfg.beta_normal, cfg.beta_abnormal
@@ -211,14 +211,14 @@ def test_criterion_7_uniqueness_detection():
         refs, matrix, meta = featurize_snippets(snippets, cfg.feature_dim, cfg.seed)
         index = SceneIndex(
             video_id, refs,
-            np.array([meta[r].person_id for r in refs]),
-            np.array([meta[r].start_time for r in refs]),
+            meta.person_ids,
+            meta.starts,
             matrix,
         )
         scores, _ = video_uniqueness_scores(index, cfg.k_neighbors, cfg.alpha, cfg.window_length)
         per_agent = {}
-        for ref in refs:
-            per_agent.setdefault(meta[ref].person_id, []).append(scores[ref])
+        for person_id, score in zip(meta.person_ids.tolist(), scores):
+            per_agent.setdefault(person_id, []).append(score)
         means = {p: float(np.mean(v)) for p, v in per_agent.items()}
         if max(means, key=means.get) == outlier_pid:
             wins += 1

@@ -25,7 +25,7 @@ def small_run(tmp_path_factory):
     snippets = extract_snippets(data.corpus_videos, cfg.window_length, cfg.stride)
     refs, matrix, meta = featurize_snippets(snippets, cfg.feature_dim, cfg.seed)
     store = FeatureStore(refs, matrix)
-    labels_map = {r: data.corpus_classes[meta[r].video_id] for r in refs}
+    labels_map = {r: data.corpus_classes[v] for r, v in zip(refs, meta.video_ids)}
     protos = class_prototypes(store, labels_map)
     sel = select_typical(store, protos, labels_map, data.typicality, 0.9, 0.1)
     data_n = np.vstack([store.lookup(r) for r in sel.normal_refs]).astype(np.float64)

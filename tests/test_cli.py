@@ -100,6 +100,36 @@ class TestHelpAndUsage:
             "error\tfeaturize\tTrackParseError\tload-tracks: line 1: expected 4 tab-separated"
         )
 
+    @pytest.mark.parametrize(
+        "bad_file, line, error, stage",
+        [
+            ("scores", "v\tx\t0.5", "SchemaError", "load-scores"),
+            ("labels", "v\t1\tyes", "SchemaError", "load-labels"),
+            ("scores", "v\t1\tnan", "NonFiniteError", "load-scores"),
+            ("scores", "v\t1\tinf", "NonFiniteError", "load-scores"),
+            ("scores", "v\t-1\t0.9", "SchemaError", "load-scores"),
+            ("labels", "v\t-1\t1", "SchemaError", "load-labels"),
+        ],
+    )
+    def test_eval_bad_field_is_typed_error(self, tmp_path, capsys, bad_file, line, error, stage):
+        files = {
+            "scores": ["v\t0\t0.1", "v\t1\t0.9", "v\t2\t0.8", "v\t3\t0.2"],
+            "labels": ["v\t0\t0", "v\t1\t1", "v\t2\t1", "v\t3\t0"],
+        }
+        files[bad_file][1] = line
+        for name, lines in files.items():
+            (tmp_path / f"{name}.tsv").write_text("\n".join(lines) + "\n")
+        status = run_cli(
+            "eval", "--scores", tmp_path / "scores.tsv", "--labels", tmp_path / "labels.tsv",
+            "--out", tmp_path / "out",
+        )
+        assert status == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"error\teval\t{error}\t{stage}: {tmp_path / f'{bad_file}.tsv'}, line 2: "
+        )
+
 
 class TestPipeline:
     def test_full_pipeline_small(self, small_benchmark, tmp_path):

@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,6 @@ from hypothesis import strategies as st
 from skel_sentinel.errors import ContractError
 from skel_sentinel.scoring import (
     ScoreSeries,
-    SnippetScore,
     build_score_series,
     frame_level_scores,
     holistic_scores,
@@ -14,14 +16,23 @@ from skel_sentinel.scoring import (
     smooth_scores,
     standardize,
     write_frame_scores,
+    write_snippet_details,
 )
 
 
 def series_from(scored, video="v0"):
-    snippets = [
-        SnippetScore(f"{video}:{p}:{t}", p, t, 0.0, 0.0, s) for p, t, s in scored
-    ]
-    return ScoreSeries(video, snippets, np.empty(0))
+    """ScoreSeries of (person_id, start_time, holistic) rows; S^t = S^u = 0."""
+    zeros = np.zeros(len(scored))
+    return ScoreSeries(
+        video,
+        [f"{video}:{p}:{t}" for p, t, _ in scored],
+        np.array([p for p, _, _ in scored], dtype=np.int64),
+        np.array([t for _, t, _ in scored], dtype=np.int64),
+        zeros,
+        zeros,
+        np.array([s for _, _, s in scored], dtype=np.float64),
+        np.empty(0),
+    )
 
 
 class TestHolistic:
@@ -101,7 +112,7 @@ class TestFrameLevel:
         assert any("clipped" in r.message for r in caplog.records)
 
     def test_no_snippets_gives_zeros(self):
-        frames = frame_level_scores(ScoreSeries("v0", [], np.empty(0)), 10, 16)
+        frames = frame_level_scores(series_from([]), 10, 16)
         np.testing.assert_array_equal(frames, 0.0)
 
     def test_length_and_finiteness(self):
@@ -132,7 +143,7 @@ class TestSeriesAssembly:
             st_scores, su_scores, video_length=48, window_length=16,
         )
         assert len(series.frame_scores) == 48
-        assert series.snippets[0].holistic == pytest.approx(
+        assert series.holistic[0] == pytest.approx(
             standardize(st_scores)[0] + standardize(su_scores)[0]
         )
 
@@ -158,10 +169,12 @@ class TestScoreFiles:
 
 
 def test_snippet_detail_format(tmp_path):
-    from skel_sentinel.scoring import write_snippet_details
-
-    snippets = [SnippetScore("v:2:5", 2, 5, 1.23456789, -0.5, 0.75)]
-    series = {"v": ScoreSeries("v", snippets, np.zeros(21))}
+    series = {
+        "v": ScoreSeries(
+            "v", ["v:2:5"], np.array([2]), np.array([5]),
+            np.array([1.23456789]), np.array([-0.5]), np.array([0.75]), np.zeros(21),
+        )
+    }
     path = tmp_path / "details.tsv"
     write_snippet_details(series, path)
     assert path.read_text() == "v\t2\t5\t1.234568\t-0.500000\t0.750000\n"
@@ -199,3 +212,122 @@ class TestSmoothing:
         kernel = np.ones(window)
         old = np.convolve(x, kernel, mode="same") / np.convolve(np.ones(16), kernel, mode="same")
         np.testing.assert_array_equal(smooth_scores(x, window).view(np.int64), old.view(np.int64))
+
+
+# Frozen oracle: the per-person frame loop and the per-snippet details writer
+# that the columnar code replaced. A snippet is a (person_id, start_time, S^t,
+# S^u, S) tuple of Python numbers, as the removed per-snippet record held them.
+def oracle_frame_scores(snippets, video_length, window_length):
+    """Frame scores and the number of clipped windows."""
+    frames = np.full(video_length, -np.inf)
+    by_person = {}
+    clipped = 0
+    for person_id, start, _, _, holistic in snippets:
+        end = start + window_length
+        if end > video_length or start < 0:
+            clipped += 1
+            start = max(start, 0)
+            end = min(end, video_length)
+            if start >= end:
+                continue
+        person = by_person.setdefault(person_id, np.full(video_length, -np.inf))
+        np.maximum(person[start:end], holistic, out=person[start:end])
+    for person in by_person.values():
+        np.maximum(frames, person, out=frames)
+    frames[~np.isfinite(frames)] = min(s[4] for s in snippets) if snippets else 0.0
+    return frames, clipped
+
+
+def oracle_details(video_id, snippets):
+    return "".join(
+        f"{video_id}\t{p}\t{t}\t{st_:.6f}\t{su:.6f}\t{s:.6f}\n" for p, t, st_, su, s in snippets
+    )
+
+
+# A small grid makes exact ties common. `+ 0.0` turns -0.0 into 0.0: fused
+# scores are sums of z-scores of finite families and are never -0.0, while the
+# two codes may pick different zeros of a +0.0/-0.0 tie.
+score_values = st.sampled_from([-1.5, -0.5, 0.0, 0.25, 2.0]) | st.floats(
+    -5.0, 5.0, allow_nan=False
+).map(lambda x: x + 0.0)
+
+
+@st.composite
+def score_columns(draw):
+    window = draw(st.integers(1, 12))
+    video_length = draw(st.integers(1, 48))
+    persons = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 40))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    # starts run past both ends of the video, so windows clip on either side
+    return (
+        window,
+        video_length,
+        column(st.integers(0, persons - 1)),
+        column(st.integers(-window - 2, video_length + 2)),
+        column(score_values),
+        column(score_values),
+    )
+
+
+class Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=score_columns())
+def test_columnar_series_matches_frozen_oracle(columns, tmp_path_factory):
+    window, video_length, persons, starts, typ, unq = columns
+    refs = [f"v:{p}:{t}" for p, t in zip(persons, starts)]
+    logger, handler = logging.getLogger("skel_sentinel.scoring"), Messages()
+    logger.addHandler(handler)
+    try:
+        if persons:
+            series = build_score_series(
+                "v", refs, persons, starts, np.array(typ), np.array(unq), video_length, window
+            )
+        else:
+            empty = np.empty(0)
+            series = ScoreSeries("v", [], empty, empty, empty, empty, empty, empty)
+            frames = frame_level_scores(series, video_length, window)
+            series = dataclasses.replace(series, frame_scores=frames)
+    finally:
+        logger.removeHandler(handler)
+    snippets = list(zip(persons, starts, typ, unq, series.holistic.tolist()))
+    want_frames, clipped = oracle_frame_scores(snippets, video_length, window)
+
+    np.testing.assert_array_equal(
+        series.frame_scores.view(np.int64), want_frames.view(np.int64)
+    )
+    want_warnings = [f"v: clipped {clipped} snippet window(s) outside [0, {video_length})"]
+    assert handler.messages == (want_warnings if clipped else [])
+    path = tmp_path_factory.mktemp("details") / "details.tsv"
+    write_snippet_details({"v": series}, path)
+    assert path.read_bytes() == oracle_details("v", snippets).encode()
+
+
+def test_details_of_several_videos_follow_video_order(tmp_path):
+    videos = {
+        vid: build_score_series(
+            vid, [f"{vid}:{p}:0" for p in range(3)], [2, 0, 1], [0, 0, 0],
+            np.array([0.5, 1.0, -2.0]), np.array([3.0, 1.0, 1.0]), 20, 16,
+        )
+        for vid in ("vb", "va")
+    }
+    write_snippet_details(videos, tmp_path / "details.tsv")
+    want = "".join(
+        oracle_details(vid, zip(
+            s.person_ids.tolist(), s.start_times.tolist(), s.typicality.tolist(),
+            s.uniqueness.tolist(), s.holistic.tolist(),
+        ))
+        for vid, s in sorted(videos.items())
+    )
+    assert (tmp_path / "details.tsv").read_text() == want

@@ -107,7 +107,8 @@ def assert_matches_reference(videos, window_length, stride, dim=16, seed=3):
     assert matrix.shape == ref_matrix.shape
     np.testing.assert_array_equal(matrix.view(np.int64), ref_matrix.view(np.int64))
     assert (table.dropped_zero, table.dropped_degenerate) == (dropped_zero, dropped_degenerate)
-    assert list(meta) == refs
+    columns = (meta.video_ids.tolist(), meta.person_ids.tolist(), meta.starts.tolist())
+    assert [make_snippet_ref(*row) for row in zip(*columns)] == refs
     return table, refs, matrix
 
 
