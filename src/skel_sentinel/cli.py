@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .config import RunConfig, resolve_threads
+from .config import RunConfig, parse_value, resolve_threads
 from .errors import SchemaError, SentinelError, StageError
 from .evaluation import evaluate, read_labels, write_labels, write_report
 from .featurize import (
@@ -206,12 +206,8 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     selection = Path(args.selection)
     normal_refs = _read_selection(selection / "selected_normal.tsv")
     abnormal_refs = _read_selection(selection / "selected_abnormal.tsv")
-    data_n = np.vstack([store.lookup(r) for r in normal_refs]).astype(np.float64)
-    data_a = (
-        np.vstack([store.lookup(r) for r in abnormal_refs]).astype(np.float64)
-        if abnormal_refs
-        else None
-    )
+    data_n = store.matrix[[store.row(r) for r in normal_refs]].astype(np.float64)
+    data_a = store.matrix[[store.row(r) for r in abnormal_refs]].astype(np.float64)
     model = init_flow(store.dimension, cfg.flow_layers, cfg.hidden_width, cfg.seed)
     train_cfg = TrainConfig(
         learning_rate=cfg.learning_rate,
@@ -286,8 +282,11 @@ def _parse_grid(specs: list[str]) -> list[dict[str, object]]:
         key = key.strip()
         if key not in fields:
             raise SchemaError(f"--grid: unknown config key {key!r}")
-        caster = {"int": int, "float": float}.get(fields[key].type, str)
-        axes.append([(key, caster(v)) for v in values_text.split(",") if v])
+        field_type = fields[key].type
+        axes.append([
+            (key, parse_value(v, field_type, f"--grid {key}"))
+            for v in values_text.split(",") if v
+        ])
     return [dict(combo) for combo in itertools.product(*axes)]
 
 

@@ -73,18 +73,24 @@ class RunConfig:
             key = key.strip()
             if key not in known:
                 raise SchemaError(f"{path}, line {lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(value.strip(), known[key].type)
+            values[key] = parse_value(
+                value.strip(), known[key].type, f"{path}, line {lineno}: {key}"
+            )
         return cls(**values)
 
 
-def _parse_value(text: str, field_type: str):
+def parse_value(text: str, field_type: str, where: str):
+    """`text`, unquoted, as a value of a field of `field_type`.
+
+    A value that does not parse is a SchemaError whose message starts with
+    `where`.
+    """
     if text and text[0] in "'\"" and text[-1] == text[0]:
-        return text[1:-1]
-    if field_type == "int":
-        return int(text)
-    if field_type == "float":
-        return float(text)
-    return text
+        text = text[1:-1]
+    try:
+        return {"int": int, "float": float}.get(field_type, str)(text)
+    except ValueError:
+        raise SchemaError(f"{where}: expected {field_type}, got {text!r}") from None
 
 
 def resolve_threads(cli_value: int | None) -> int:

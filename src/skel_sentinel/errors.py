@@ -25,10 +25,6 @@ class DuplicateRecordError(SentinelError):
     """Same (video_id, person_id, frame_index) appeared twice."""
 
 
-class DegenerateSnippetError(SentinelError):
-    """Snippet has no usable spatial extent; caller should drop it."""
-
-
 class DegenerateVectorError(SentinelError):
     """Vector norm too small for a meaningful similarity."""
 

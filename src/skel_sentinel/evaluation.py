@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import SchemaError, UndefinedMetricError
 from .pipeline import fuse_video, score_tracks, stage
-from .scoring import write_frame_scores, write_snippet_details
+from .scoring import read_frame_values, write_frame_scores, write_snippet_details
 
 
 @dataclass(frozen=True)
@@ -58,36 +58,15 @@ def micro_auc(videos: list[LabeledVideo]) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def _label(text: str) -> int:
+    label = int(text)
+    if label not in (0, 1):
+        raise SchemaError("label must be 0 or 1")
+    return label
+
+
 def read_labels(path: str | Path) -> dict[str, np.ndarray]:
-    per_video: dict[str, dict[int, int]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise SchemaError(f"{path}, line {lineno}: expected 3 fields")
-        video_id, frame_text, label_text = parts
-        try:
-            frame, label = int(frame_text), int(label_text)
-        except ValueError:
-            raise SchemaError(
-                f"{path}, line {lineno}: bad frame index {frame_text!r} or label {label_text!r}"
-            ) from None
-        if frame < 0:
-            raise SchemaError(f"{path}, line {lineno}: frame index must be >= 0, got {frame}")
-        if label not in (0, 1):
-            raise SchemaError(f"{path}, line {lineno}: label must be 0 or 1")
-        per_video.setdefault(video_id, {})[frame] = label
-    labels = {}
-    for video_id, frames in per_video.items():
-        length = max(frames) + 1
-        if len(frames) != length:
-            raise SchemaError(f"{path}: {video_id} labels have gaps")
-        arr = np.zeros(length, dtype=np.int8)
-        for frame, label in frames.items():
-            arr[frame] = label
-        labels[video_id] = arr
-    return labels
+    return read_frame_values(path, "label", _label, np.int8)
 
 
 def write_labels(labels: dict[str, np.ndarray], path: str | Path) -> None:

@@ -34,16 +34,6 @@ _projection_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    snippet_ref: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.values).all():
-            raise NonFiniteError(f"feature for {self.snippet_ref} has non-finite values")
-
-
-@dataclass(frozen=True)
 class TextEmbedding:
     label: str
     values: np.ndarray  # stored pre-normalized to unit length
@@ -165,12 +155,6 @@ def kinematic_matrix(joints: np.ndarray, dim: int, seed: int) -> np.ndarray:
         projection = _projection(raw.shape[1], dim, seed)
         out[b0 : b0 + BLOCK_ROWS] = (raw[:, None, :] @ projection)[:, 0, :]
     return out
-
-
-def kinematic_features(snippet: NormalizedSnippet, dim: int, seed: int) -> FeatureVector:
-    """Project the kinematic descriptor onto `dim` seeded orthonormal axes."""
-    values = kinematic_matrix(snippet.joints[None], dim, seed)[0]
-    return FeatureVector(snippet_ref=snippet.ref, values=values)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -8,10 +8,11 @@ attributes at call time, so a tracer can wrap them by name.
 The path is columnar from windows to frame scores. `extract_snippets` turns
 all tracks into one `pose_io.SnippetTable` (N rows, joints as an (N, 2, J, T)
 tensor), normalized in blocks of `pose_io.BLOCK_ROWS`, and
-`featurize_snippets` projects it block by block. Both give the per-snippet
-functions' bits exactly; `featurize.kinematic_matrix` says why the
-projection is a stacked product and not a GEMM. The features come back with
-a `SnippetMeta`, the table's id columns without the joints.
+`featurize_snippets` projects it block by block. Both give the bits of the
+frozen one-snippet-at-a-time reference in `tests/test_snippet_table.py`
+exactly; `featurize.kinematic_matrix` says why the projection is a stacked
+product and not a GEMM. The features come back with a `SnippetMeta`, the
+table's id columns without the joints.
 `build_scene_indices` sorts the rows by video once and cuts each scene as a
 slice. Each scene's typicality and uniqueness are arrays in its row order
 (`VideoScores`), and `scoring.build_score_series` fuses them into a
@@ -31,7 +32,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import RunConfig
 from .context import SceneIndex, video_uniqueness_scores
 from .errors import (
-    MissingEmbeddingError,
     NonFiniteError,
     SchemaError,
     SentinelError,
@@ -138,12 +138,7 @@ def snippet_features_from_store(
 ) -> tuple[list[str], np.ndarray, SnippetMeta]:
     """Align precomputed embeddings with the snippets derived from the tracks."""
     refs = table.refs
-    rows = []
-    for ref in refs:
-        if ref not in store:
-            raise MissingEmbeddingError(f"feature store has no row for {ref!r}")
-        rows.append(store.row(ref))
-    matrix = store.matrix[rows].astype(np.float64)
+    matrix = store.matrix[[store.row(ref) for ref in refs]].astype(np.float64)
     return refs, matrix, SnippetMeta(table.video_ids, table.person_ids, table.starts)
 
 

@@ -1,4 +1,4 @@
-"""Pose track ingestion, snippet windowing, and per-snippet normalization.
+"""Pose track ingestion, snippet windowing, and snippet normalization.
 
 Track file format (UTF-8, LF, one pose per line):
 
@@ -9,25 +9,17 @@ confidences live in [0, 1].
 
 Windowing and normalization are array kernels (`track_arrays`,
 `kept_offsets`, `normalize_block`). `pipeline.extract_snippets` runs them over
-all tracks into one `SnippetTable`; `window_snippets` and `normalize_snippet`
-run them on one track or one snippet.
+all tracks into one `SnippetTable`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DegenerateSnippetError,
-    DuplicateRecordError,
-    SchemaError,
-    TrackParseError,
-)
+from .errors import DuplicateRecordError, SchemaError, TrackParseError
 
 # Windows with more than this fraction of zero-filled frames are dropped,
 # extending the all-zero discard rule to partial tracking dropouts.
@@ -78,28 +70,9 @@ class Track:
         return self.frames[-1].frame_index - self.frames[0].frame_index + 1
 
 
-@dataclass(frozen=True)
-class Snippet:
-    """One fixed-length window of a single person's pose sequence."""
-
-    video_id: str
-    person_id: int
-    start_time: int  # frame index of the window's first frame
-    joints: np.ndarray  # (2, J, T) coordinate channels
-    confidence: np.ndarray  # (J, T), kept for filtering only
-
-    @property
-    def window_length(self) -> int:
-        return self.joints.shape[2]
-
-    @property
-    def ref(self) -> str:
-        return make_snippet_ref(self.video_id, self.person_id, self.start_time)
-
-
 @dataclass(frozen=True, eq=False)
 class NormalizedSnippet:
-    """Snippet coordinates after centroid removal and RMS rescaling."""
+    """One table row: a window's coordinates after centroid removal and RMS rescaling."""
 
     video_id: str
     person_id: int
@@ -115,8 +88,8 @@ class NormalizedSnippet:
 class SnippetTable:
     """Normalized snippets as columns; row i is one NormalizedSnippet.
 
-    Indexing and iteration give NormalizedSnippet views of the rows. The drop
-    counts record the windows that did not become rows.
+    `table[i]` is a NormalizedSnippet view of row i. The drop counts record
+    the windows that did not become rows.
     """
 
     video_ids: np.ndarray  # (N,) str
@@ -134,9 +107,6 @@ class SnippetTable:
             str(self.video_ids[row]), int(self.person_ids[row]), int(self.starts[row]),
             self.joints[row],
         )
-
-    def __iter__(self) -> Iterator[NormalizedSnippet]:
-        return (self[row] for row in range(len(self)))
 
     @property
     def refs(self) -> list[str]:
@@ -263,26 +233,6 @@ def kept_offsets(coords: np.ndarray, window_length: int, stride: int) -> tuple[n
     return offsets[keep], int((~keep).sum())
 
 
-def window_snippets(track: Track, window_length: int, stride: int) -> list[Snippet]:
-    """Cut a track into sliding windows, dropping zero-dominated ones.
-
-    Gaps in the frame sequence are zero-filled first so window timestamps stay
-    aligned with the source video. Windows whose zero-frame fraction exceeds
-    MAX_ZERO_FRAME_FRACTION are discarded.
-    """
-    coords, conf = track_arrays(track)
-    offsets, _ = kept_offsets(coords, window_length, stride)
-    if not len(offsets):
-        return []
-    joints = sliding_window_view(coords, window_length, axis=0)[offsets]  # (n, 2, J, T)
-    confidence = sliding_window_view(conf, window_length, axis=0)[offsets]  # (n, J, T)
-    first = track.frames[0].frame_index
-    return [
-        Snippet(track.video_id, track.person_id, first + offset, joints[i], confidence[i])
-        for i, offset in enumerate(offsets.tolist())
-    ]
-
-
 def normalize_block(
     coords: np.ndarray, conf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -305,20 +255,3 @@ def normalize_block(
         centered = np.where(mask, coords - centroid[:, :, None, None], 0.0)
         scale = np.sqrt((centered * centered).sum(axis=(1, 2, 3)) / (2 * n_valid))
         return centered / scale[:, None, None, None], n_valid, scale
-
-
-def normalize_snippet(snippet: Snippet) -> NormalizedSnippet:
-    """Translate the snippet centroid to the origin and rescale to unit RMS.
-
-    Only valid joints (nonzero coordinates or positive confidence) move; the
-    zero placeholders left by gap filling stay at zero so repeated
-    normalization is a fixed point.
-    """
-    joints, n_valid, scale = normalize_block(
-        np.ascontiguousarray(snippet.joints[None], dtype=np.float64), snippet.confidence[None]
-    )
-    if n_valid[0] == 0:
-        raise DegenerateSnippetError(f"{snippet.ref}: no valid joints")
-    if scale[0] < SCALE_FLOOR:
-        raise DegenerateSnippetError(f"{snippet.ref}: scale {scale[0]:.3e} below floor")
-    return NormalizedSnippet(snippet.video_id, snippet.person_id, snippet.start_time, joints[0])

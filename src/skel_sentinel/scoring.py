@@ -20,12 +20,19 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, NonFiniteError, SchemaError
+from .errors import (
+    ContractError,
+    DuplicateRecordError,
+    NonFiniteError,
+    SchemaError,
+    SentinelError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -145,36 +152,57 @@ def write_frame_scores(series_by_video: dict[str, np.ndarray], path: str | Path)
                 fh.write(f"{video_id}\t{frame}\t{score:.6f}\n")
 
 
-def read_frame_scores(path: str | Path) -> dict[str, np.ndarray]:
+def read_frame_values(
+    path: str | Path, name: str, parse: Callable[[str], float], dtype: type = np.float64
+) -> dict[str, np.ndarray]:
+    """Dense per-video arrays from `video_id<TAB>frame_index<TAB>value` lines.
+
+    `parse` turns a value field into a number. It raises ValueError for text
+    that is not one and a SentinelError for a value the format rejects; every
+    error names the path and line. A repeated (video_id, frame_index) row is a
+    DuplicateRecordError, and each video's frames must run from 0 without gaps.
+    """
     per_video: dict[str, dict[int, float]] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line:
             continue
+        where = f"{path}, line {lineno}"
         parts = line.split("\t")
         if len(parts) != 3:
-            raise SchemaError(f"{path}, line {lineno}: expected 3 fields")
-        video_id, frame_text, score_text = parts
+            raise SchemaError(f"{where}: expected 3 fields")
+        video_id, frame_text, value_text = parts
         try:
-            frame, score = int(frame_text), float(score_text)
+            frame = int(frame_text)
+            if frame < 0:
+                raise SchemaError(f"frame index must be >= 0, got {frame}")
+            value = parse(value_text)
         except ValueError:
             raise SchemaError(
-                f"{path}, line {lineno}: bad frame index {frame_text!r} or score {score_text!r}"
+                f"{where}: bad frame index {frame_text!r} or {name} {value_text!r}"
             ) from None
-        if frame < 0:
-            raise SchemaError(f"{path}, line {lineno}: frame index must be >= 0, got {frame}")
-        if not math.isfinite(score):
-            raise NonFiniteError(f"{path}, line {lineno}: score {score_text!r} is not finite")
-        per_video.setdefault(video_id, {})[frame] = score
+        except SentinelError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+        frames = per_video.setdefault(video_id, {})
+        if frame in frames:
+            raise DuplicateRecordError(f"{where}: duplicate row for ({video_id}, {frame})")
+        frames[frame] = value
     out = {}
     for video_id, frames in per_video.items():
-        length = max(frames) + 1
-        if len(frames) != length:
-            raise SchemaError(f"{path}: {video_id} has gaps in its frame scores")
-        arr = np.empty(length)
-        for frame, score in frames.items():
-            arr[frame] = score
-        out[video_id] = arr
+        if len(frames) != max(frames) + 1:
+            raise SchemaError(f"{path}: {video_id} has gaps in its {name}s")
+        out[video_id] = np.array([frames[i] for i in range(len(frames))], dtype=dtype)
     return out
+
+
+def _finite_score(text: str) -> float:
+    score = float(text)
+    if not math.isfinite(score):
+        raise NonFiniteError(f"score {text!r} is not finite")
+    return score
+
+
+def read_frame_scores(path: str | Path) -> dict[str, np.ndarray]:
+    return read_frame_values(path, "score", _finite_score)
 
 
 def write_snippet_details(all_series: dict[str, ScoreSeries], path: str | Path) -> None:

@@ -143,6 +143,11 @@ class TestRunConfig:
         with pytest.raises(SchemaError, match="nonsense"):
             RunConfig.from_file(path)
 
+    def test_quoted_numbers_take_the_field_type(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("stride = '4'\nalpha = \"2.5\"\n")
+        assert RunConfig.from_file(path) == RunConfig(stride=4, alpha=2.5)
+
     def test_all_defaults_round_trip(self, tmp_path):
         cfg = RunConfig()
         cfg.to_file(tmp_path / "d.cfg")

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.config import RunConfig
 from skel_sentinel.evaluation import write_labels
+from skel_sentinel.featurize import write_embeddings
 from skel_sentinel.flow import init_flow, save_flow
 from skel_sentinel.pose_io import write_tracks
 from skel_sentinel.synth import make_benchmark, write_class_map
@@ -109,6 +111,8 @@ class TestHelpAndUsage:
             ("scores", "v\t1\tinf", "NonFiniteError", "load-scores"),
             ("scores", "v\t-1\t0.9", "SchemaError", "load-scores"),
             ("labels", "v\t-1\t1", "SchemaError", "load-labels"),
+            ("scores", "v\t0\t0.5", "DuplicateRecordError", "load-scores"),
+            ("labels", "v\t0\t0", "DuplicateRecordError", "load-labels"),
         ],
     )
     def test_eval_bad_field_is_typed_error(self, tmp_path, capsys, bad_file, line, error, stage):
@@ -129,6 +133,34 @@ class TestHelpAndUsage:
         assert err[0].startswith(
             f"error\teval\t{error}\t{stage}: {tmp_path / f'{bad_file}.tsv'}, line 2: "
         )
+
+    def test_bad_config_value_is_typed_error(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("joints = 17\nstride = abc\n")
+        assert run_cli("check", "--config", tmp_path / "run.cfg") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error\tcheck\tSchemaError\t{tmp_path / 'run.cfg'}, line 2: stride: "
+            "expected int, got 'abc'"
+        ]
+
+    def test_bad_grid_value_is_typed_error(self, capsys):
+        assert run_cli("check", "--grid", "stride=1,x") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error\tcheck\tSchemaError\t--grid stride: expected int, got 'x'"
+        ]
+
+    def test_train_with_empty_normal_selection_is_typed_error(self, tmp_path, capsys):
+        matrix = np.random.default_rng(0).random((2, 8))
+        write_embeddings(["v:0:0", "v:0:1"], matrix, tmp_path / "f.skem")
+        (tmp_path / "selected_normal.tsv").write_text("")
+        (tmp_path / "selected_abnormal.tsv").write_text("v:0:1\t0.050000\n")
+        status = run_cli(
+            "train", "--features", tmp_path / "f.skem", "--selection", tmp_path,
+            "--out", tmp_path / "out",
+        )
+        assert status == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error\ttrain\tEmptyBatchError\t")
 
 
 class TestPipeline:

@@ -14,45 +14,47 @@ from skel_sentinel.featurize import (
     FeatureStore,
     class_prototypes,
     cosine_similarity,
-    kinematic_features,
+    kinematic_matrix,
     load_embeddings,
     load_text_embeddings,
     snippet_descriptor,
     write_embeddings,
 )
-from skel_sentinel.pose_io import PoseFrame, Track, normalize_snippet, window_snippets
+from skel_sentinel.pipeline import extract_snippets
+from skel_sentinel.pose_io import PoseFrame, Track
 
 J = 5
 
 
-def make_snippet(frames=16, rng=None, constant=False):
+def make_table(frames=16, rng=None, constant=False):
+    """A one-row SnippetTable of one track's only window."""
     rng = rng or np.random.default_rng(0)
     base = rng.random((J, 2)) * 40.0
     out = []
     for i in range(frames):
         xy = base if constant else base + rng.random((J, 2))
         out.append(PoseFrame(i, 0, xy.copy(), np.ones(J)))
-    return normalize_snippet(window_snippets(Track("v0", 0, out), frames, 1)[0])
+    return extract_snippets({"v0": [Track("v0", 0, out)]}, frames, 1)
 
 
 class TestKinematicFeatures:
     def test_output_length(self):
         for dim in (4, 16, 64):
-            vec = kinematic_features(make_snippet(), dim, seed=0)
-            assert vec.values.shape == (dim,)
+            matrix = kinematic_matrix(make_table().joints, dim, seed=0)
+            assert matrix.shape == (1, dim)
 
     def test_constant_pose_has_zero_velocities(self):
-        snippet = make_snippet(constant=True)
-        raw = snippet_descriptor(snippet)
+        table = make_table(constant=True)
+        raw = snippet_descriptor(table[0])
         coords = 2 * J * 16
         velocities = raw[coords : coords + 2 * J * 15]
         np.testing.assert_array_equal(velocities, 0.0)
 
     def test_deterministic_given_seed(self):
         rng1, rng2 = np.random.default_rng(3), np.random.default_rng(3)
-        a = kinematic_features(make_snippet(rng=rng1), 16, seed=9)
-        b = kinematic_features(make_snippet(rng=rng2), 16, seed=9)
-        assert (a.values == b.values).all()
+        a = kinematic_matrix(make_table(rng=rng1).joints, 16, seed=9)
+        b = kinematic_matrix(make_table(rng=rng2).joints, 16, seed=9)
+        assert (a == b).all()
 
     def test_normalized_copies_have_identical_features(self):
         rng = np.random.default_rng(4)
@@ -63,11 +65,11 @@ class TestKinematicFeatures:
             PoseFrame(i, 0, (base + deltas[i]) * 3.0 + np.array([55.0, -20.0]), np.ones(J))
             for i in range(16)
         ]
-        snip_a = normalize_snippet(window_snippets(Track("v0", 0, frames_a), 16, 1)[0])
-        snip_b = normalize_snippet(window_snippets(Track("v0", 0, frames_b), 16, 1)[0])
-        fa = kinematic_features(snip_a, 32, seed=1)
-        fb = kinematic_features(snip_b, 32, seed=1)
-        np.testing.assert_allclose(fa.values, fb.values, atol=1e-9)
+        table_a = extract_snippets({"v0": [Track("v0", 0, frames_a)]}, 16, 1)
+        table_b = extract_snippets({"v0": [Track("v0", 0, frames_b)]}, 16, 1)
+        fa = kinematic_matrix(table_a.joints, 32, seed=1)
+        fb = kinematic_matrix(table_b.joints, 32, seed=1)
+        np.testing.assert_allclose(fa, fb, atol=1e-9)
 
     def test_projection_is_orthonormal(self):
         from skel_sentinel.featurize import _projection
@@ -77,7 +79,7 @@ class TestKinematicFeatures:
 
     def test_small_dim_rejected(self):
         with pytest.raises(DimensionError):
-            kinematic_features(make_snippet(), 3, seed=0)
+            kinematic_matrix(make_table().joints, 3, seed=0)
 
 
 class TestCosine:

@@ -3,20 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skel_sentinel.errors import (
-    DegenerateSnippetError,
-    DuplicateRecordError,
-    SchemaError,
-    TrackParseError,
-)
+from skel_sentinel.errors import DuplicateRecordError, SchemaError, TrackParseError
+from skel_sentinel.pipeline import extract_snippets
 from skel_sentinel.pose_io import (
     PoseFrame,
-    Snippet,
     Track,
     load_tracks,
-    normalize_snippet,
+    normalize_block,
     parse_snippet_ref,
-    window_snippets,
     write_tracks,
 )
 
@@ -101,55 +95,54 @@ class TestLoadTracks:
 class TestWindowing:
     def test_count_law(self):
         track = make_track(frames=24)
-        snippets = window_snippets(track, 16, 1)
-        assert len(snippets) == 24 - 16 + 1
+        table = extract_snippets({"v0": [track]}, 16, 1)
+        assert len(table) == 24 - 16 + 1
 
     def test_exact_length_and_too_short(self):
-        assert len(window_snippets(make_track(frames=16), 16, 1)) == 1
-        assert window_snippets(make_track(frames=10), 16, 1) == []
+        assert len(extract_snippets({"v0": [make_track(frames=16)]}, 16, 1)) == 1
+        assert len(extract_snippets({"v0": [make_track(frames=10)]}, 16, 1)) == 0
 
     def test_all_zero_track_discarded(self):
         frames = [
             PoseFrame(i, 0, np.zeros((J, 2)), np.zeros(J)) for i in range(32)
         ]
         track = Track("v0", 0, frames)
-        assert window_snippets(track, 16, 1) == []
+        assert len(extract_snippets({"v0": [track]}, 16, 1)) == 0
 
     def test_stride(self):
         track = make_track(frames=32)
-        snippets = window_snippets(track, 16, 4)
-        assert [s.start_time for s in snippets] == [0, 4, 8, 12, 16]
+        table = extract_snippets({"v0": [track]}, 16, 4)
+        assert table.starts.tolist() == [0, 4, 8, 12, 16]
 
     def test_gap_zero_fill_keeps_timestamps(self):
         rng = np.random.default_rng(5)
         frames = [PoseFrame(i, 0, rng.random((J, 2)) + 1.0, np.ones(J)) for i in range(40)]
         del frames[18:22]  # 4-frame dropout
         track = Track("v0", 0, frames)
-        snippets = window_snippets(track, 16, 1)
+        table = extract_snippets({"v0": [track]}, 16, 1)
         # track still spans frames 0..39
-        assert snippets[0].start_time == 0
-        assert snippets[-1].start_time == 24
+        assert table.starts[0] == 0
+        assert table.starts[-1] == 24
         # windows overlapping the gap keep zero placeholders
-        with_gap = [s for s in snippets if s.start_time <= 18 < s.start_time + 16]
+        with_gap = [i for i, start in enumerate(table.starts) if start <= 18 < start + 16]
         assert with_gap
-        for s in with_gap:
-            column = 18 - s.start_time
-            assert (s.joints[:, :, column] == 0).all()
+        for i in with_gap:
+            column = 18 - table.starts[i]
+            assert (table[i].joints[:, :, column] == 0).all()
 
     def test_majority_zero_window_dropped(self):
         rng = np.random.default_rng(6)
         frames = [PoseFrame(i, 0, rng.random((J, 2)) + 1.0, np.ones(J)) for i in range(7)]
         frames += [PoseFrame(i, 0, rng.random((J, 2)) + 1.0, np.ones(J)) for i in range(25, 34)]
         track = Track("v0", 0, frames)
-        starts = {s.start_time for s in window_snippets(track, 16, 1)}
+        starts = set(extract_snippets({"v0": [track]}, 16, 1).starts.tolist())
         # windows with more than 8 of 16 zero-filled frames are gone
         assert 7 not in starts and 12 not in starts
 
 
 class TestNormalize:
     def test_centroid_and_scale(self):
-        snippet = window_snippets(make_track(frames=16), 16, 1)[0]
-        norm = normalize_snippet(snippet)
+        norm = extract_snippets({"v0": [make_track(frames=16)]}, 16, 1)[0]
         assert abs(norm.joints.mean(axis=(1, 2))).max() <= 1e-9
         rms = np.sqrt((norm.joints**2).sum() / (2 * J * 16))
         assert abs(rms - 1.0) <= 1e-9
@@ -161,8 +154,8 @@ class TestNormalize:
             PoseFrame(f.frame_index, 0, f.xy + np.array([100.0, -50.0]), f.confidence)
             for f in base.frames
         ]
-        a = normalize_snippet(window_snippets(base, 16, 1)[0])
-        b = normalize_snippet(window_snippets(Track("v0", 0, moved_frames), 16, 1)[0])
+        a = extract_snippets({"v0": [base]}, 16, 1)[0]
+        b = extract_snippets({"v0": [Track("v0", 0, moved_frames)]}, 16, 1)[0]
         np.testing.assert_allclose(a.joints, b.joints, atol=1e-9)
 
     def test_scale_invariance(self):
@@ -171,29 +164,21 @@ class TestNormalize:
         scaled_frames = [
             PoseFrame(f.frame_index, 0, f.xy * 2.0, f.confidence) for f in base.frames
         ]
-        a = normalize_snippet(window_snippets(base, 16, 1)[0])
-        b = normalize_snippet(window_snippets(Track("v0", 0, scaled_frames), 16, 1)[0])
+        a = extract_snippets({"v0": [base]}, 16, 1)[0]
+        b = extract_snippets({"v0": [Track("v0", 0, scaled_frames)]}, 16, 1)[0]
         np.testing.assert_allclose(a.joints, b.joints, atol=1e-9)
 
     def test_idempotent(self):
-        snippet = window_snippets(make_track(frames=16), 16, 1)[0]
-        once = normalize_snippet(snippet)
-        again = normalize_snippet(
-            Snippet(
-                video_id=snippet.video_id,
-                person_id=snippet.person_id,
-                start_time=snippet.start_time,
-                joints=once.joints,
-                confidence=snippet.confidence,
-            )
-        )
-        np.testing.assert_allclose(once.joints, again.joints, atol=1e-9)
+        once = extract_snippets({"v0": [make_track(frames=16)]}, 16, 1).joints
+        again, _, _ = normalize_block(once, np.ones((1, J, 16)))
+        np.testing.assert_allclose(once, again, atol=1e-9)
 
     def test_degenerate_snippet(self):
-        joints = np.full((2, J, 16), 3.25)  # all mass at one point
-        snippet = Snippet("v0", 0, 0, joints, np.ones((J, 16)))
-        with pytest.raises(DegenerateSnippetError):
-            normalize_snippet(snippet)
+        # all mass at one point
+        frames = [PoseFrame(i, 0, np.full((J, 2), 3.25), np.ones(J)) for i in range(16)]
+        table = extract_snippets({"v0": [Track("v0", 0, frames)]}, 16, 1)
+        assert len(table) == 0
+        assert table.dropped_degenerate == 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -209,11 +194,11 @@ class TestNormalize:
             PoseFrame(f.frame_index, 0, f.xy * scale + np.array([dx, dy]), f.confidence)
             for f in base.frames
         ]
-        a = normalize_snippet(window_snippets(base, 16, 1)[0])
-        b = normalize_snippet(window_snippets(Track("v0", 0, moved), 16, 1)[0])
+        a = extract_snippets({"v0": [base]}, 16, 1)[0]
+        b = extract_snippets({"v0": [Track("v0", 0, moved)]}, 16, 1)[0]
         np.testing.assert_allclose(a.joints, b.joints, atol=1e-7)
 
 
 def test_snippet_ref_round_trip():
-    snippet = window_snippets(make_track("cam:busy", 4, 20, start=3), 16, 1)[0]
-    assert parse_snippet_ref(snippet.ref) == ("cam:busy", 4, 3)
+    table = extract_snippets({"cam:busy": [make_track("cam:busy", 4, 20, start=3)]}, 16, 1)
+    assert parse_snippet_ref(table[0].ref) == ("cam:busy", 4, 3)

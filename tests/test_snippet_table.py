@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.featurize import (
     _projection,
-    kinematic_features,
     load_embeddings,
     snippet_descriptor,
     write_embeddings,
@@ -29,8 +28,6 @@ from skel_sentinel.pose_io import (
     PoseFrame,
     Track,
     make_snippet_ref,
-    normalize_snippet,
-    window_snippets,
     write_tracks,
 )
 from skel_sentinel.synth import make_benchmark
@@ -220,24 +217,20 @@ class TestTableViews:
     def test_rows_are_single_snippet_results(self):
         videos = {"v": [make_track("v", 0, 30, gaps={12}), make_track("v", 4, 20, start=3)]}
         table = extract_snippets(videos, 8, 3)
-        singles = [
-            normalize_snippet(s)
-            for track in videos["v"]
-            for s in window_snippets(track, 8, 3)
-        ]
-        assert len(table) == len(singles) == len(list(table))
-        for row, single in zip(table, singles):
-            assert row.ref == single.ref
-            np.testing.assert_array_equal(row.joints.view(np.int64), single.joints.view(np.int64))
+        ref_refs, ref_matrix, _, _ = reference_front_end(videos, 8, 3, 16, 5)
+        assert len(table) == len(ref_refs)
+        for i, ref in enumerate(ref_refs):
+            row = table[i]
+            assert row.ref == ref
+            # the row's joints give the reference's features bit for bit
+            features = reference_descriptor(row.joints) @ reference_projection(row.joints, 16, 5)
+            np.testing.assert_array_equal(features.view(np.int64), ref_matrix[i].view(np.int64))
         refs, matrix, _ = featurize_snippets(table, 16, 5)
-        for i, single in enumerate(singles):
-            np.testing.assert_array_equal(
-                kinematic_features(single, 16, 5).values.view(np.int64), matrix[i].view(np.int64)
-            )
+        np.testing.assert_array_equal(matrix.view(np.int64), ref_matrix.view(np.int64))
         np.testing.assert_array_equal(
-            snippet_descriptor(table[0]), reference_descriptor(singles[0].joints)
+            snippet_descriptor(table[0]), reference_descriptor(table[0].joints)
         )
-        assert table[-1].ref == refs[-1] == singles[-1].ref
+        assert table[-1].ref == refs[-1] == ref_refs[-1]
 
     def test_drop_counts_are_logged(self, caplog):
         zeros = make_track("v", 0, 20, zero=set(range(8)))

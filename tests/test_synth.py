@@ -3,8 +3,7 @@ import pytest
 
 from skel_sentinel.config import RunConfig
 from skel_sentinel.errors import SchemaError
-from skel_sentinel.featurize import kinematic_features
-from skel_sentinel.pipeline import extract_snippets
+from skel_sentinel.pipeline import extract_snippets, featurize_snippets
 from skel_sentinel.synth import (
     AgentSpec,
     AnomalyEvent,
@@ -102,11 +101,9 @@ class TestPatternSeparability:
                 seed=500 + scene_i, canvas=(2048.0, 2048.0),
             )
             tracks, _ = generate_scene(scene)
-            feats, labels = [], []
-            for snip in extract_snippets({scene.video_id: tracks}, 16, 8):
-                feats.append(kinematic_features(snip, cfg.feature_dim, 0).values)
-                labels.append(owner[snip.person_id])
-            feats = np.array(feats)
+            table = extract_snippets({scene.video_id: tracks}, 16, 8)
+            _, feats, _ = featurize_snippets(table, cfg.feature_dim, 0)
+            labels = [owner[person] for person in table.person_ids.tolist()]
             for i in range(len(feats)):
                 for j in range(i + 1, len(feats)):
                     d = float(np.linalg.norm(feats[i] - feats[j]))
