@@ -11,6 +11,19 @@ typical-abnormal features; training maximizes log-likelihood of both.
 Gradients are computed analytically by reverse accumulation (no autodiff
 dependency), which keeps the model checkable against finite differences.
 
+Forward and backward passes run in a workspace of preallocated buffers,
+sized for the largest batch and used through row views [:n]. For training
+it holds each layer's forward cache (layer input, normalized input, both
+hidden activations, tanh of the log-scale pre-activation and
+exp(log_scale)), the backward scratch and the gradient dict; `train_flow`
+allocates one and reuses it for every Adam step, whose moments and update
+are computed in place too. For inference every layer shares one set of
+buffers. Every floating-point operation is the one an allocating
+implementation would do, in the same order and on the same shapes and
+strides, so losses, gradients and trained parameters are bit-identical to
+it. The gradient dict returned by `nll_loss_and_grad` belongs to the
+workspace and is overwritten by its next call.
+
 Checkpoint format: magic ``SKFL``, u16 version (=1), u32 dimension, u32
 layer count, u32 hidden width, then float32 little-endian parameters: for
 each layer ``norm_log_scale, norm_bias, s_w1, s_b1, s_w2, s_b2, t_w1, t_b1,
@@ -27,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ContractError,
     DimensionError,
     EmptyBatchError,
     FileFormatError,
@@ -158,30 +172,105 @@ def _split(a: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray]:
     return a[:, half:], a[:, :half]
 
 
-def _join(cond: np.ndarray, trans: np.ndarray, parity: int) -> np.ndarray:
-    if parity == 0:
-        return np.concatenate([cond, trans], axis=1)
-    return np.concatenate([trans, cond], axis=1)
+@dataclass
+class _LayerCache:
+    """One layer's forward buffers, (rows, width) each."""
+
+    a: np.ndarray  # normalized input; its halves are cond and trans
+    out: np.ndarray  # layer output, the next layer's input
+    hs: np.ndarray
+    ht: np.ndarray
+    tanh_u: np.ndarray
+    exp_ls: np.ndarray  # exp(log_scale)
 
 
-def _forward_batch(model: FlowModel, x: np.ndarray, keep_cache: bool):
-    logdet = np.zeros(x.shape[0])
-    caches = [] if keep_cache else None
+class _Workspace:
+    """Buffers for the forward and backward passes, allocated once for `rows`.
+
+    A batch of n <= rows rows uses the row views [:n]. With `training`, each
+    layer has its own forward cache, and the backward scratch and the
+    gradient dict exist too. Without it, every layer shares one set of
+    forward buffers (and hs/ht, tanh_u/log_scale/exp_ls share storage), so
+    inference memory is O(rows x hidden_width) whatever the depth. Nothing
+    derived from the parameters is kept from one call to the next.
+    """
+
+    def __init__(self, model: FlowModel, rows: int, training: bool = True):
+        dim, width, half = model.dimension, model.hidden_width, model.dimension // 2
+
+        def buf(cols: int) -> np.ndarray:
+            return np.empty((rows, cols))
+
+        self.rows = rows
+        self.training = training
+        if training:
+            self.layers = [
+                _LayerCache(buf(dim), buf(dim), buf(width), buf(width), buf(half), buf(half))
+                for _ in model.layers
+            ]
+            self.log_scale = buf(half)
+            # backward scratch
+            self.g_out = buf(dim)
+            self.g_a = buf(dim)
+            self.prod = buf(dim)
+            self.g_u = buf(half)
+            self.gate = buf(half)
+            self.g_mm = buf(half)
+            self.g_hidden = buf(width)
+            self.hidden_gate = buf(width)
+            self.grads = {name: np.zeros_like(value) for name, value in model.parameters()}
+        else:
+            hidden, gate = buf(width), buf(half)
+            shared = _LayerCache(buf(dim), buf(dim), hidden, hidden, gate, gate)
+            self.layers = [shared] * len(model.layers)
+            self.log_scale = gate
+        self.shift = buf(half)
+
+
+def _dense_tanh(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = tanh(x @ w + b), computed in `out`."""
+    np.matmul(x, w, out=out)
+    np.add(out, b, out=out)
+    np.tanh(out, out=out)
+
+
+def _one_minus_square(x: np.ndarray, out: np.ndarray) -> None:
+    """out = 1 - x*x, the tanh derivative."""
+    np.multiply(x, x, out=out)
+    np.subtract(1.0, out, out=out)
+
+
+def _forward(model: FlowModel, x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Map the batch through every layer; z is a view of the last output buffer.
+
+    The op order matters for an inference workspace, where hs and ht share
+    storage, and so do tanh_u, log_scale and exp_ls: hs is consumed before
+    ht is written, and log_scale is summed before exp() overwrites it.
+    """
+    n = x.shape[0]
+    logdet = np.zeros(n)
+    log_scale, shift = ws.log_scale[:n], ws.shift[:n]
     current = x
-    for layer in model.layers:
-        a = current * np.exp(layer.norm_log_scale) + layer.norm_bias
+    for layer, cache in zip(model.layers, ws.layers):
+        a, out = cache.a[:n], cache.out[:n]
+        hs, ht, tanh_u, exp_ls = cache.hs[:n], cache.ht[:n], cache.tanh_u[:n], cache.exp_ls[:n]
+        np.multiply(current, np.exp(layer.norm_log_scale), out=a)
+        np.add(a, layer.norm_bias, out=a)
         cond, trans = _split(a, layer.parity)
-        hs = np.tanh(cond @ layer.s_w1 + layer.s_b1)
-        tanh_u = np.tanh(hs @ layer.s_w2 + layer.s_b2)
-        log_scale = LOG_SCALE_BOUND * tanh_u
-        ht = np.tanh(cond @ layer.t_w1 + layer.t_b1)
-        shift = ht @ layer.t_w2 + layer.t_b2
-        scaled = trans * np.exp(log_scale) + shift
+        out_cond, scaled = _split(out, layer.parity)
+        _dense_tanh(cond, layer.s_w1, layer.s_b1, hs)
+        _dense_tanh(hs, layer.s_w2, layer.s_b2, tanh_u)
+        np.multiply(LOG_SCALE_BOUND, tanh_u, out=log_scale)
         logdet += layer.norm_log_scale.sum() + log_scale.sum(axis=1)
-        if keep_cache:
-            caches.append((current, cond, trans, hs, tanh_u, log_scale, ht))
-        current = _join(cond, scaled, layer.parity)
-    return current, logdet, caches
+        np.exp(log_scale, out=exp_ls)
+        _dense_tanh(cond, layer.t_w1, layer.t_b1, ht)
+        np.matmul(ht, layer.t_w2, out=shift)
+        np.add(shift, layer.t_b2, out=shift)
+        np.multiply(trans, exp_ls, out=scaled)
+        np.add(scaled, shift, out=scaled)
+        out_cond[...] = cond
+        current = out
+    return current, logdet
 
 
 def flow_forward(model: FlowModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
@@ -189,7 +278,7 @@ def flow_forward(model: FlowModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     batch, single = _as_batch(x, model.dimension)
     if not np.isfinite(batch).all():
         raise NonFiniteError("flow input contains non-finite values")
-    z, logdet, _ = _forward_batch(model, batch, keep_cache=False)
+    z, logdet = _forward(model, batch, _Workspace(model, batch.shape[0], training=False))
     if not (np.isfinite(z).all() and np.isfinite(logdet).all()):
         raise NonFiniteError("flow produced non-finite values")
     if single:
@@ -208,8 +297,10 @@ def flow_inverse(model: FlowModel, z: np.ndarray) -> np.ndarray:
         log_scale = LOG_SCALE_BOUND * np.tanh(hs @ layer.s_w2 + layer.s_b2)
         ht = np.tanh(cond @ layer.t_w1 + layer.t_b1)
         shift = ht @ layer.t_w2 + layer.t_b2
-        trans = (scaled - shift) * np.exp(-log_scale)
-        a = _join(cond, trans, layer.parity)
+        a = np.empty_like(current)
+        a_cond, a_trans = _split(a, layer.parity)
+        a_cond[...] = cond
+        np.multiply(scaled - shift, np.exp(-log_scale), out=a_trans)
         current = (a - layer.norm_bias) * np.exp(-layer.norm_log_scale)
     if not np.isfinite(current).all():
         raise NonFiniteError("flow inverse produced non-finite values")
@@ -220,9 +311,10 @@ def log_prob(model: FlowModel, x: np.ndarray, center: str) -> np.ndarray | float
     """Log-density of x under the flow with the requested base center."""
     mu = model.center(center)
     batch, single = _as_batch(x, model.dimension)
-    z, logdet, _ = _forward_batch(model, batch, keep_cache=False)
-    diff = z - mu
-    values = model.base_log_norm - 0.5 * (diff * diff).sum(axis=1) + logdet
+    z, logdet = _forward(model, batch, _Workspace(model, batch.shape[0], training=False))
+    diff = np.subtract(z, mu, out=z)
+    sq = np.multiply(diff, diff, out=diff)
+    values = model.base_log_norm - 0.5 * sq.sum(axis=1) + logdet
     if not np.isfinite(values).all():
         raise NonFiniteError("log_prob produced non-finite values")
     return float(values[0]) if single else values
@@ -234,84 +326,101 @@ def typicality_score(model: FlowModel, features: np.ndarray) -> np.ndarray | flo
     return -result if isinstance(result, float) else -np.asarray(result)
 
 
-def _zero_grads(model: FlowModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(value) for name, value in model.parameters()}
+def _backward(model: FlowModel, ws: _Workspace, x: np.ndarray, g_logdet: np.ndarray) -> None:
+    """Accumulate parameter gradients for one batch into ws.grads.
 
-
-def _backward_batch(
-    model: FlowModel,
-    caches: list,
-    g_z: np.ndarray,
-    g_logdet: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
-    """Accumulate parameter gradients for one batch into `grads`.
-
-    g_z is dLoss/dz, g_logdet is dLoss/dlogdet per sample.
+    On entry ws.g_out[:n] holds dLoss/dz; g_logdet is dLoss/dlogdet per
+    sample. The forward caches must still hold this batch's forward pass.
     """
-    g_out = g_z
+    n = x.shape[0]
+    grads = ws.grads
+    g_out, g_a, prod = ws.g_out[:n], ws.g_a[:n], ws.prod[:n]
+    g_u, gate, g_mm = ws.g_u[:n], ws.gate[:n], ws.g_mm[:n]
+    g_hidden, hidden_gate = ws.g_hidden[:n], ws.hidden_gate[:n]
     g_ld_total = g_logdet.sum()
     for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        x_in, cond, trans, hs, tanh_u, log_scale, ht = caches[i]
+        layer, cache = model.layers[i], ws.layers[i]
+        x_in = x if i == 0 else ws.layers[i - 1].out[:n]
+        cond, trans = _split(cache.a[:n], layer.parity)
+        hs, ht, tanh_u, exp_ls = cache.hs[:n], cache.ht[:n], cache.tanh_u[:n], cache.exp_ls[:n]
         g_cond_out, g_scaled = _split(g_out, layer.parity)
+        g_cond, g_trans = _split(g_a, layer.parity)
 
-        exp_ls = np.exp(log_scale)
-        g_trans = g_scaled * exp_ls
-        g_log_scale = g_scaled * trans * exp_ls + g_logdet[:, None]
-        g_u = g_log_scale * (LOG_SCALE_BOUND * (1.0 - tanh_u * tanh_u))
+        np.multiply(g_scaled, exp_ls, out=g_trans)
+        # g_log_scale = g_scaled * trans * exp_ls + g_logdet
+        np.multiply(g_scaled, trans, out=g_u)
+        np.multiply(g_u, exp_ls, out=g_u)
+        np.add(g_u, g_logdet[:, None], out=g_u)
+        # g_u = g_log_scale * (LOG_SCALE_BOUND * (1 - tanh_u^2))
+        _one_minus_square(tanh_u, gate)
+        np.multiply(LOG_SCALE_BOUND, gate, out=gate)
+        np.multiply(g_u, gate, out=g_u)
 
         grads[f"layer{i}.s_w2"] += hs.T @ g_u
         grads[f"layer{i}.s_b2"] += g_u.sum(axis=0)
-        g_hs_pre = (g_u @ layer.s_w2.T) * (1.0 - hs * hs)
-        grads[f"layer{i}.s_w1"] += cond.T @ g_hs_pre
-        grads[f"layer{i}.s_b1"] += g_hs_pre.sum(axis=0)
-        g_cond = g_cond_out + g_hs_pre @ layer.s_w1.T
+        np.matmul(g_u, layer.s_w2.T, out=g_hidden)
+        _one_minus_square(hs, hidden_gate)
+        np.multiply(g_hidden, hidden_gate, out=g_hidden)
+        grads[f"layer{i}.s_w1"] += cond.T @ g_hidden
+        grads[f"layer{i}.s_b1"] += g_hidden.sum(axis=0)
+        np.matmul(g_hidden, layer.s_w1.T, out=g_mm)
+        np.add(g_cond_out, g_mm, out=g_cond)
 
         grads[f"layer{i}.t_w2"] += ht.T @ g_scaled
         grads[f"layer{i}.t_b2"] += g_scaled.sum(axis=0)
-        g_ht_pre = (g_scaled @ layer.t_w2.T) * (1.0 - ht * ht)
-        grads[f"layer{i}.t_w1"] += cond.T @ g_ht_pre
-        grads[f"layer{i}.t_b1"] += g_ht_pre.sum(axis=0)
-        g_cond = g_cond + g_ht_pre @ layer.t_w1.T
+        np.matmul(g_scaled, layer.t_w2.T, out=g_hidden)
+        _one_minus_square(ht, hidden_gate)
+        np.multiply(g_hidden, hidden_gate, out=g_hidden)
+        grads[f"layer{i}.t_w1"] += cond.T @ g_hidden
+        grads[f"layer{i}.t_b1"] += g_hidden.sum(axis=0)
+        np.matmul(g_hidden, layer.t_w1.T, out=g_mm)
+        np.add(g_cond, g_mm, out=g_cond)
 
-        g_a = _join(g_cond, g_trans, layer.parity)
         exp_nls = np.exp(layer.norm_log_scale)
-        grads[f"layer{i}.norm_log_scale"] += (g_a * x_in).sum(axis=0) * exp_nls + g_ld_total
+        np.multiply(g_a, x_in, out=prod)
+        grads[f"layer{i}.norm_log_scale"] += prod.sum(axis=0) * exp_nls + g_ld_total
         grads[f"layer{i}.norm_bias"] += g_a.sum(axis=0)
-        g_out = g_a * exp_nls
+        np.multiply(g_a, exp_nls, out=g_out)
 
 
 def nll_loss_and_grad(
     model: FlowModel,
     batch_normal: np.ndarray,
     batch_abnormal: np.ndarray | None = None,
+    workspace: _Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean negative log-likelihood of both batches plus analytic gradients.
 
     The abnormal batch may be empty (full-shot mode), dropping its term.
+    With no workspace, one sized to the larger batch is built for this call.
+    The returned gradient arrays belong to the workspace: a later call with
+    the same workspace overwrites them.
     """
     batch_normal = np.asarray(batch_normal, dtype=np.float64)
     if batch_normal.size == 0:
         raise EmptyBatchError("normal batch must be non-empty")
-    batches = [(batch_normal, model.mu_normal)]
+    batches = [(_as_batch(batch_normal, model.dimension)[0], model.mu_normal)]
     if batch_abnormal is not None:
         batch_abnormal = np.asarray(batch_abnormal, dtype=np.float64)
         if batch_abnormal.size > 0:
-            batches.append((batch_abnormal, model.mu_abnormal))
+            batches.append((_as_batch(batch_abnormal, model.dimension)[0], model.mu_abnormal))
+    rows = max(batch.shape[0] for batch, _ in batches)
+    ws = _Workspace(model, rows) if workspace is None else workspace
+    if not ws.training or ws.rows < rows:
+        raise ContractError(f"workspace holds {ws.rows} training rows, batch needs {rows}")
 
     loss = 0.0
-    grads = _zero_grads(model)
+    for grad in ws.grads.values():
+        grad.fill(0.0)
     for batch, mu in batches:
-        batch, _ = _as_batch(batch, model.dimension)
         n = batch.shape[0]
-        z, logdet, caches = _forward_batch(model, batch, keep_cache=True)
-        diff = z - mu
-        loss += float(
-            (-model.base_log_norm + 0.5 * (diff * diff).sum(axis=1) - logdet).mean()
-        )
-        _backward_batch(model, caches, diff / n, np.full(n, -1.0 / n), grads)
-    return loss, grads
+        z, logdet = _forward(model, batch, ws)
+        diff = np.subtract(z, mu, out=ws.g_out[:n])
+        sq = np.multiply(diff, diff, out=ws.prod[:n])
+        loss += float((-model.base_log_norm + 0.5 * sq.sum(axis=1) - logdet).mean())
+        np.divide(diff, n, out=diff)
+        _backward(model, ws, batch, np.full(n, -1.0 / n))
+    return loss, ws.grads
 
 
 @dataclass
@@ -353,28 +462,37 @@ def train_flow(
             n_abnormal = data_abnormal.shape[0]
 
     rng = np.random.default_rng(cfg.seed)
+    n_normal = data_normal.shape[0]
+    batch = cfg.batch_size
+    rows_n = np.empty((min(batch, n_normal), model.dimension))
+    rows_a = np.empty((min(batch, n_abnormal), model.dimension))
+    workspace = _Workspace(model, max(rows_n.shape[0], rows_a.shape[0]))
     params = dict(model.parameters())
-    adam_m = {name: np.zeros_like(p) for name, p in params.items()}
-    adam_v = {name: np.zeros_like(p) for name, p in params.items()}
+    # per parameter: Adam moments m and v, then two scratch arrays
+    adam = {
+        name: (np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p))
+        for name, p in params.items()
+    }
     step = 0
     history: list[float] = []
 
-    n_normal = data_normal.shape[0]
-    batch = cfg.batch_size
     steps_per_epoch = max(1, math.ceil(n_normal / batch))
     for epoch in range(cfg.epochs):
         order_n = rng.permutation(n_normal)
         order_a = rng.permutation(n_abnormal) if n_abnormal else None
         epoch_losses = []
         for s in range(steps_per_epoch):
-            batch_n = data_normal[order_n[s * batch : (s + 1) * batch]]
+            # mode="clip" gathers straight into `out` ("raise" would buffer);
+            # permutation indices are always in range
+            idx_n = order_n[s * batch : (s + 1) * batch]
+            batch_n = np.take(data_normal, idx_n, axis=0, out=rows_n[: len(idx_n)], mode="clip")
             batch_a = None
             if n_abnormal:
-                take = min(batch, n_abnormal)
+                take = rows_a.shape[0]
                 idx = (s * take + np.arange(take)) % n_abnormal
-                batch_a = data_abnormal[order_a[idx]]
+                batch_a = np.take(data_abnormal, order_a[idx], axis=0, out=rows_a, mode="clip")
             try:
-                loss, grads = nll_loss_and_grad(model, batch_n, batch_a)
+                loss, grads = nll_loss_and_grad(model, batch_n, batch_a, workspace)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(epoch, str(exc))
             if not math.isfinite(loss):
@@ -386,12 +504,24 @@ def train_flow(
             bias2 = 1.0 - ADAM_BETA2**step
             for name, param in params.items():
                 g = grads[name]
-                adam_m[name] = ADAM_BETA1 * adam_m[name] + (1.0 - ADAM_BETA1) * g
-                adam_v[name] = ADAM_BETA2 * adam_v[name] + (1.0 - ADAM_BETA2) * (g * g)
+                m, v, update, denom = adam[name]
+                # m = BETA1 * m + (1 - BETA1) * g; v likewise with g * g
+                m *= ADAM_BETA1
+                np.multiply(1.0 - ADAM_BETA1, g, out=update)
+                m += update
+                v *= ADAM_BETA2
+                np.multiply(g, g, out=denom)
+                denom *= 1.0 - ADAM_BETA2
+                v += denom
                 if cfg.learning_rate != 0.0:
-                    m_hat = adam_m[name] / bias1
-                    v_hat = adam_v[name] / bias2
-                    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+                    # param -= lr * (m / bias1) / (sqrt(v / bias2) + EPSILON)
+                    np.divide(m, bias1, out=update)
+                    update *= cfg.learning_rate
+                    np.divide(v, bias2, out=denom)
+                    np.sqrt(denom, out=denom)
+                    denom += ADAM_EPSILON
+                    update /= denom
+                    param -= update
         history.append(float(np.mean(epoch_losses)))
     return model, history
 
@@ -420,24 +550,36 @@ def load_flow(path: str | Path) -> FlowModel:
     if dimension < 2 or dimension % 2 or n_layers < 1 or hidden_width < 1:
         raise FileFormatError(f"{path}: invalid geometry ({dimension}, {n_layers}, {hidden_width})")
 
-    model = init_flow(dimension, n_layers, hidden_width, seed=0)
+    # the expected size comes from the header alone, before any allocation
+    half = dimension // 2
+    shapes = {
+        "norm_log_scale": (dimension,), "norm_bias": (dimension,),
+        "s_w1": (half, hidden_width), "s_b1": (hidden_width,),
+        "s_w2": (hidden_width, half), "s_b2": (half,),
+        "t_w1": (half, hidden_width), "t_b1": (hidden_width,),
+        "t_w2": (hidden_width, half), "t_b2": (half,),
+    }
+    count = n_layers * sum(math.prod(shape) for shape in shapes.values()) + 2 * dimension
+    payload = len(blob) - _HEADER.size
+    if payload < 4 * count:
+        raise FileFormatError(f"{path}: payload shorter than geometry implies")
+    if payload > 4 * count:
+        raise FileFormatError(f"{path}: {payload - 4 * count} trailing bytes")
     offset = _HEADER.size
 
-    def take(shape: tuple[int, ...]) -> np.ndarray:
+    def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
         nonlocal offset
-        count = int(np.prod(shape))
-        end = offset + 4 * count
-        if end > len(blob):
-            raise FileFormatError(f"{path}: payload shorter than geometry implies")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        offset = end
+        size = math.prod(shape)
+        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
+        offset += 4 * size
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{path}: non-finite values in {name}")
         return arr.astype(np.float64).reshape(shape)
 
-    for layer in model.layers:
-        for name in FlowLayer._PARAM_FIELDS:
-            setattr(layer, name, take(getattr(layer, name).shape))
-    model.mu_normal = take((dimension,))
-    model.mu_abnormal = take((dimension,))
-    if offset != len(blob):
-        raise FileFormatError(f"{path}: {len(blob) - offset} trailing bytes")
-    return model
+    layers = [
+        FlowLayer(i % 2, *(take(f"layer{i}.{f}", shapes[f]) for f in FlowLayer._PARAM_FIELDS))
+        for i in range(n_layers)
+    ]
+    mu_normal = take("mu_normal", (dimension,))
+    mu_abnormal = take("mu_abnormal", (dimension,))
+    return FlowModel(dimension, hidden_width, layers, mu_normal, mu_abnormal)

@@ -172,7 +172,7 @@ def load_tracks(path: str | Path, joints: int | None = None) -> dict[str, list[T
             frames = records.setdefault(key, {})
             if frame_index in frames:
                 raise DuplicateRecordError(
-                    f"duplicate record for ({video_id}, {person_id}, {frame_index})"
+                    f"line {lineno}: duplicate record for ({video_id}, {person_id}, {frame_index})"
                 )
             try:
                 frames[frame_index] = PoseFrame(frame_index, person_id, xy, conf)

@@ -87,9 +87,22 @@ class TestHelpAndUsage:
             "error\tscore\tTrackParseError\tload-tracks: line 3: expected 4 tab-separated"
         )
 
-    def test_featurize_failure_names_inner_stage(self, small_benchmark, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ("separator", "TrackParseError\tload-tracks: line 1: expected 4 tab-separated"),
+            ("duplicate", "DuplicateRecordError\tload-tracks: line 2: duplicate record for ("),
+        ],
+        ids=["separator", "duplicate"],
+    )
+    def test_featurize_failure_names_inner_stage(
+        self, small_benchmark, tmp_path, capsys, mutation, message
+    ):
         lines = (small_benchmark / "corpus_tracks.tsv").read_text().splitlines()
-        lines[0] = lines[0].replace("\t", " ", 1)
+        if mutation == "separator":
+            lines[0] = lines[0].replace("\t", " ", 1)
+        else:
+            lines.insert(1, lines[0])
         (tmp_path / "tracks.tsv").write_text("\n".join(lines) + "\n")
         status = run_cli(
             "featurize", "--tracks", tmp_path / "tracks.tsv", "--out", tmp_path / "f.skem",
@@ -98,9 +111,7 @@ class TestHelpAndUsage:
         assert status == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(
-            "error\tfeaturize\tTrackParseError\tload-tracks: line 1: expected 4 tab-separated"
-        )
+        assert err[0].startswith(f"error\tfeaturize\t{message}")
 
     @pytest.mark.parametrize(
         "bad_file, line, error, stage",

@@ -1,7 +1,11 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skel_sentinel.checks import (
     density_integral,
@@ -12,13 +16,20 @@ from skel_sentinel.checks import (
     roundtrip_error_z,
 )
 from skel_sentinel.errors import (
+    ContractError,
     DimensionError,
     EmptyBatchError,
     FileFormatError,
+    NonFiniteError,
     TrainingDivergedError,
 )
 from skel_sentinel.flow import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    LOG_SCALE_BOUND,
     TrainConfig,
+    _Workspace,
     flow_forward,
     flow_inverse,
     init_flow,
@@ -282,3 +293,270 @@ class TestCheckpoint:
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.skfl"):
             load_flow(tmp_path / "nope.skfl")
+
+    def test_oversized_geometry_rejected_before_allocating(self, tmp_path):
+        # 20 bytes whose header claims a 64-d, 4-layer, 16,384-wide flow
+        path = tmp_path / "model.skfl"
+        path.write_bytes(struct.pack("<4sHIII", b"SKFL", 1, 64, 4, 16384) + b"\0\0")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError, match="shorter than geometry"):
+                load_flow(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [("mu_abnormal", 1, np.nan), ("layer0.norm_log_scale", 0, np.inf)],
+    )
+    def test_non_finite_parameter_names_path_and_parameter(self, tmp_path, name, index, value):
+        model = make_perturbed_flow(4, 2, 3, seed=44, scale=0.1)
+        target = model.mu_abnormal if name == "mu_abnormal" else dict(model.parameters())[name]
+        target[index] = value
+        path = tmp_path / "model.skfl"
+        save_flow(model, path)
+        with pytest.raises(NonFiniteError, match=f"model.skfl: non-finite values in {name}"):
+            load_flow(path)
+
+
+def small_blob() -> bytes:
+    """A (4, 2, 3) checkpoint: 18-byte header, then 92 float32 values.
+
+    Every value lies in +-[1, 2), so its exponent field is 0b01111111 and
+    flipping the top exponent bit (bit 6 of the value's last byte) gives
+    an inf or NaN.
+    """
+    rng = np.random.default_rng(45)
+    values = rng.uniform(1.0, 2.0, 92) * rng.choice([-1.0, 1.0], 92)
+    return struct.pack("<4sHIII", b"SKFL", 1, 4, 2, 3) + values.astype("<f4").tobytes()
+
+
+SMALL_BLOB = small_blob()
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit=st.integers(0, 8 * len(SMALL_BLOB) - 1))
+@example(bit=8 * 17 + 7)  # top bit of hidden_width: claims 2**31 + 3
+@example(bit=8 * (18 + 3) + 6)  # first value becomes non-finite
+def test_single_bit_flip_loads_finite_model_or_typed_error(tmp_path_factory, bit):
+    blob = bytearray(SMALL_BLOB)
+    blob[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path_factory.getbasetemp() / "flipped.skfl"
+    path.write_bytes(bytes(blob))
+    try:
+        model = load_flow(path)
+    except (FileFormatError, NonFiniteError):
+        return
+    _, _, dimension, n_layers, hidden_width = struct.unpack_from("<4sHIII", blob)
+    assert (model.dimension, len(model.layers), model.hidden_width) == (
+        dimension, n_layers, hidden_width,
+    )
+    for _, p in model.parameters():
+        assert np.isfinite(p).all()
+    assert np.isfinite(model.mu_normal).all() and np.isfinite(model.mu_abnormal).all()
+
+
+# Frozen copy of the allocating forward, backward and loss that the reused
+# workspace replaced: every step must match it bit for bit.
+def _oracle_split(a, parity):
+    half = a.shape[1] // 2
+    if parity == 0:
+        return a[:, :half], a[:, half:]
+    return a[:, half:], a[:, :half]
+
+
+def _oracle_join(cond, trans, parity):
+    if parity == 0:
+        return np.concatenate([cond, trans], axis=1)
+    return np.concatenate([trans, cond], axis=1)
+
+
+def oracle_forward_batch(model, x, keep_cache):
+    logdet = np.zeros(x.shape[0])
+    caches = [] if keep_cache else None
+    current = x
+    for layer in model.layers:
+        a = current * np.exp(layer.norm_log_scale) + layer.norm_bias
+        cond, trans = _oracle_split(a, layer.parity)
+        hs = np.tanh(cond @ layer.s_w1 + layer.s_b1)
+        tanh_u = np.tanh(hs @ layer.s_w2 + layer.s_b2)
+        log_scale = LOG_SCALE_BOUND * tanh_u
+        ht = np.tanh(cond @ layer.t_w1 + layer.t_b1)
+        shift = ht @ layer.t_w2 + layer.t_b2
+        scaled = trans * np.exp(log_scale) + shift
+        logdet += layer.norm_log_scale.sum() + log_scale.sum(axis=1)
+        if keep_cache:
+            caches.append((current, cond, trans, hs, tanh_u, log_scale, ht))
+        current = _oracle_join(cond, scaled, layer.parity)
+    return current, logdet, caches
+
+
+def oracle_backward_batch(model, caches, g_z, g_logdet, grads):
+    g_out = g_z
+    g_ld_total = g_logdet.sum()
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[i]
+        x_in, cond, trans, hs, tanh_u, log_scale, ht = caches[i]
+        g_cond_out, g_scaled = _oracle_split(g_out, layer.parity)
+
+        exp_ls = np.exp(log_scale)
+        g_trans = g_scaled * exp_ls
+        g_log_scale = g_scaled * trans * exp_ls + g_logdet[:, None]
+        g_u = g_log_scale * (LOG_SCALE_BOUND * (1.0 - tanh_u * tanh_u))
+
+        grads[f"layer{i}.s_w2"] += hs.T @ g_u
+        grads[f"layer{i}.s_b2"] += g_u.sum(axis=0)
+        g_hs_pre = (g_u @ layer.s_w2.T) * (1.0 - hs * hs)
+        grads[f"layer{i}.s_w1"] += cond.T @ g_hs_pre
+        grads[f"layer{i}.s_b1"] += g_hs_pre.sum(axis=0)
+        g_cond = g_cond_out + g_hs_pre @ layer.s_w1.T
+
+        grads[f"layer{i}.t_w2"] += ht.T @ g_scaled
+        grads[f"layer{i}.t_b2"] += g_scaled.sum(axis=0)
+        g_ht_pre = (g_scaled @ layer.t_w2.T) * (1.0 - ht * ht)
+        grads[f"layer{i}.t_w1"] += cond.T @ g_ht_pre
+        grads[f"layer{i}.t_b1"] += g_ht_pre.sum(axis=0)
+        g_cond = g_cond + g_ht_pre @ layer.t_w1.T
+
+        g_a = _oracle_join(g_cond, g_trans, layer.parity)
+        exp_nls = np.exp(layer.norm_log_scale)
+        grads[f"layer{i}.norm_log_scale"] += (g_a * x_in).sum(axis=0) * exp_nls + g_ld_total
+        grads[f"layer{i}.norm_bias"] += g_a.sum(axis=0)
+        g_out = g_a * exp_nls
+
+
+def oracle_loss_and_grad(model, batch_normal, batch_abnormal=None):
+    batch_normal = np.asarray(batch_normal, dtype=np.float64)
+    batches = [(batch_normal, model.mu_normal)]
+    if batch_abnormal is not None:
+        batch_abnormal = np.asarray(batch_abnormal, dtype=np.float64)
+        if batch_abnormal.size > 0:
+            batches.append((batch_abnormal, model.mu_abnormal))
+
+    loss = 0.0
+    grads = {name: np.zeros_like(value) for name, value in model.parameters()}
+    for batch, mu in batches:
+        n = batch.shape[0]
+        z, logdet, caches = oracle_forward_batch(model, batch, keep_cache=True)
+        diff = z - mu
+        loss += float(
+            (-model.base_log_norm + 0.5 * (diff * diff).sum(axis=1) - logdet).mean()
+        )
+        oracle_backward_batch(model, caches, diff / n, np.full(n, -1.0 / n), grads)
+    return loss, grads
+
+
+def oracle_train(model, data_normal, data_abnormal, cfg):
+    n_abnormal = 0 if data_abnormal is None else data_abnormal.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    params = dict(model.parameters())
+    adam_m = {name: np.zeros_like(p) for name, p in params.items()}
+    adam_v = {name: np.zeros_like(p) for name, p in params.items()}
+    step = 0
+    history = []
+    n_normal = data_normal.shape[0]
+    batch = cfg.batch_size
+    steps_per_epoch = max(1, math.ceil(n_normal / batch))
+    for _ in range(cfg.epochs):
+        order_n = rng.permutation(n_normal)
+        order_a = rng.permutation(n_abnormal) if n_abnormal else None
+        epoch_losses = []
+        for s in range(steps_per_epoch):
+            batch_n = data_normal[order_n[s * batch : (s + 1) * batch]]
+            batch_a = None
+            if n_abnormal:
+                take = min(batch, n_abnormal)
+                idx = (s * take + np.arange(take)) % n_abnormal
+                batch_a = data_abnormal[order_a[idx]]
+            loss, grads = oracle_loss_and_grad(model, batch_n, batch_a)
+            epoch_losses.append(loss)
+            step += 1
+            bias1 = 1.0 - ADAM_BETA1**step
+            bias2 = 1.0 - ADAM_BETA2**step
+            for name, param in params.items():
+                g = grads[name]
+                adam_m[name] = ADAM_BETA1 * adam_m[name] + (1.0 - ADAM_BETA1) * g
+                adam_v[name] = ADAM_BETA2 * adam_v[name] + (1.0 - ADAM_BETA2) * (g * g)
+                if cfg.learning_rate != 0.0:
+                    m_hat = adam_m[name] / bias1
+                    v_hat = adam_v[name] / bias2
+                    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        history.append(float(np.mean(epoch_losses)))
+    return model, history
+
+
+def assert_same_bits(result, expected):
+    loss, grads = result
+    loss_ref, grads_ref = expected
+    assert np.float64(loss).view(np.int64) == np.float64(loss_ref).view(np.int64)
+    assert grads.keys() == grads_ref.keys()
+    for name, g in grads.items():
+        np.testing.assert_array_equal(g.view(np.int64), grads_ref[name].view(np.int64), name)
+
+
+def loss_batches(seed, n_normal, n_abnormal, dim=6):
+    rng = np.random.default_rng(seed)
+    normal = rng.standard_normal((n_normal, dim)) * 1.5
+    abnormal = None if n_abnormal is None else rng.standard_normal((n_abnormal, dim)) + 4.0
+    return normal, abnormal
+
+
+class TestWorkspace:
+    # three layers: both coupling parities, and a layer of each after the other
+    @pytest.fixture(scope="class")
+    def model(self):
+        return make_perturbed_flow(6, 3, 10, seed=46, scale=0.3)
+
+    @pytest.mark.parametrize(
+        "n_normal, n_abnormal",
+        [(1, 1), (1, None), (7, 0), (5, 17), (33, 9), (12, None)],
+        ids=["one-row", "no-abnormal", "empty-abnormal", "abnormal-larger", "normal-larger",
+             "full-shot"],
+    )
+    def test_fresh_workspace_matches_oracle(self, model, n_normal, n_abnormal):
+        bn, ba = loss_batches(n_normal, n_normal, n_abnormal)
+        assert_same_bits(nll_loss_and_grad(model, bn, ba), oracle_loss_and_grad(model, bn, ba))
+
+    @pytest.mark.parametrize("n_normal, n_abnormal", [(1, 1), (3, None), (20, 40), (64, 5)])
+    def test_larger_workspace_matches_oracle(self, model, n_normal, n_abnormal):
+        bn, ba = loss_batches(n_normal + 100, n_normal, n_abnormal)
+        workspace = _Workspace(model, 64)
+        assert_same_bits(
+            nll_loss_and_grad(model, bn, ba, workspace), oracle_loss_and_grad(model, bn, ba)
+        )
+
+    def test_reused_workspace_leaks_no_stale_rows(self, model):
+        workspace = _Workspace(model, 50)
+        for step, (n_normal, n_abnormal) in enumerate([(50, 31), (4, 2), (50, None), (1, 1)]):
+            bn, ba = loss_batches(200 + step, n_normal, n_abnormal)
+            assert_same_bits(
+                nll_loss_and_grad(model, bn, ba, workspace), oracle_loss_and_grad(model, bn, ba)
+            )
+
+    def test_workspace_smaller_than_batch_is_contract_error(self, model):
+        bn, ba = loss_batches(300, 8, 9)
+        with pytest.raises(ContractError, match="workspace holds 8"):
+            nll_loss_and_grad(model, bn, ba, _Workspace(model, 8))
+
+    def test_grads_without_workspace_survive_later_calls(self, model):
+        bn, ba = loss_batches(301, 9, 4)
+        _, grads = nll_loss_and_grad(model, bn, ba)
+        kept = {name: g.copy() for name, g in grads.items()}
+        other_n, other_a = loss_batches(302, 9, 4)
+        nll_loss_and_grad(model, other_n, other_a)
+        nll_loss_and_grad(model, other_n, other_a, _Workspace(model, 9))
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g.view(np.int64), kept[name].view(np.int64), name)
+
+    @pytest.mark.parametrize("n_abnormal", [None, 7, 40], ids=["full-shot", "few", "many"])
+    def test_train_flow_matches_oracle_train_loop(self, n_abnormal):
+        # batch 16 does not divide the 45 normal rows: every epoch ends short
+        data_n, data_a = loss_batches(303, 45, n_abnormal, dim=8)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=4, seed=47)
+        model, history = train_flow(init_flow(8, 3, 12, seed=48), data_n, data_a, cfg)
+        ref, ref_history = oracle_train(init_flow(8, 3, 12, seed=48), data_n, data_a, cfg)
+        assert history == ref_history
+        for (name, p), (_, p_ref) in zip(model.parameters(), ref.parameters()):
+            np.testing.assert_array_equal(p.view(np.int64), p_ref.view(np.int64), name)
