@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .config import RunConfig, parse_value, resolve_threads
+from .config import RunConfig, parse_value, read_lines, resolve_threads
 from .errors import SchemaError, SentinelError, StageError
 from .evaluation import evaluate, read_labels, write_labels, write_report
 from .featurize import (
@@ -98,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tracks", required=True, help="input track file")
     p.add_argument("--model", required=True, help="flow checkpoint")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--features", help="embedding file (required when features = file)")
+    p.add_argument(
+        "--features", help="embedding file; replaces the kinematic features when given"
+    )
 
     p = add("eval", "micro-average frame-level AUC from score + label files")
     p.add_argument("--scores", required=True, help="frame score file")
@@ -195,7 +197,7 @@ def cmd_select(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 def _read_selection(path: Path) -> list[str]:
     refs = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_lines(path):
         if line:
             refs.append(line.split("\t")[0])
     return refs

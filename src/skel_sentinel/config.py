@@ -34,7 +34,6 @@ class RunConfig:
     epochs: int = 40
     epsilon: float = 1e-8
     smoothing_window: int = 0
-    features: str = "kinematic"  # "kinematic" or "file"
     seed: int = 0
     threads: int = 1
 
@@ -47,8 +46,6 @@ class RunConfig:
             raise SchemaError("window_length must be >= 2")
         if self.stride < 1:
             raise SchemaError("stride must be >= 1")
-        if self.features not in ("kinematic", "file"):
-            raise SchemaError(f"unknown feature source {self.features!r}")
 
     def replace(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **overrides)
@@ -63,7 +60,7 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         known = {f.name: f for f in dataclasses.fields(cls)}
         values = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(read_lines(path), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -73,10 +70,26 @@ class RunConfig:
             key = key.strip()
             if key not in known:
                 raise SchemaError(f"{path}, line {lineno}: unknown config key {key!r}")
+            if key in values:
+                raise SchemaError(f"{path}, line {lineno}: repeated config key {key!r}")
             values[key] = parse_value(
                 value.strip(), known[key].type, f"{path}, line {lineno}: {key}"
             )
         return cls(**values)
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, split as `str.splitlines` splits them.
+
+    Bytes that are not UTF-8 are a SchemaError naming the path and the line
+    of the first bad byte (1 plus the number of newline bytes before it).
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}, line {lineno}: not valid UTF-8") from None
 
 
 def parse_value(text: str, field_type: str, where: str):

@@ -1,10 +1,13 @@
 """Test-time context analysis: per-video nearest-neighbor graphs over snippet
 features and the uniqueness scores derived from them.
 
+Each branch searches a whole scene at once and returns its k-NN graph as one
+array triple, `Neighbors(members, distances, counts)`.
+
 Neighbor search is exact, and exactness is part of the contract: every
-neighbor, distance and score is bit for bit what a per-query brute-force scan
-gives, where the scan computes `sqrt(sum((x_j - x_i)**2))` for every admitted
-snippet j and sorts by (distance, snippet_ref).
+neighbor, distance and score is bit for bit what a brute-force scan gives for
+each snippet i, where the scan computes `sqrt(sum((x_j - x_i)**2))` for every
+admitted snippet j and sorts by (distance, snippet_ref).
 
 The search is the brute-force "flat" index done by matrix products (Johnson,
 Douze & Jegou, *Billion-scale similarity search with GPUs*, 2017), as a
@@ -34,12 +37,6 @@ every true member is a candidate. The candidates' order and distances come
 from the scan's formula, so the kept set, its order and its distances are
 the scan's.
 
-Why the scores are the same bits. A branch scores k * mean(distances) over
-its m <= k kept members. Rows are averaged in groups of equal m, each over
-exactly m columns, so NumPy's pairwise summation adds the same numbers in the
-same order as `np.mean` over the scan's list. Padding rows to k columns would
-change that order.
-
 Features are assumed finite; the feature stores and the flow reject
 non-finite values before scoring.
 """
@@ -47,38 +44,27 @@ non-finite values before scoring.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, SchemaError, UnknownSnippetError
+from .errors import DimensionError, SchemaError
 
 logger = logging.getLogger(__name__)
-
-CROSS_PERSON = "cross_person"
-SELF_INSPECTION = "self_inspection"
 
 BLOCK_ROWS = 256  # query rows per Gram block
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    query_ref: str
-    kind: str
-    members: list[tuple[str, float]]  # (snippet_ref, euclidean distance), sorted
-    threshold: float  # distance of the k-th kept member; 0 when empty
+class Neighbors(NamedTuple):
+    """One branch's k-NN graph over a whole scene, one row per snippet.
 
-    @property
-    def distances(self) -> list[float]:
-        return [d for _, d in self.members]
+    Row i keeps `counts[i]` neighbors: scene rows `members[i, :counts[i]]` at
+    distances `distances[i, :counts[i]]`, in the scan's (distance, ref)
+    order. The rest of the row is zero. Both matrices are min(k, n) wide.
+    """
 
-
-class BranchScores(NamedTuple):
-    """One branch over a whole scene, per row: k * mean distance of the kept
-    neighbors (0 when there are none) and how many neighbors were kept."""
-
-    scores: np.ndarray
+    members: np.ndarray
+    distances: np.ndarray
     counts: np.ndarray
 
 
@@ -107,7 +93,6 @@ class SceneIndex:
         self.person_ids = np.asarray(person_ids, dtype=np.int64)
         self.times = np.asarray(times, dtype=np.int64)
         self.features = features
-        self._row = {ref: i for i, ref in enumerate(refs)}
         # rank of each row's ref in lexicographic order, for deterministic ties
         order = sorted(range(n), key=lambda i: refs[i])
         self._ref_rank = np.empty(n, dtype=np.int64)
@@ -115,12 +100,6 @@ class SceneIndex:
 
     def __len__(self) -> int:
         return len(self.refs)
-
-    def row(self, ref: str) -> int:
-        try:
-            return self._row[ref]
-        except KeyError:
-            raise UnknownSnippetError(f"{ref!r} is not in scene {self.video_id!r}")
 
 
 # admit(rows, cols) -> boolean (len(rows), len(cols)) matrix of allowed pairs
@@ -166,49 +145,24 @@ def _search(
     return members, dists, counts
 
 
-def _branch(
-    index: SceneIndex,
-    query_ref: str | None,
-    k: int,
-    kind: str,
-    groups: list[np.ndarray],
-    admit: Admit,
-) -> Neighborhood | BranchScores:
+def _branch(index: SceneIndex, k: int, groups: list[np.ndarray], admit: Admit) -> Neighbors:
     """Search each group's rows against the group's own rows (disjoint groups
-    covering the scene): one query's Neighborhood, or the whole scene's scores."""
-    if query_ref is not None:
-        row = index.row(query_ref)
-        group = next(g for g in groups if row in g)
-        members, dists, counts = _search(index, np.array([row]), group, admit, k)
-        m = int(counts[0])
-        kept = [(index.refs[j], float(d)) for j, d in zip(members[0, :m], dists[0, :m])]
-        return Neighborhood(query_ref, kind, kept, kept[-1][1] if kept else 0.0)
-
+    covering the scene), BLOCK_ROWS query rows at a time."""
     n = len(index)
-    all_dists = np.zeros((n, min(k, n)))
-    all_counts = np.zeros(n, dtype=np.int64)
+    members = np.zeros((n, min(k, n)), dtype=np.int64)
+    distances = np.zeros((n, min(k, n)))
+    counts = np.zeros(n, dtype=np.int64)
     for group in groups:
         for start in range(0, len(group), BLOCK_ROWS):
             rows = group[start:start + BLOCK_ROWS]
-            _, dists, counts = _search(index, rows, group, admit, k)
-            all_dists[rows, :dists.shape[1]] = dists
-            all_counts[rows] = counts
-    scores = np.zeros(n)
-    for m in np.unique(all_counts[all_counts > 0]):
-        rows = np.flatnonzero(all_counts == m)
-        # one mean per member count: see "Why the scores are the same bits"
-        scores[rows] = k * all_dists[rows, :m].mean(axis=1)
-    return BranchScores(scores, all_counts)
+            block_members, block_dists, counts[rows] = _search(index, rows, group, admit, k)
+            members[rows, :block_members.shape[1]] = block_members
+            distances[rows, :block_dists.shape[1]] = block_dists
+    return Neighbors(members, distances, counts)
 
 
-def cross_person_neighbors(
-    index: SceneIndex, query_ref: str | None, k: int
-) -> Neighborhood | BranchScores:
-    """k nearest snippets of *other* persons, ties broken by snippet_ref.
-
-    With `query_ref` None, searches for every row of the scene at once and
-    returns its `BranchScores`.
-    """
+def cross_person_neighbors(index: SceneIndex, k: int) -> Neighbors:
+    """k nearest snippets of *other* persons, ties broken by snippet_ref."""
     if k < 1:
         raise SchemaError(f"k must be >= 1, got {k}")
     persons = index.person_ids
@@ -216,18 +170,14 @@ def cross_person_neighbors(
     def admit(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return persons[rows, None] != persons[None, cols]
 
-    return _branch(index, query_ref, k, CROSS_PERSON, [np.arange(len(index))], admit)
+    return _branch(index, k, [np.arange(len(index))], admit)
 
 
 def self_inspection_neighbors(
-    index: SceneIndex, query_ref: str | None, k: int, alpha: float, window_length: int
-) -> Neighborhood | BranchScores:
+    index: SceneIndex, k: int, alpha: float, window_length: int
+) -> Neighbors:
     """k nearest snippets of the *same* person outside the temporal mask
-    |t_i - t_j| > alpha * window_length.
-
-    With `query_ref` None, searches for every row of the scene at once and
-    returns its `BranchScores`.
-    """
+    |t_i - t_j| > alpha * window_length."""
     if k < 1:
         raise SchemaError(f"k must be >= 1, got {k}")
     if alpha < 0:
@@ -240,28 +190,25 @@ def self_inspection_neighbors(
 
     persons = index.person_ids
     groups = [np.flatnonzero(persons == p) for p in np.unique(persons)]
-    return _branch(index, query_ref, k, SELF_INSPECTION, groups, admit)
+    return _branch(index, k, groups, admit)
 
 
-def uniqueness_score(nc: Neighborhood, ns: Neighborhood, k: int) -> float:
-    """Larger of the two neighborhood distance sums.
+def _branch_scores(graph: Neighbors, k: int) -> np.ndarray:
+    """k * mean distance of each row's kept neighbors; 0 for a row with none.
 
-    With fewer than k members a branch uses k * mean(distance) so that sparse
-    scenes stay comparable; with exactly k members that equals the plain sum.
-    Two empty branches yield 0 (isolated snippet).
+    With fewer than k members this keeps sparse scenes comparable; with
+    exactly k it equals the plain sum of the distances.
+
+    Why the scores are the same bits. Rows are averaged in groups of equal
+    member count m, each over exactly m columns, so NumPy's pairwise summation
+    adds the same numbers in the same order as `np.mean` over the scan's list.
+    Averaging the zero-padded rows would change that order.
     """
-    if nc.query_ref != ns.query_ref:
-        raise ContractError(
-            f"neighborhoods disagree on the query: {nc.query_ref!r} vs {ns.query_ref!r}"
-        )
-    branches = []
-    for nbh in (nc, ns):
-        if nbh.members:
-            branches.append(k * float(np.mean(nbh.distances)))
-    if not branches:
-        logger.debug("snippet %s is isolated (no context neighbors)", nc.query_ref)
-        return 0.0
-    return max(branches)
+    scores = np.zeros(len(graph.counts))
+    for m in np.unique(graph.counts[graph.counts > 0]):
+        rows = np.flatnonzero(graph.counts == m)
+        scores[rows] = k * graph.distances[rows, :m].mean(axis=1)
+    return scores
 
 
 def video_uniqueness_scores(
@@ -269,14 +216,14 @@ def video_uniqueness_scores(
 ) -> tuple[np.ndarray, set[str]]:
     """Uniqueness score of every snippet in index row order, plus the isolated refs.
 
-    Per snippet this is `uniqueness_score` of its two neighborhoods, computed
-    for the whole scene with one call per branch.
+    A snippet's score is the larger of its two branch scores; a snippet with
+    no neighbor in either branch is isolated and scores 0.
     """
-    cross = cross_person_neighbors(index, None, k)
-    inspect = self_inspection_neighbors(index, None, k, alpha, window_length)
+    cross = cross_person_neighbors(index, k)
+    inspect = self_inspection_neighbors(index, k, alpha, window_length)
     # branch scores are >= 0 and exactly 0 when the branch is empty, so the
-    # elementwise max is uniqueness_score's max over the non-empty branches
-    values = np.maximum(cross.scores, inspect.scores)
+    # elementwise max is the max over the non-empty branches
+    values = np.maximum(_branch_scores(cross, k), _branch_scores(inspect, k))
     isolated = set()
     for i in np.flatnonzero((cross.counts == 0) & (inspect.counts == 0)):
         logger.debug("snippet %s is isolated (no context neighbors)", index.refs[i])

@@ -62,12 +62,8 @@ class TrainingDivergedError(SentinelError):
         self.epoch = epoch
 
 
-class UnknownSnippetError(SentinelError):
-    """Queried snippet_ref is not present in the scene index."""
-
-
 class ContractError(SentinelError):
-    """Caller passed inconsistent arguments (mismatched lengths or queries)."""
+    """Caller passed inconsistent arguments (mismatched lengths or sizes)."""
 
 
 class UndefinedMetricError(SentinelError):

@@ -14,9 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_lines
 from .errors import (
     DegenerateVectorError,
     DimensionError,
+    DuplicateRecordError,
     FileFormatError,
     MissingEmbeddingError,
     NonFiniteError,
@@ -234,11 +236,16 @@ def load_embeddings(path: str | Path) -> FeatureStore:
     sidecar = Path(f"{path}.idx")
     if not sidecar.exists():
         raise FileFormatError(f"{path}: missing sidecar index {sidecar}")
-    refs = sidecar.read_text(encoding="utf-8").splitlines()
+    refs = read_lines(sidecar)
     if len(refs) != count:
         raise FileFormatError(
             f"{sidecar}: {len(refs)} refs for {count} rows in {path}"
         )
+    seen: set[str] = set()
+    for lineno, ref in enumerate(refs, 1):
+        if ref in seen:
+            raise DuplicateRecordError(f"{sidecar}, line {lineno}: repeated ref {ref!r}")
+        seen.add(ref)
     return FeatureStore(refs, matrix)
 
 

@@ -31,12 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .context import SceneIndex, video_uniqueness_scores
-from .errors import (
-    NonFiniteError,
-    SchemaError,
-    SentinelError,
-    StageError,
-)
+from .errors import NonFiniteError, SentinelError, StageError
 from .featurize import FeatureStore, kinematic_matrix, load_embeddings
 from .flow import FlowModel, load_flow, typicality_score
 from .pose_io import (
@@ -252,11 +247,9 @@ def score_tracks(
     """Tracks in, per-video series and frame scores out, keyed by video_id.
 
     Features come from `features_path` when one is given and are computed
-    from the tracks otherwise; `features = file` without a path is a
-    SchemaError. Each stage's failure is raised as a StageError naming it.
+    from the tracks otherwise. Each stage's failure is raised as a StageError
+    naming it.
     """
-    if cfg.features == "file" and features_path is None:
-        raise SchemaError("config says features = file but no features path is given")
     model = stage("load-model", load_flow, model_path)
     videos = stage("load-tracks", load_tracks, tracks_path, cfg.joints)
     table = stage("window", extract_snippets, videos, cfg.window_length, cfg.stride)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_lines
 from .errors import (
     ContractError,
     DuplicateRecordError,
@@ -163,7 +164,7 @@ def read_frame_values(
     DuplicateRecordError, and each video's frames must run from 0 without gaps.
     """
     per_video: dict[str, dict[int, float]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line:
             continue
         where = f"{path}, line {lineno}"

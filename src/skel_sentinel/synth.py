@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .config import read_lines
+from .errors import DuplicateRecordError, SchemaError
 from .pose_io import PoseFrame, Track
 from .typicality import TypicalitySpec
 
@@ -393,11 +394,13 @@ def write_class_map(classes: dict[str, str], path: str | Path) -> None:
 
 def read_class_map(path: str | Path) -> dict[str, str]:
     classes = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise SchemaError(f"{path}, line {lineno}: expected video_id<TAB>class")
+        if parts[0] in classes:
+            raise DuplicateRecordError(f"{path}, line {lineno}: repeated video_id {parts[0]!r}")
         classes[parts[0]] = parts[1]
     return classes

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_lines
 from .errors import LabelConflictError, MissingEmbeddingError, SchemaError
 from .featurize import FeatureStore, TextEmbedding, cosine_similarity
 
@@ -59,7 +60,7 @@ def load_typicality_spec(path: str | Path) -> TypicalitySpec:
     abnormal: list[str] = []
     prompt = ""
     section: list[str] | None = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -174,8 +174,15 @@ def test_criterion_6_knn_oracle_equivalence():
         features = rng.standard_normal((n, 16))
         refs = [f"s{scene}:{p}:{t}" for p, t in zip(persons, times)]
         index = SceneIndex(f"s{scene}", refs, persons, times, features)
+        cross = cross_person_neighbors(index, k)
+        inspect = self_inspection_neighbors(index, k, alpha, window)
 
-        for row, ref in enumerate(refs):
+        def engine(graph, row):
+            m = int(graph.counts[row])
+            kept = zip(graph.members[row, :m], graph.distances[row, :m])
+            return [(refs[j], float(d)) for j, d in kept]
+
+        for row in range(n):
             def oracle(predicate):
                 scored = []
                 for j in range(n):
@@ -186,9 +193,9 @@ def test_criterion_6_knn_oracle_equivalence():
                 scored.sort()
                 return [(r, d) for d, r in scored[:k]]
 
-            got_c = cross_person_neighbors(index, ref, k).members
+            got_c = engine(cross, row)
             want_c = oracle(lambda j: persons[j] != persons[row])
-            got_s = self_inspection_neighbors(index, ref, k, alpha, window).members
+            got_s = engine(inspect, row)
             want_s = oracle(
                 lambda j: persons[j] == persons[row]
                 and abs(int(times[j]) - int(times[row])) > alpha * window

@@ -1,11 +1,15 @@
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skel_sentinel.cli import command_dispatch
-from skel_sentinel.config import RunConfig
-from skel_sentinel.errors import StageError
+from skel_sentinel.config import RunConfig, read_lines
+from skel_sentinel.errors import SchemaError, StageError
 from skel_sentinel.evaluation import run_benchmark, write_labels
 from skel_sentinel.featurize import FeatureStore, class_prototypes
 from skel_sentinel.flow import TrainConfig, init_flow, save_flow, train_flow
@@ -130,7 +134,7 @@ class TestRunBenchmark:
 
 class TestRunConfig:
     def test_file_round_trip_lossless(self, tmp_path):
-        cfg = RunConfig(joints=13, alpha=2.5, beta_abnormal=0.25, features="file", seed=9)
+        cfg = RunConfig(joints=13, alpha=2.5, beta_abnormal=0.25, seed=9)
         path = tmp_path / "run.cfg"
         cfg.to_file(path)
         assert RunConfig.from_file(path) == cfg
@@ -156,3 +160,37 @@ class TestRunConfig:
         text = (tmp_path / "d.cfg").read_text()
         for field in dataclasses.fields(RunConfig):
             assert f"{field.name} = " in text
+
+
+# Line text without any character that `str.splitlines` treats as a break, so
+# that line i of the file is line i of `read_lines`.
+LINE_TEXT = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lines=st.lists(LINE_TEXT, min_size=1, max_size=8),
+    data=st.data(),
+    bad=st.sampled_from([0x80, 0xBF, 0xC0, 0xC1, 0xF5, 0xFF]),
+)
+def test_read_lines_names_the_line_of_an_invalid_byte(lines, data, bad):
+    row = data.draw(st.integers(0, len(lines) - 1))
+    col = data.draw(st.integers(0, len(lines[row])))
+    encoded = [line.encode("utf-8") for line in lines]
+    valid = b"\n".join(encoded) + b"\n"
+    head, tail = lines[row][:col], lines[row][col:]
+    encoded[row] = head.encode("utf-8") + bytes([bad]) + tail.encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(valid)
+        assert read_lines(path) == lines
+        path.write_bytes(b"\n".join(encoded) + b"\n")
+        with pytest.raises(SchemaError) as exc:
+            read_lines(path)
+    assert str(exc.value) == f"{path}, line {row + 1}: not valid UTF-8"

@@ -39,6 +39,45 @@ def run_cli(*argv):
     return command_dispatch([str(a) for a in argv])
 
 
+def write_text_inputs(root):
+    """Small valid text inputs, each keyed by its path under `root`, with the
+    argv of a command that reads it."""
+    rng = np.random.default_rng(0)
+    refs = ["v1:0:0", "v1:0:16", "v2:0:0", "v2:0:16"]
+    write_embeddings(refs, rng.random((4, 8)), root / "f.skem")
+    texts = rng.standard_normal((2, 8))
+    texts /= np.linalg.norm(texts, axis=1, keepdims=True)
+    write_embeddings(["run", "walk"], texts, root / "t.skem")
+    (root / "classes.tsv").write_text("v1\twalk\nv2\trun\n")
+    (root / "spec.txt").write_text("prompt = p\n[normal]\nwalk\n[abnormal]\nrun\n")
+    (root / "sel").mkdir()
+    (root / "sel" / "selected_normal.tsv").write_text("v1:0:0\t0.9\nv1:0:16\t0.8\n")
+    (root / "sel" / "selected_abnormal.tsv").write_text("v2:0:0\t0.1\n")
+    (root / "run.cfg").write_text("joints = 17\nstride = 1\n")
+    (root / "scores.tsv").write_text("v\t0\t0.1\nv\t1\t0.9\n")
+    (root / "labels.tsv").write_text("v\t0\t0\nv\t1\t1\n")
+    select = [
+        "select", "--features", root / "f.skem", "--texts", root / "t.skem",
+        "--classes", root / "classes.tsv", "--spec", root / "spec.txt", "--out", root / "out",
+    ]
+    evaluate = [
+        "eval", "--scores", root / "scores.tsv", "--labels", root / "labels.tsv",
+        "--out", root / "out",
+    ]
+    return {
+        "run.cfg": ["check", "--config", root / "run.cfg"],
+        "spec.txt": select,
+        "classes.tsv": select,
+        "f.skem.idx": select,
+        "scores.tsv": evaluate,
+        "labels.tsv": evaluate,
+        "sel/selected_normal.tsv": [
+            "train", "--features", root / "f.skem", "--selection", root / "sel",
+            "--out", root / "out",
+        ],
+    }
+
+
 class TestHelpAndUsage:
     @pytest.mark.parametrize(
         "command", ["synth", "featurize", "select", "train", "score", "eval", "check"]
@@ -145,6 +184,36 @@ class TestHelpAndUsage:
             f"error\teval\t{error}\t{stage}: {tmp_path / f'{bad_file}.tsv'}, line 2: "
         )
 
+    @pytest.mark.parametrize(
+        "name, mutation, error, message",
+        [
+            pytest.param(name, "byte", "SchemaError", "not valid UTF-8", id=f"{name}-byte")
+            for name in (
+                "run.cfg", "spec.txt", "classes.tsv", "f.skem.idx",
+                "scores.tsv", "labels.tsv", "sel/selected_normal.tsv",
+            )
+        ] + [
+            pytest.param(name, "repeat", error, message, id=f"{name}-repeat")
+            for name, error, message in (
+                ("run.cfg", "SchemaError", "repeated config key 'joints'"),
+                ("classes.tsv", "DuplicateRecordError", "repeated video_id 'v1'"),
+                ("f.skem.idx", "DuplicateRecordError", "repeated ref 'v1:0:0'"),
+            )
+        ],
+    )
+    def test_bad_text_input_is_typed_error(self, tmp_path, capsys, name, mutation, error, message):
+        argv = write_text_inputs(tmp_path)[name]
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")
+        # line 2 gets a byte that is never UTF-8, or repeats line 1
+        lines[1] = lines[1] + b"\xff" if mutation == "byte" else lines[0]
+        path.write_bytes(b"\n".join(lines))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error\t{argv[0]}\t{error}\t")
+        assert err[0].endswith(f"{path}, line 2: {message}")
+
     def test_bad_config_value_is_typed_error(self, tmp_path, capsys):
         (tmp_path / "run.cfg").write_text("joints = 17\nstride = abc\n")
         assert run_cli("check", "--config", tmp_path / "run.cfg") == 1
@@ -238,7 +307,8 @@ class TestPipeline:
         dirs = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
         assert dirs == ["grid000_feature_dim=8", "grid001_feature_dim=16"]
 
-    def test_score_file_mode_requires_features(self, small_benchmark, tmp_path, capsys):
+    def test_features_config_key_is_unknown(self, small_benchmark, tmp_path, capsys):
+        # --features alone picks the feature source; the old config key is gone
         root = small_benchmark
         (tmp_path / "file.cfg").write_text(SMALL_CONFIG + "features = 'file'\n")
         status = run_cli(
@@ -247,7 +317,10 @@ class TestPipeline:
             "--out", tmp_path / "out", "--config", tmp_path / "file.cfg",
         )
         assert status == 1
-        assert capsys.readouterr().err.startswith("error\tscore\tSchemaError\t")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error\tscore\tSchemaError\t{tmp_path / 'file.cfg'}, line 6: "
+            "unknown config key 'features'"
+        ]
 
 
 class TestFullScalePipeline:

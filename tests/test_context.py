@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 
 from skel_sentinel.context import (
     BLOCK_ROWS,
-    CROSS_PERSON,
-    SELF_INSPECTION,
-    Neighborhood,
     SceneIndex,
     cross_person_neighbors,
     self_inspection_neighbors,
-    uniqueness_score,
     video_uniqueness_scores,
 )
-from skel_sentinel.errors import ContractError, SchemaError, UnknownSnippetError
+from skel_sentinel.errors import SchemaError
 
 
 def make_index(video="v0", n=40, dim=8, persons=4, seed=0):
@@ -28,9 +24,8 @@ def make_index(video="v0", n=40, dim=8, persons=4, seed=0):
     return SceneIndex(video, refs, person_ids, times, feats)
 
 
-def oracle_neighbors(index, query_ref, k, predicate):
+def oracle_neighbors(index, row, k, predicate):
     """Independent exhaustive scan: filter, then sort by (distance, ref)."""
-    row = index.row(query_ref)
     scored = []
     for j, ref in enumerate(index.refs):
         if j == row or not predicate(j):
@@ -41,6 +36,15 @@ def oracle_neighbors(index, query_ref, k, predicate):
     return [(ref, d) for d, ref in scored[:k]]
 
 
+def graph_row(graph, index, row):
+    """Row `row` of a whole-scene graph as the oracle's (ref, distance) list."""
+    m = int(graph.counts[row])
+    return [
+        (index.refs[j], float(d))
+        for j, d in zip(graph.members[row, :m], graph.distances[row, :m])
+    ]
+
+
 class TestCrossPerson:
     def test_same_person_only_gives_empty(self):
         rng = np.random.default_rng(1)
@@ -48,8 +52,9 @@ class TestCrossPerson:
         idx = SceneIndex(
             "v", refs, np.zeros(10, dtype=int), np.arange(10), rng.standard_normal((10, 4))
         )
-        nbh = cross_person_neighbors(idx, refs[3], k=4)
-        assert nbh.members == []
+        graph = cross_person_neighbors(idx, k=4)
+        assert not graph.counts.any()
+        assert not graph.members.any() and not graph.distances.any()
 
     def test_three_candidates_distances(self):
         # query at origin; candidates at exact distances 1, 2, 3
@@ -59,25 +64,20 @@ class TestCrossPerson:
         feats[3, 0] = 3.0
         refs = [f"v:{p}:0" for p in range(4)]
         idx = SceneIndex("v", refs, np.arange(4), np.zeros(4, dtype=int), feats)
-        nbh = cross_person_neighbors(idx, refs[0], k=2)
-        assert [d for _, d in nbh.members] == [1.0, 2.0]
-        assert nbh.threshold == 2.0
-
-    def test_unknown_query(self):
-        idx = make_index()
-        with pytest.raises(UnknownSnippetError):
-            cross_person_neighbors(idx, "v0:99:99", k=3)
+        graph = cross_person_neighbors(idx, k=2)
+        assert graph.counts[0] == 2
+        assert graph.members[0].tolist() == [1, 2]
+        assert graph.distances[0].tolist() == [1.0, 2.0]
 
     def test_matches_oracle_exactly(self):
         for seed in range(10):
             idx = make_index(n=80, persons=5, seed=seed)
-            for ref in idx.refs[::7]:
-                row = idx.row(ref)
-                got = cross_person_neighbors(idx, ref, k=6)
+            graph = cross_person_neighbors(idx, k=6)
+            for row in range(len(idx)):
                 want = oracle_neighbors(
-                    idx, ref, 6, lambda j: idx.person_ids[j] != idx.person_ids[row]
+                    idx, row, 6, lambda j: idx.person_ids[j] != idx.person_ids[row]
                 )
-                assert got.members == want
+                assert graph_row(graph, idx, row) == want
 
 
 class TestSelfInspection:
@@ -88,39 +88,37 @@ class TestSelfInspection:
         idx = SceneIndex(
             "v", refs, np.zeros(3, dtype=int), np.array([100, 150, 200]), feats
         )
-        nbh = self_inspection_neighbors(idx, "v:0:100", k=5, alpha=4, window_length=16)
-        assert [ref for ref, _ in nbh.members] == ["v:0:200"]  # dt=50 masked, dt=100 kept
+        graph = self_inspection_neighbors(idx, k=5, alpha=4, window_length=16)
+        # dt=50 masked, dt=100 kept
+        assert [ref for ref, _ in graph_row(graph, idx, 0)] == ["v:0:200"]
 
     def test_short_track_has_no_partners(self):
         feats = np.random.default_rng(3).standard_normal((4, 4))
         refs = [f"v:0:{t}" for t in (0, 10, 20, 30)]
         idx = SceneIndex("v", refs, np.zeros(4, dtype=int), np.array([0, 10, 20, 30]), feats)
-        nbh = self_inspection_neighbors(idx, "v:0:10", k=3, alpha=4, window_length=16)
-        assert nbh.members == []
+        graph = self_inspection_neighbors(idx, k=3, alpha=4, window_length=16)
+        assert graph.counts[1] == 0  # v:0:10
 
     def test_matches_oracle_exactly(self):
         for seed in range(10):
             idx = make_index(n=80, persons=3, seed=100 + seed)
-            for ref in idx.refs[::5]:
-                row = idx.row(ref)
-                got = self_inspection_neighbors(idx, ref, k=4, alpha=2, window_length=16)
+            graph = self_inspection_neighbors(idx, k=4, alpha=2, window_length=16)
+            for row in range(len(idx)):
                 want = oracle_neighbors(
-                    idx, ref, 4,
+                    idx, row, 4,
                     lambda j: idx.person_ids[j] == idx.person_ids[row]
                     and abs(int(idx.times[j]) - int(idx.times[row])) > 32,
                 )
-                assert got.members == want
+                assert graph_row(graph, idx, row) == want
 
     def test_filter_symmetry_invariant(self):
         idx = make_index(n=60, persons=4, seed=11)
-        for ref in idx.refs:
-            row = idx.row(ref)
-            nc = cross_person_neighbors(idx, ref, k=5)
-            ns = self_inspection_neighbors(idx, ref, k=5, alpha=1, window_length=4)
-            for member, _ in nc.members:
-                assert idx.person_ids[idx.row(member)] != idx.person_ids[row]
-            for member, _ in ns.members:
-                j = idx.row(member)
+        nc = cross_person_neighbors(idx, k=5)
+        ns = self_inspection_neighbors(idx, k=5, alpha=1, window_length=4)
+        for row in range(len(idx)):
+            for j in nc.members[row, :nc.counts[row]]:
+                assert idx.person_ids[j] != idx.person_ids[row]
+            for j in ns.members[row, :ns.counts[row]]:
                 assert idx.person_ids[j] == idx.person_ids[row]
                 assert abs(int(idx.times[j]) - int(idx.times[row])) > 4
 
@@ -132,41 +130,17 @@ class TestUniquenessScore:
         idx = SceneIndex(
             "v", refs, np.array([0, 0, 1, 1, 2, 2]), np.array([0, 100, 0, 100, 0, 100]), feats
         )
-        nc = cross_person_neighbors(idx, refs[0], k=3)
-        ns = self_inspection_neighbors(idx, refs[0], k=3, alpha=4, window_length=16)
-        assert uniqueness_score(nc, ns, k=3) == 0.0
-
-    def test_single_branch_when_other_empty(self):
-        from skel_sentinel.context import CROSS_PERSON, Neighborhood, SELF_INSPECTION
-
-        nc = Neighborhood("q", CROSS_PERSON, [], 0.0)
-        ns = Neighborhood("q", SELF_INSPECTION, [("a", 1.6), ("b", 1.6)], 1.6)
-        assert uniqueness_score(nc, ns, k=2) == pytest.approx(3.2)
-
-    def test_both_empty_is_zero(self):
-        from skel_sentinel.context import CROSS_PERSON, Neighborhood, SELF_INSPECTION
-
-        nc = Neighborhood("q", CROSS_PERSON, [], 0.0)
-        ns = Neighborhood("q", SELF_INSPECTION, [], 0.0)
-        assert uniqueness_score(nc, ns, k=4) == 0.0
-
-    def test_mismatched_queries_rejected(self):
-        from skel_sentinel.context import CROSS_PERSON, Neighborhood, SELF_INSPECTION
-
-        nc = Neighborhood("q1", CROSS_PERSON, [], 0.0)
-        ns = Neighborhood("q2", SELF_INSPECTION, [], 0.0)
-        with pytest.raises(ContractError):
-            uniqueness_score(nc, ns, k=4)
+        scores, isolated = video_uniqueness_scores(idx, 3, 4, 16)
+        assert scores[0] == 0.0 and not isolated
 
     def test_full_neighborhood_equals_plain_sum(self):
         idx = make_index(n=60, persons=3, seed=12)
-        ref = idx.refs[0]
-        nc = cross_person_neighbors(idx, ref, k=5)
-        ns = self_inspection_neighbors(idx, ref, k=5, alpha=0, window_length=1)
-        assert len(nc.members) == 5
-        score = uniqueness_score(nc, ns, k=5)
-        sums = [sum(d for _, d in nbh.members) for nbh in (nc, ns) if nbh.members]
-        assert score == pytest.approx(max(sums), rel=1e-12)
+        nc = cross_person_neighbors(idx, k=5)
+        ns = self_inspection_neighbors(idx, k=5, alpha=0, window_length=1)
+        assert nc.counts[0] == 5
+        scores, _ = video_uniqueness_scores(idx, 5, 0, 1)
+        sums = [sum(d for _, d in graph_row(g, idx, 0)) for g in (nc, ns) if g.counts[0]]
+        assert scores[0] == pytest.approx(max(sums), rel=1e-12)
 
     def test_scaling_features_scales_scores(self):
         idx = make_index(n=50, persons=4, seed=13)
@@ -218,41 +192,37 @@ def test_duplicate_person_time_rejected():
 # (distance, ref rank). The engine must reproduce it bit for bit.
 
 
-def scan_neighbors(index, query_ref, mask, k, kind):
-    row = index.row(query_ref)
+def scan_neighbors(index, row, mask, k):
+    """Scene rows of the query's kept neighbors and their distances, in order."""
     candidates = np.flatnonzero(mask)
-    if candidates.size == 0:
-        return Neighborhood(query_ref, kind, [], 0.0)
     diff = index.features[candidates] - index.features[row]
     dists = np.sqrt((diff * diff).sum(axis=1))
-    order = np.lexsort((index._ref_rank[candidates], dists))
-    keep = candidates[order[:k]]
-    kept_dists = dists[order[:k]]
-    members = [(index.refs[i], float(d)) for i, d in zip(keep, kept_dists)]
-    return Neighborhood(query_ref, kind, members, float(kept_dists[-1]))
+    order = np.lexsort((index._ref_rank[candidates], dists))[:k]
+    return candidates[order], dists[order]
 
 
-def scan_cross(index, query_ref, k):
-    row = index.row(query_ref)
+def scan_cross(index, row, k):
     mask = index.person_ids != index.person_ids[row]
-    return scan_neighbors(index, query_ref, mask, k, CROSS_PERSON)
+    return scan_neighbors(index, row, mask, k)
 
 
-def scan_self(index, query_ref, k, alpha, window_length):
-    row = index.row(query_ref)
+def scan_self(index, row, k, alpha, window_length):
     gap = np.abs(index.times - index.times[row])
     mask = (index.person_ids == index.person_ids[row]) & (gap > alpha * window_length)
-    return scan_neighbors(index, query_ref, mask, k, SELF_INSPECTION)
+    return scan_neighbors(index, row, mask, k)
 
 
 def scan_scores(index, k, alpha, window_length):
-    scores, isolated = {}, set()
-    for ref in index.refs:
-        nc = scan_cross(index, ref, k)
-        ns = scan_self(index, ref, k, alpha, window_length)
-        if not nc.members and not ns.members:
+    """Per row: max of k * mean distance over the non-empty branches, else 0."""
+    scores, isolated = [], set()
+    for row, ref in enumerate(index.refs):
+        branch_dists = (
+            scan_cross(index, row, k)[1], scan_self(index, row, k, alpha, window_length)[1]
+        )
+        branches = [k * float(np.mean(d)) for d in branch_dists if len(d)]
+        if not branches:
             isolated.add(ref)
-        scores[ref] = uniqueness_score(nc, ns, k)
+        scores.append(max(branches, default=0.0))
     return scores, isolated
 
 
@@ -260,24 +230,34 @@ def bits(values):
     return np.array(values, dtype=np.float64).view(np.int64)
 
 
+def assert_graph_matches_scan(graph, index, k, scan):
+    """Every row of a whole-scene graph against the scan of that row."""
+    n = len(index)
+    assert graph.members.shape == graph.distances.shape == (n, min(k, n))
+    assert graph.counts.shape == (n,)
+    for row in range(n):
+        members, dists = scan(row)
+        m = len(members)
+        assert graph.counts[row] == m
+        np.testing.assert_array_equal(graph.members[row, :m], members)
+        np.testing.assert_array_equal(bits(graph.distances[row, :m]), bits(dists))
+        assert not graph.members[row, m:].any() and not graph.distances[row, m:].any()
+
+
 def assert_matches_scan(index, k, alpha, window_length):
     got_scores, got_isolated = video_uniqueness_scores(index, k, alpha, window_length)
     want_scores, want_isolated = scan_scores(index, k, alpha, window_length)
     assert len(got_scores) == len(index)
-    np.testing.assert_array_equal(
-        bits(got_scores), bits([want_scores[r] for r in index.refs])
-    )
+    np.testing.assert_array_equal(bits(got_scores), bits(want_scores))
     assert got_isolated == want_isolated
 
-    cross = cross_person_neighbors(index, None, k)
-    inspect = self_inspection_neighbors(index, None, k, alpha, window_length)
-    for row, ref in enumerate(index.refs):
-        want_c = scan_cross(index, ref, k)
-        want_s = scan_self(index, ref, k, alpha, window_length)
-        assert cross_person_neighbors(index, ref, k) == want_c
-        assert self_inspection_neighbors(index, ref, k, alpha, window_length) == want_s
-        assert cross.counts[row] == len(want_c.members)
-        assert inspect.counts[row] == len(want_s.members)
+    assert_graph_matches_scan(
+        cross_person_neighbors(index, k), index, k, lambda row: scan_cross(index, row, k)
+    )
+    assert_graph_matches_scan(
+        self_inspection_neighbors(index, k, alpha, window_length), index, k,
+        lambda row: scan_self(index, row, k, alpha, window_length),
+    )
 
 
 def oracle_scene(seed, n, persons, dim=8, scale=1.0, duplicates=0):
@@ -314,7 +294,7 @@ class TestBatchedEngineMatchesScan:
 
     def test_one_person_scene_has_empty_cross_branch(self):
         idx = oracle_scene(7, n=30, persons=1)
-        assert not cross_person_neighbors(idx, None, 4).counts.any()
+        assert not cross_person_neighbors(idx, 4).counts.any()
         assert_matches_scan(idx, 4, alpha=1.0, window_length=8)
 
     def test_isolated_snippets(self):
@@ -327,9 +307,7 @@ class TestBatchedEngineMatchesScan:
     def test_multiple_query_blocks(self):
         idx = oracle_scene(9, n=600, persons=2, dim=4, duplicates=50)
         assert len(idx) > 2 * BLOCK_ROWS
-        got, _ = video_uniqueness_scores(idx, 6, 4.0, 16)
-        want, _ = scan_scores(idx, 6, 4.0, 16)
-        np.testing.assert_array_equal(bits(got), bits([want[r] for r in idx.refs]))
+        assert_matches_scan(idx, 6, 4.0, 16)
 
 
 @st.composite
@@ -355,17 +333,22 @@ def small_scenes(draw):
 )
 def test_engine_agrees_with_math_sqrt_oracle(idx, k, alpha, window_length):
     scores, isolated = video_uniqueness_scores(idx, k, alpha, window_length)
+    cross = cross_person_neighbors(idx, k)
+    inspect = self_inspection_neighbors(idx, k, alpha, window_length)
     for row, ref in enumerate(idx.refs):
         want_c = oracle_neighbors(
-            idx, ref, k, lambda j: idx.person_ids[j] != idx.person_ids[row]
+            idx, row, k, lambda j: idx.person_ids[j] != idx.person_ids[row]
         )
         want_s = oracle_neighbors(
-            idx, ref, k,
+            idx, row, k,
             lambda j: idx.person_ids[j] == idx.person_ids[row]
             and abs(int(idx.times[j]) - int(idx.times[row])) > alpha * window_length,
         )
-        assert cross_person_neighbors(idx, ref, k).members == want_c
-        assert self_inspection_neighbors(idx, ref, k, alpha, window_length).members == want_s
+        for graph, want in ((cross, want_c), (inspect, want_s)):
+            assert graph.counts[row] == len(want)
+            assert graph_row(graph, idx, row) == want
+            assert not graph.members[row, len(want):].any()
+            assert not graph.distances[row, len(want):].any()
         branches = [k * float(np.mean([d for _, d in w])) for w in (want_c, want_s) if w]
         assert bits([scores[row]]) == bits([max(branches, default=0.0)])
         assert (ref in isolated) == (not branches)
