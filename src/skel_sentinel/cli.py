@@ -25,7 +25,7 @@ import numpy as np
 
 from . import checks
 from .config import RunConfig, parse_value, read_lines, resolve_threads
-from .errors import SchemaError, SentinelError, StageError
+from .errors import DuplicateRecordError, SchemaError, SentinelError, StageError
 from .evaluation import evaluate, read_labels, write_labels, write_report
 from .featurize import (
     FeatureStore,
@@ -196,11 +196,14 @@ def cmd_select(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 
 def _read_selection(path: Path) -> list[str]:
-    refs = []
-    for line in read_lines(path):
+    refs: dict[str, None] = {}
+    for lineno, line in read_lines(path):
+        ref = line.split("\t")[0]
+        if ref in refs:
+            raise DuplicateRecordError(f"{path}, line {lineno}: repeated ref {ref!r}")
         if line:
-            refs.append(line.split("\t")[0])
-    return refs
+            refs[ref] = None
+    return list(refs)
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:

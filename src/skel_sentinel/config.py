@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,7 +61,7 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         known = {f.name: f for f in dataclasses.fields(cls)}
         values = {}
-        for lineno, raw in enumerate(read_lines(path), 1):
+        for lineno, raw in read_lines(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -78,18 +79,22 @@ class RunConfig:
         return cls(**values)
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file, split as `str.splitlines` splits them.
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of a UTF-8 file, read one line at a time.
 
-    Bytes that are not UTF-8 are a SchemaError naming the path and the line
-    of the first bad byte (1 plus the number of newline bytes before it).
+    A line ends at `\n`, and one `\r` before it is dropped; any other `\r`,
+    form feed or Unicode line separator is part of the line. A directory, or a
+    line that is not UTF-8, is a SchemaError naming the path (and the line).
     """
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise SchemaError(f"{path}, line {lineno}: not valid UTF-8") from None
+    if Path(path).is_dir():
+        raise SchemaError(f"{path}: is a directory")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                text = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+            except UnicodeDecodeError:
+                raise SchemaError(f"{path}, line {lineno}: not valid UTF-8") from None
+            yield lineno, text
 
 
 def parse_value(text: str, field_type: str, where: str):

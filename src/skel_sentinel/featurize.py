@@ -215,6 +215,8 @@ def write_embeddings(refs: list[str], matrix: np.ndarray, path: str | Path) -> N
 
 def load_embeddings(path: str | Path) -> FeatureStore:
     path = Path(path)
+    if path.is_dir():
+        raise FileFormatError(f"{path}: is a directory")
     blob = path.read_bytes()
     if len(blob) < _HEADER.size:
         raise FileFormatError(f"{path}: truncated header")
@@ -236,17 +238,17 @@ def load_embeddings(path: str | Path) -> FeatureStore:
     sidecar = Path(f"{path}.idx")
     if not sidecar.exists():
         raise FileFormatError(f"{path}: missing sidecar index {sidecar}")
-    refs = read_lines(sidecar)
-    if len(refs) != count:
+    lines = list(read_lines(sidecar))
+    if len(lines) != count:
         raise FileFormatError(
-            f"{sidecar}: {len(refs)} refs for {count} rows in {path}"
+            f"{sidecar}: {len(lines)} refs for {count} rows in {path}"
         )
     seen: set[str] = set()
-    for lineno, ref in enumerate(refs, 1):
+    for lineno, ref in lines:
         if ref in seen:
             raise DuplicateRecordError(f"{sidecar}, line {lineno}: repeated ref {ref!r}")
         seen.add(ref)
-    return FeatureStore(refs, matrix)
+    return FeatureStore([ref for _, ref in lines], matrix)
 
 
 def load_text_embeddings(path: str | Path) -> dict[str, TextEmbedding]:

@@ -539,6 +539,8 @@ def save_flow(model: FlowModel, path: str | Path) -> None:
 
 def load_flow(path: str | Path) -> FlowModel:
     path = Path(path)
+    if path.is_dir():
+        raise FileFormatError(f"{path}: is a directory")
     blob = path.read_bytes()
     if len(blob) < _HEADER.size:
         raise FileFormatError(f"{path}: truncated header")

@@ -1,11 +1,11 @@
 """Pose track ingestion, snippet windowing, and snippet normalization.
 
-Track file format (UTF-8, LF, one pose per line):
+Track file format (UTF-8, one pose per line):
 
     video_id<TAB>person_id<TAB>frame_index<TAB>x1,y1,c1;x2,y2,c2;...
 
 with exactly one x,y,confidence triple per joint. Coordinates are pixels,
-confidences live in [0, 1].
+confidences live in [0, 1]. Lines are split as `config.read_lines` splits them.
 
 Windowing and normalization are array kernels (`track_arrays`,
 `kept_offsets`, `normalize_block`). `pipeline.extract_snippets` runs them over
@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_lines
 from .errors import DuplicateRecordError, SchemaError, TrackParseError
 
 # Windows with more than this fraction of zero-filled frames are dropped,
@@ -46,7 +47,7 @@ class PoseFrame:
             raise SchemaError("confidence length must match joint count")
         if not np.isfinite(self.xy).all():
             raise SchemaError("keypoint coordinates must be finite")
-        if ((self.confidence < 0) | (self.confidence > 1)).any():
+        if not ((self.confidence >= 0) & (self.confidence <= 1)).all():  # NaN fails too
             raise SchemaError("confidences must lie in [0, 1]")
 
 
@@ -131,53 +132,49 @@ def load_tracks(path: str | Path, joints: int | None = None) -> dict[str, list[T
     (video_id, person_id) with frames sorted by frame_index.
     """
     records: dict[tuple[str, int], dict[int, PoseFrame]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise TrackParseError(lineno, f"expected 4 tab-separated fields, got {len(parts)}")
-            video_id, person_text, frame_text, pose_text = parts
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise TrackParseError(lineno, f"expected 4 tab-separated fields, got {len(parts)}")
+        video_id, person_text, frame_text, pose_text = parts
+        try:
+            person_id = int(person_text)
+            frame_index = int(frame_text)
+        except ValueError as exc:
+            raise TrackParseError(lineno, f"bad integer field: {exc}")
+        if person_id < 0 or frame_index < 0:
+            raise TrackParseError(lineno, "person_id and frame_index must be >= 0")
+
+        triples = pose_text.split(";")
+        if joints is None:
+            joints = len(triples)
+        if len(triples) != joints:
+            raise SchemaError(f"line {lineno}: expected {joints} joints, got {len(triples)}")
+        xy = np.empty((joints, 2), dtype=np.float64)
+        conf = np.empty(joints, dtype=np.float64)
+        for j, triple in enumerate(triples):
+            fields = triple.split(",")
+            if len(fields) != 3:
+                raise TrackParseError(lineno, f"joint {j}: expected x,y,c")
             try:
-                person_id = int(person_text)
-                frame_index = int(frame_text)
+                xy[j, 0] = float(fields[0])
+                xy[j, 1] = float(fields[1])
+                conf[j] = float(fields[2])
             except ValueError as exc:
-                raise TrackParseError(lineno, f"bad integer field: {exc}")
-            if person_id < 0 or frame_index < 0:
-                raise TrackParseError(lineno, "person_id and frame_index must be >= 0")
+                raise TrackParseError(lineno, f"joint {j}: {exc}")
 
-            triples = pose_text.split(";")
-            if joints is None:
-                joints = len(triples)
-            if len(triples) != joints:
-                raise SchemaError(
-                    f"line {lineno}: expected {joints} joints, got {len(triples)}"
-                )
-            xy = np.empty((joints, 2), dtype=np.float64)
-            conf = np.empty(joints, dtype=np.float64)
-            for j, triple in enumerate(triples):
-                fields = triple.split(",")
-                if len(fields) != 3:
-                    raise TrackParseError(lineno, f"joint {j}: expected x,y,c")
-                try:
-                    xy[j, 0] = float(fields[0])
-                    xy[j, 1] = float(fields[1])
-                    conf[j] = float(fields[2])
-                except ValueError as exc:
-                    raise TrackParseError(lineno, f"joint {j}: {exc}")
-
-            key = (video_id, person_id)
-            frames = records.setdefault(key, {})
-            if frame_index in frames:
-                raise DuplicateRecordError(
-                    f"line {lineno}: duplicate record for ({video_id}, {person_id}, {frame_index})"
-                )
-            try:
-                frames[frame_index] = PoseFrame(frame_index, person_id, xy, conf)
-            except SchemaError as exc:
-                raise TrackParseError(lineno, str(exc))
+        key = (video_id, person_id)
+        frames = records.setdefault(key, {})
+        if frame_index in frames:
+            raise DuplicateRecordError(
+                f"line {lineno}: duplicate record for ({video_id}, {person_id}, {frame_index})"
+            )
+        try:
+            frames[frame_index] = PoseFrame(frame_index, person_id, xy, conf)
+        except SchemaError as exc:
+            raise TrackParseError(lineno, str(exc))
 
     videos: dict[str, list[Track]] = {}
     for (video_id, person_id) in sorted(records):

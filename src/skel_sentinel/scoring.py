@@ -164,7 +164,7 @@ def read_frame_values(
     DuplicateRecordError, and each video's frames must run from 0 without gaps.
     """
     per_video: dict[str, dict[int, float]] = {}
-    for lineno, line in enumerate(read_lines(path), 1):
+    for lineno, line in read_lines(path):
         if not line:
             continue
         where = f"{path}, line {lineno}"

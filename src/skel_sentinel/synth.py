@@ -394,7 +394,7 @@ def write_class_map(classes: dict[str, str], path: str | Path) -> None:
 
 def read_class_map(path: str | Path) -> dict[str, str]:
     classes = {}
-    for lineno, line in enumerate(read_lines(path), 1):
+    for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")

@@ -60,7 +60,7 @@ def load_typicality_spec(path: str | Path) -> TypicalitySpec:
     abnormal: list[str] = []
     prompt = ""
     section: list[str] | None = None
-    for lineno, raw in enumerate(read_lines(path), 1):
+    for lineno, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

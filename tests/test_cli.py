@@ -4,7 +4,7 @@ import pytest
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.config import RunConfig
 from skel_sentinel.evaluation import write_labels
-from skel_sentinel.featurize import write_embeddings
+from skel_sentinel.featurize import load_text_embeddings, write_embeddings
 from skel_sentinel.flow import init_flow, save_flow
 from skel_sentinel.pose_io import write_tracks
 from skel_sentinel.synth import make_benchmark, write_class_map
@@ -56,6 +56,8 @@ def write_text_inputs(root):
     (root / "run.cfg").write_text("joints = 17\nstride = 1\n")
     (root / "scores.tsv").write_text("v\t0\t0.1\nv\t1\t0.9\n")
     (root / "labels.tsv").write_text("v\t0\t0\nv\t1\t1\n")
+    pose = ";".join(["1.0,2.0,1.0"] * 17)
+    (root / "tracks.tsv").write_text(f"v\t0\t0\t{pose}\nv\t0\t1\t{pose}\n")
     select = [
         "select", "--features", root / "f.skem", "--texts", root / "t.skem",
         "--classes", root / "classes.tsv", "--spec", root / "spec.txt", "--out", root / "out",
@@ -65,6 +67,7 @@ def write_text_inputs(root):
         "--out", root / "out",
     ]
     return {
+        "tracks.tsv": ["featurize", "--tracks", root / "tracks.tsv", "--out", root / "out"],
         "run.cfg": ["check", "--config", root / "run.cfg"],
         "spec.txt": select,
         "classes.tsv": select,
@@ -189,7 +192,7 @@ class TestHelpAndUsage:
         [
             pytest.param(name, "byte", "SchemaError", "not valid UTF-8", id=f"{name}-byte")
             for name in (
-                "run.cfg", "spec.txt", "classes.tsv", "f.skem.idx",
+                "tracks.tsv", "run.cfg", "spec.txt", "classes.tsv", "f.skem.idx",
                 "scores.tsv", "labels.tsv", "sel/selected_normal.tsv",
             )
         ] + [
@@ -198,6 +201,7 @@ class TestHelpAndUsage:
                 ("run.cfg", "SchemaError", "repeated config key 'joints'"),
                 ("classes.tsv", "DuplicateRecordError", "repeated video_id 'v1'"),
                 ("f.skem.idx", "DuplicateRecordError", "repeated ref 'v1:0:0'"),
+                ("sel/selected_normal.tsv", "DuplicateRecordError", "repeated ref 'v1:0:0'"),
             )
         ],
     )
@@ -213,6 +217,37 @@ class TestHelpAndUsage:
         assert len(err) == 1
         assert err[0].startswith(f"error\t{argv[0]}\t{error}\t")
         assert err[0].endswith(f"{path}, line 2: {message}")
+        if name == "tracks.tsv":
+            assert f"\tload-tracks: {path}, line 2: " in err[0]
+
+    @pytest.mark.parametrize(
+        "flag, error, stage",
+        [
+            ("--tracks", "SchemaError", "load-tracks: "),
+            ("--model", "FileFormatError", "load-model: "),
+            ("--features", "FileFormatError", ""),
+            ("--labels", "SchemaError", "load-labels: "),
+        ],
+    )
+    def test_directory_input_is_typed_error(self, tmp_path, capsys, flag, error, stage):
+        write_text_inputs(tmp_path)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        model = tmp_path / "model.skfl"
+        save_flow(init_flow(8, 2, 8, seed=0), model)
+        argv = {
+            "--tracks": ["score", "--tracks", folder, "--model", model],
+            "--model": ["score", "--tracks", tmp_path / "tracks.tsv", "--model", folder],
+            "--features": [
+                "select", "--features", folder, "--texts", tmp_path / "t.skem",
+                "--classes", tmp_path / "classes.tsv", "--spec", tmp_path / "spec.txt",
+            ],
+            "--labels": ["eval", "--scores", tmp_path / "scores.tsv", "--labels", folder],
+        }[flag]
+        assert run_cli(*argv, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error\t{argv[0]}\t{error}\t{stage}{folder}: is a directory"
+        ]
 
     def test_bad_config_value_is_typed_error(self, tmp_path, capsys):
         (tmp_path / "run.cfg").write_text("joints = 17\nstride = abc\n")
@@ -284,6 +319,52 @@ class TestPipeline:
         assert "wall_seconds = " in report
         # resolved config written next to each stage's outputs
         assert (tmp_path / "report" / "config.eval.resolved").exists()
+
+    def test_line_break_characters_in_video_ids(self, tmp_path):
+        # only LF ends a line: a video id may hold any other line break
+        data = make_benchmark(
+            seed=0, videos_per_class=2, test_counts={"pattern": 2, "outlier": 1}
+        )
+        breaks = ["\x0c", "\x85", "\u2028", "\r"]
+
+        def renamed(videos):
+            return {
+                f"{v[:-3]}{breaks[i % len(breaks)]}{v[-3:]}": value
+                for i, (v, value) in enumerate(sorted(videos.items()))
+            }
+
+        write_tracks(renamed(data.corpus_videos), tmp_path / "corpus_tracks.tsv")
+        write_class_map(renamed(data.corpus_classes), tmp_path / "corpus_classes.tsv")
+        write_tracks(renamed(data.test_videos), tmp_path / "test_tracks.tsv")
+        write_labels(renamed(data.test_labels), tmp_path / "test_labels.tsv")
+        save_typicality_spec(data.typicality, tmp_path / "typicality.spec")
+        (tmp_path / "run.cfg").write_text(SMALL_CONFIG)
+        cfg = ["--config", tmp_path / "run.cfg"]
+        assert run_cli(
+            "featurize", "--tracks", tmp_path / "corpus_tracks.tsv",
+            "--out", tmp_path / "corpus.skem", "--classes", tmp_path / "corpus_classes.tsv",
+            "--text-out", tmp_path / "texts.skem", *cfg,
+        ) == 0
+        texts = load_text_embeddings(tmp_path / "texts.skem")
+        spec = data.typicality
+        assert set(texts) == set(spec.normal_actions + spec.abnormal_actions)
+        assert run_cli(
+            "select", "--features", tmp_path / "corpus.skem", "--texts", tmp_path / "texts.skem",
+            "--classes", tmp_path / "corpus_classes.tsv", "--spec", tmp_path / "typicality.spec",
+            "--out", tmp_path / "sel", *cfg,
+        ) == 0
+        assert run_cli(
+            "train", "--features", tmp_path / "corpus.skem", "--selection", tmp_path / "sel",
+            "--out", tmp_path / "model", *cfg,
+        ) == 0
+        assert run_cli(
+            "score", "--tracks", tmp_path / "test_tracks.tsv",
+            "--model", tmp_path / "model" / "model.skfl", "--out", tmp_path / "scores", *cfg,
+        ) == 0
+        assert run_cli(
+            "eval", "--scores", tmp_path / "scores" / "scores.tsv",
+            "--labels", tmp_path / "test_labels.tsv", "--out", tmp_path / "report", *cfg,
+        ) == 0
 
     def test_featurize_idempotent_byte_identical(self, small_benchmark, tmp_path):
         root = small_benchmark

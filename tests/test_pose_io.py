@@ -1,3 +1,7 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +94,99 @@ class TestLoadTracks:
                     assert f0.frame_index == f1.frame_index
                     np.testing.assert_array_equal(f0.xy, f1.xy)
                     np.testing.assert_array_equal(f0.confidence, f1.confidence)
+
+
+def _rejected_by(parse, text):
+    try:
+        parse(text)
+    except ValueError:
+        return True
+    return False
+
+
+# One field's text: no tab, LF or CR, and none of the pose separators.
+FIELD = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r;,"),
+    max_size=6,
+)
+COORD = st.floats(-1e3, 1e3).map(repr)
+CONF = st.floats(0, 1).map(repr)
+TRIPLE = st.tuples(COORD, COORD, CONF).map(",".join)
+
+
+@st.composite
+def malformed_line(draw):
+    """One track line, as bytes, that is wrong whatever the lines around it."""
+    fields = [
+        draw(st.sampled_from(["v0", "v1", "other"])),
+        str(draw(st.integers(0, 2))),
+        str(draw(st.integers(0, 9))),
+        draw(st.lists(TRIPLE, min_size=J, max_size=J)),
+    ]
+    kind = draw(st.sampled_from([
+        "field-count", "integer", "negative", "joint-count", "triple", "float",
+        "non-finite", "confidence", "utf-8",
+    ]))
+    if kind == "integer":
+        fields[draw(st.sampled_from([1, 2]))] = draw(
+            FIELD.filter(lambda text: _rejected_by(int, text))
+        )
+    elif kind == "negative":
+        fields[draw(st.sampled_from([1, 2]))] = str(draw(st.integers(max_value=-1)))
+    elif kind == "joint-count":
+        fields[3] = draw(st.lists(TRIPLE, max_size=2 * J).filter(lambda t: len(t) != J))
+    elif kind == "triple":
+        parts = draw(st.lists(COORD, max_size=5).filter(lambda p: len(p) != 3))
+        fields[3][draw(st.integers(0, J - 1))] = ",".join(parts)
+    elif kind in ("float", "non-finite", "confidence"):
+        joint, axis = draw(st.integers(0, J - 1)), draw(st.integers(0, 2))
+        if kind == "confidence":
+            outside = st.floats().filter(lambda c: not 0 <= c <= 1)
+            axis, value = 2, repr(draw(st.sampled_from([math.nan, -0.5, 1.5]) | outside))
+        elif kind == "non-finite":
+            value = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+        else:
+            value = draw(FIELD.filter(lambda text: _rejected_by(float, text)))
+        triple = fields[3][joint].split(",")
+        triple[axis] = value
+        fields[3][joint] = ",".join(triple)
+    fields[3] = ";".join(fields[3])
+    line = "\t".join(fields)
+    if kind == "field-count":
+        parts = draw(st.lists(FIELD, min_size=1, max_size=6).filter(lambda p: len(p) != 4))
+        line = "\t".join(parts) or "\x0c"  # a blank line is skipped, not malformed
+    data = line.encode("utf-8")
+    if kind == "utf-8":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+class TestMalformedTrackLine:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        persons=st.integers(1, 3),
+        frames=st.integers(1, 10),
+        bad=malformed_line(),
+        data=st.data(),
+        ending=st.sampled_from([b"\n", b"\r\n"]),
+    )
+    def test_error_names_the_line(self, persons, frames, bad, data, ending):
+        rng = np.random.default_rng(persons * 100 + frames)
+        lines = [
+            track_line(video, person, frame, rng.random((J, 2)) * 100).encode("utf-8")
+            for video in ("v0", "v1")
+            for person in range(persons)
+            for frame in range(frames)
+        ]
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, bad)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tracks.tsv"
+            path.write_bytes(b"".join(line + ending for line in lines))
+            with pytest.raises((TrackParseError, SchemaError, DuplicateRecordError)) as exc:
+                load_tracks(path, joints=J)
+        assert f"line {at + 1}: " in str(exc.value)
 
 
 class TestWindowing:
