@@ -8,6 +8,7 @@ them. The file format is `key = value`, one per line, `#` comments allowed.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -39,6 +40,12 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not math.isfinite(value):
+                raise SchemaError(f"{field.name} must be finite, got {value!r}")
+        if self.epsilon <= 0:
+            raise SchemaError(f"epsilon must be > 0, got {self.epsilon!r}")
         if self.learning_rate < 0:
             raise SchemaError("learning_rate must be >= 0")
         if self.batch_size < 1:

@@ -30,6 +30,9 @@ MAGIC = b"SKEM"
 VERSION = 1
 _HEADER = struct.Struct("<4sHII")
 
+# Descriptor columns per projection GEMM; see kinematic_matrix.
+PROJECTION_CHUNK = 256
+
 # Orthonormal projections keyed by (raw_dim, target_dim, seed); one per run
 # in practice, so a plain dict is enough.
 _projection_cache: dict[tuple[int, int, int], np.ndarray] = {}
@@ -142,11 +145,19 @@ def kinematic_matrix(joints: np.ndarray, dim: int, seed: int) -> np.ndarray:
     """(N, dim) features of an (N, 2, J, T) stack of normalized snippets.
 
     Descriptors are built and projected BLOCK_ROWS rows at a time, so the
-    descriptor block never outgrows BLOCK_ROWS rows. The projection is a
-    stack of (1, K) @ (K, dim) products, not one (B, K) @ (K, dim) GEMM: each
-    row then goes through the same vector-matrix kernel as a single snippet
-    does, and the features are bit-identical for any block size, whereas a
-    GEMM's blocked summation changes the last bits.
+    descriptor block never outgrows BLOCK_ROWS rows. Each block is projected
+    by GEMMs over fixed chunks of PROJECTION_CHUNK descriptor columns, summed
+    into the block's output in chunk order. A single full-K GEMM is as fast,
+    but the order in which OpenBLAS sums its K terms depends on the BLAS
+    thread count, so its bits do too; with chunks this short the features are
+    the same bytes at any thread count (checked by a test).
+
+    The features are not bit-identical to a one-row-at-a-time product (nor is
+    a one-row block to the same row in a larger one, which goes through gemv):
+    every order of a K-term sum lies within gamma_K * sum_i |d_i p_i| of the
+    exact dot product (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), gamma_K = K u / (1 - K u), u = 2**-53, so any two
+    orders differ by at most 2 gamma_K * (|raw| @ |P|) per feature.
     """
     if dim < 4:
         raise DimensionError(f"feature dimension must be >= 4, got {dim}")
@@ -155,7 +166,10 @@ def kinematic_matrix(joints: np.ndarray, dim: int, seed: int) -> np.ndarray:
     for b0 in range(0, n, BLOCK_ROWS):
         raw = descriptors(joints[b0 : b0 + BLOCK_ROWS])
         projection = _projection(raw.shape[1], dim, seed)
-        out[b0 : b0 + BLOCK_ROWS] = (raw[:, None, :] @ projection)[:, 0, :]
+        block = out[b0 : b0 + BLOCK_ROWS]
+        np.matmul(raw[:, :PROJECTION_CHUNK], projection[:PROJECTION_CHUNK], out=block)
+        for k in range(PROJECTION_CHUNK, raw.shape[1], PROJECTION_CHUNK):
+            block += raw[:, k : k + PROJECTION_CHUNK] @ projection[k : k + PROJECTION_CHUNK]
     return out
 
 

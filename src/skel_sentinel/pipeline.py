@@ -8,11 +8,13 @@ attributes at call time, so a tracer can wrap them by name.
 The path is columnar from windows to frame scores. `extract_snippets` turns
 all tracks into one `pose_io.SnippetTable` (N rows, joints as an (N, 2, J, T)
 tensor), normalized in blocks of `pose_io.BLOCK_ROWS`, and
-`featurize_snippets` projects it block by block. Both give the bits of the
-frozen one-snippet-at-a-time reference in `tests/test_snippet_table.py`
-exactly; `featurize.kinematic_matrix` says why the projection is a stacked
-product and not a GEMM. The features come back with a `SnippetMeta`, the
-table's id columns without the joints.
+`featurize_snippets` projects it block by block. The normalized joints and
+raw descriptors are the bits of the frozen one-snippet-at-a-time reference
+in `tests/test_snippet_table.py`; the projected features lie within the
+forward-error bound stated in `featurize.kinematic_matrix`, which also says
+why the projection is summed in fixed K-chunks and not one GEMM. The
+features come back with a `SnippetMeta`, the table's id columns without the
+joints.
 `build_scene_indices` sorts the rows by video once and cuts each scene as a
 slice. Each scene's typicality and uniqueness are arrays in its row order
 (`VideoScores`), and `scoring.build_score_series` fuses them into a

@@ -257,6 +257,31 @@ class TestHelpAndUsage:
             "expected int, got 'abc'"
         ]
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("alpha = nan", "alpha must be finite, got nan"),
+            ("beta_normal = inf", "beta_normal must be finite, got inf"),
+            ("learning_rate = nan", "learning_rate must be finite, got nan"),
+            ("epsilon = nan", "epsilon must be finite, got nan"),
+            ("epsilon = -1", "epsilon must be > 0, got -1.0"),
+            ("epsilon = 0", "epsilon must be > 0, got 0.0"),
+        ],
+    )
+    def test_non_finite_config_value_is_typed_error(
+        self, small_benchmark, tmp_path, capsys, line, message
+    ):
+        (tmp_path / "run.cfg").write_text(f"joints = 17\n{line}\n")
+        model = tmp_path / "model.skfl"
+        save_flow(init_flow(16, 2, 8, seed=0), model)
+        status = run_cli(
+            "score", "--tracks", small_benchmark / "test_tracks.tsv", "--model", model,
+            "--out", tmp_path / "out", "--config", tmp_path / "run.cfg",
+        )
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == [f"error\tscore\tSchemaError\t{message}"]
+        assert not (tmp_path / "out").exists()
+
     def test_bad_grid_value_is_typed_error(self, capsys):
         assert run_cli("check", "--grid", "stride=1,x") == 1
         assert capsys.readouterr().err.splitlines() == [

@@ -1,14 +1,24 @@
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skel_sentinel
 from skel_sentinel.errors import (
     DegenerateVectorError,
     DimensionError,
+    DuplicateRecordError,
     FileFormatError,
     MissingEmbeddingError,
     NonFiniteError,
+    SchemaError,
 )
 from skel_sentinel.featurize import (
     FeatureStore,
@@ -80,6 +90,27 @@ class TestKinematicFeatures:
     def test_small_dim_rejected(self):
         with pytest.raises(DimensionError):
             kinematic_matrix(make_table().joints, 3, seed=0)
+
+    def test_same_bytes_at_any_blas_thread_count(self):
+        # A single (256, K) @ (K, dim) GEMM changes its last bits between one
+        # and two OpenBLAS threads; the K-chunked projection must not.
+        script = (
+            "import sys; import numpy as np\n"
+            "from skel_sentinel.featurize import kinematic_matrix\n"
+            "joints = np.random.default_rng(0).standard_normal((520, 2, 17, 16))\n"
+            "sys.stdout.buffer.write(kinematic_matrix(joints, 64, seed=0).tobytes())\n"
+        )
+        src = str(Path(skel_sentinel.__file__).resolve().parents[1])
+        features = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, check=True
+            )
+            features.append(run.stdout)
+        assert len(features[0]) == 520 * 64 * 8
+        assert features[0] == features[1]
 
 
 class TestCosine:
@@ -167,6 +198,38 @@ class TestEmbeddingFile:
         (tmp_path / "f.skem.idx").write_text("a\n")
         with pytest.raises(FileFormatError, match="refs"):
             load_embeddings(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        target=st.sampled_from(["f.skem", "f.skem.idx"]),
+        truncate=st.booleans(),
+        position=st.integers(0, 10**6),
+        bit=st.integers(0, 7),
+    )
+    def test_damaged_file_is_typed_error_or_sound_store(self, target, truncate, position, bit):
+        # "v:0:1" is a prefix of "v:0:16", so a sidecar truncated inside the
+        # last ref can repeat the first.
+        refs = ["v:0:1", "v:0:2", "v:0:16"]
+        matrix = np.random.default_rng(8).standard_normal((3, 4)).astype(np.float32)
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "f.skem"
+            write_embeddings(refs, matrix, path)
+            damaged = Path(folder) / target
+            data = bytearray(damaged.read_bytes())
+            if truncate:
+                del data[position % (len(data) + 1) :]
+            else:
+                data[position % len(data)] ^= 1 << bit
+            damaged.write_bytes(bytes(data))
+            try:
+                store = load_embeddings(path)
+            except (FileFormatError, NonFiniteError, SchemaError, DuplicateRecordError) as exc:
+                assert str(path) in str(exc)
+                return
+            _, _, count, dim = struct.unpack_from("<4sHII", path.read_bytes())
+            assert store.matrix.shape == (count, dim) == (3, 4)
+            assert np.isfinite(store.matrix).all()
+            assert len(store.refs) == len(set(store.refs)) == count
 
 
 class TestFeatureStore:

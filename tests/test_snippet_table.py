@@ -1,8 +1,12 @@
 """The columnar snippet front end against a frozen per-snippet reference.
 
 `reference_front_end` is the per-snippet path the table replaced (window each
-track, normalize each window, featurize each snippet), kept here unchanged so
-the table's refs, features and drop counts can be checked bit for bit.
+track, normalize each window, featurize each snippet), kept here unchanged.
+The table's refs, drop counts and raw descriptors are checked against it bit
+for bit. Its features come from a differently ordered sum (chunked GEMMs, not
+one vector-matrix product per row), so they are checked against the forward
+error bound in `featurize.kinematic_matrix`: two K-term sums of the same
+products differ by at most 2 gamma_K * (|raw| @ |P|).
 """
 
 import logging
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.featurize import (
     _projection,
+    descriptors,
     load_embeddings,
     snippet_descriptor,
     write_embeddings,
@@ -34,8 +39,9 @@ from skel_sentinel.synth import make_benchmark
 
 
 def reference_front_end(videos, window_length, stride, dim, seed):
-    """refs, features, zero-dominated and degenerate drop counts, one snippet at a time."""
-    refs, rows = [], []
+    """refs, raw descriptors, features, zero-dominated and degenerate drop
+    counts, one snippet at a time."""
+    refs, raws, rows = [], [], []
     dropped_zero = dropped_degenerate = 0
     for video_id in sorted(videos):
         for track in videos[video_id]:
@@ -71,9 +77,11 @@ def reference_front_end(videos, window_length, stride, dim, seed):
                     continue
                 joints = centered / scale
                 refs.append(make_snippet_ref(video_id, track.person_id, first + offset))
-                rows.append(reference_descriptor(joints) @ reference_projection(joints, dim, seed))
+                raws.append(reference_descriptor(joints))
+                rows.append(raws[-1] @ reference_projection(joints, dim, seed))
+    raw = np.vstack(raws) if raws else np.empty((0, 0))
     matrix = np.vstack(rows) if rows else np.empty((0, dim))
-    return refs, matrix, dropped_zero, dropped_degenerate
+    return refs, raw, matrix, dropped_zero, dropped_degenerate
 
 
 def reference_descriptor(joints):
@@ -94,15 +102,27 @@ def reference_projection(joints, dim, seed):
     return _projection(raw_dim, dim, seed)
 
 
+def assert_within_projection_bound(matrix, ref_matrix, raw, dim, seed):
+    """Features that differ from the per-row products only by summation order."""
+    assert matrix.shape == ref_matrix.shape
+    k = raw.shape[1]
+    gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
+    bound = 2 * gamma * (np.abs(raw) @ np.abs(_projection(k, dim, seed)))
+    assert (np.abs(matrix - ref_matrix) <= bound).all()
+
+
 def assert_matches_reference(videos, window_length, stride, dim=16, seed=3):
     table = extract_snippets(videos, window_length, stride)
     refs, matrix, meta = featurize_snippets(table, dim, seed)
-    ref_refs, ref_matrix, dropped_zero, dropped_degenerate = reference_front_end(
+    ref_refs, ref_raw, ref_matrix, dropped_zero, dropped_degenerate = reference_front_end(
         videos, window_length, stride, dim, seed
     )
     assert refs == ref_refs
+    if refs:
+        raw = descriptors(table.joints)
+        np.testing.assert_array_equal(raw.view(np.int64), ref_raw.view(np.int64))
+        assert_within_projection_bound(matrix, ref_matrix, ref_raw, dim, seed)
     assert matrix.shape == ref_matrix.shape
-    np.testing.assert_array_equal(matrix.view(np.int64), ref_matrix.view(np.int64))
     assert (table.dropped_zero, table.dropped_degenerate) == (dropped_zero, dropped_degenerate)
     columns = (meta.video_ids.tolist(), meta.person_ids.tolist(), meta.starts.tolist())
     assert [make_snippet_ref(*row) for row in zip(*columns)] == refs
@@ -217,7 +237,7 @@ class TestTableViews:
     def test_rows_are_single_snippet_results(self):
         videos = {"v": [make_track("v", 0, 30, gaps={12}), make_track("v", 4, 20, start=3)]}
         table = extract_snippets(videos, 8, 3)
-        ref_refs, ref_matrix, _, _ = reference_front_end(videos, 8, 3, 16, 5)
+        ref_refs, ref_raw, ref_matrix, _, _ = reference_front_end(videos, 8, 3, 16, 5)
         assert len(table) == len(ref_refs)
         for i, ref in enumerate(ref_refs):
             row = table[i]
@@ -226,7 +246,7 @@ class TestTableViews:
             features = reference_descriptor(row.joints) @ reference_projection(row.joints, 16, 5)
             np.testing.assert_array_equal(features.view(np.int64), ref_matrix[i].view(np.int64))
         refs, matrix, _ = featurize_snippets(table, 16, 5)
-        np.testing.assert_array_equal(matrix.view(np.int64), ref_matrix.view(np.int64))
+        assert_within_projection_bound(matrix, ref_matrix, ref_raw, 16, 5)
         np.testing.assert_array_equal(
             snippet_descriptor(table[0]), reference_descriptor(table[0].joints)
         )
@@ -251,7 +271,7 @@ def test_cli_featurize_writes_reference_bytes(tmp_path):
         "featurize", "--tracks", str(tmp_path / "tracks.tsv"),
         "--out", str(tmp_path / "cli.skem"), "--config", str(tmp_path / "run.cfg"),
     ]) == 0
-    refs, matrix, _, _ = reference_front_end(data.corpus_videos, 16, 1, 16, 0)
+    refs, _, matrix, _, _ = reference_front_end(data.corpus_videos, 16, 1, 16, 0)
     write_embeddings(refs, matrix, tmp_path / "reference.skem")
     assert (tmp_path / "cli.skem").read_bytes() == (tmp_path / "reference.skem").read_bytes()
     assert load_embeddings(tmp_path / "cli.skem").refs == refs
