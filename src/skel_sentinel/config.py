@@ -46,14 +46,21 @@ class RunConfig:
                 raise SchemaError(f"{field.name} must be finite, got {value!r}")
         if self.epsilon <= 0:
             raise SchemaError(f"epsilon must be > 0, got {self.epsilon!r}")
-        if self.learning_rate < 0:
-            raise SchemaError("learning_rate must be >= 0")
-        if self.batch_size < 1:
-            raise SchemaError("batch_size must be >= 1")
+        # the flow splits each feature vector into two halves
+        if self.feature_dim < 4 or self.feature_dim % 2:
+            raise SchemaError(f"feature_dim must be even and >= 4, got {self.feature_dim!r}")
         if self.window_length < 2:
             raise SchemaError("window_length must be >= 2")
-        if self.stride < 1:
-            raise SchemaError("stride must be >= 1")
+        for name in ("joints", "stride", "flow_layers", "hidden_width", "k_neighbors",
+                     "batch_size"):
+            if getattr(self, name) < 1:
+                raise SchemaError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("alpha", "learning_rate", "epochs", "smoothing_window"):
+            if getattr(self, name) < 0:
+                raise SchemaError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("beta_normal", "beta_abnormal"):
+            if not 0 < getattr(self, name) <= 1:
+                raise SchemaError(f"{name} must lie in (0, 1], got {getattr(self, name)!r}")
 
     def replace(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **overrides)

@@ -8,6 +8,11 @@ log-determinant. The base density is a spherical unit Gaussian with two
 centers, one for typical-normal features and one far away for
 typical-abnormal features; training maximizes log-likelihood of both.
 
+Every parameter lives in one float64 vector, `FlowModel.flat`: each
+layer's parameters in `_layout` order, then the two base centers. The layer
+fields and both centers are views of it, so initialization, checkpoints,
+gradients and Adam all share one layout.
+
 Gradients are computed analytically by reverse accumulation (no autodiff
 dependency), which keeps the model checkable against finite differences.
 
@@ -15,19 +20,21 @@ Forward and backward passes run in a workspace of preallocated buffers,
 sized for the largest batch and used through row views [:n]. For training
 it holds each layer's forward cache (layer input, normalized input, both
 hidden activations, tanh of the log-scale pre-activation and
-exp(log_scale)), the backward scratch and the gradient dict; `train_flow`
-allocates one and reuses it for every Adam step, whose moments and update
-are computed in place too. For inference every layer shares one set of
+exp(log_scale)), the backward scratch and one gradient vector laid out like
+the trained part of `flat`; `train_flow` allocates one and reuses it for
+every step, and runs Adam as one elementwise pass over that vector with one
+pair of moment vectors. For inference every layer shares one set of
 buffers. Every floating-point operation is the one an allocating
 implementation would do, in the same order and on the same shapes and
 strides, so losses, gradients and trained parameters are bit-identical to
-it. The gradient dict returned by `nll_loss_and_grad` belongs to the
-workspace and is overwritten by its next call.
+it. The gradient dict returned by `nll_loss_and_grad` holds views of the
+workspace's gradient vector and is overwritten by its next call.
 
 Checkpoint format: magic ``SKFL``, u16 version (=1), u32 dimension, u32
-layer count, u32 hidden width, then float32 little-endian parameters: for
-each layer ``norm_log_scale, norm_bias, s_w1, s_b1, s_w2, s_b2, t_w1, t_b1,
-t_w2, t_b2`` (row-major), followed by the two base centers.
+layer count, u32 hidden width, then the model's flat vector as float32
+little-endian: for each layer ``norm_log_scale, norm_bias, s_w1, s_b1,
+s_w2, s_b2, t_w1, t_b1, t_w2, t_b2`` (row-major), followed by the two base
+centers.
 """
 
 from __future__ import annotations
@@ -80,20 +87,56 @@ class FlowLayer:
     t_w2: np.ndarray
     t_b2: np.ndarray
 
-    _PARAM_FIELDS = (
-        "norm_log_scale", "norm_bias",
-        "s_w1", "s_b1", "s_w2", "s_b2",
-        "t_w1", "t_b1", "t_w2", "t_b2",
-    )
+
+def _layout(dimension: int, hidden_width: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(field, shape) of one layer's parameters, in their order in `flat`."""
+    half = dimension // 2
+    return [
+        ("norm_log_scale", (dimension,)), ("norm_bias", (dimension,)),
+        ("s_w1", (half, hidden_width)), ("s_b1", (hidden_width,)),
+        ("s_w2", (hidden_width, half)), ("s_b2", (half,)),
+        ("t_w1", (half, hidden_width)), ("t_b1", (hidden_width,)),
+        ("t_w2", (hidden_width, half)), ("t_b2", (half,)),
+    ]
 
 
-@dataclass
+def _flat_size(dimension: int, n_layers: int, hidden_width: int) -> int:
+    layer = sum(math.prod(shape) for _, shape in _layout(dimension, hidden_width))
+    return n_layers * layer + 2 * dimension
+
+
+def _layer_views(
+    flat: np.ndarray, n_layers: int, dimension: int, hidden_width: int
+) -> tuple[list[FlowLayer], dict[str, np.ndarray]]:
+    """FlowLayers whose fields are views of `flat`, which holds exactly
+    n_layers layers; and the same views keyed ``layer<i>.<field>``."""
+    layout = _layout(dimension, hidden_width)
+    bounds = np.cumsum([0] + [math.prod(shape) for _, shape in layout]).tolist()
+    layers, named = [], {}
+    for i, row in enumerate(flat.reshape(n_layers, bounds[-1])):
+        fields = {
+            name: row[a:b].reshape(shape)
+            for (name, shape), a, b in zip(layout, bounds, bounds[1:])
+        }
+        named.update((f"layer{i}.{name}", view) for name, view in fields.items())
+        layers.append(FlowLayer(i % 2, **fields))
+    return layers, named
+
+
 class FlowModel:
-    dimension: int
-    hidden_width: int
-    layers: list[FlowLayer]
-    mu_normal: np.ndarray
-    mu_abnormal: np.ndarray
+    """A flow over `flat`, its one parameter vector.
+
+    `layers`, `mu_normal` and `mu_abnormal` are views of `flat`; `trained`
+    is its leading part, every layer's parameters, which training updates.
+    """
+
+    def __init__(self, dimension: int, n_layers: int, hidden_width: int, flat: np.ndarray):
+        self.dimension = dimension
+        self.hidden_width = hidden_width
+        self.flat = flat
+        self.trained = flat[: -2 * dimension]
+        self.layers, self._named = _layer_views(self.trained, n_layers, dimension, hidden_width)
+        self.mu_normal, self.mu_abnormal = flat[-2 * dimension :].reshape(2, dimension)
 
     @property
     def base_log_norm(self) -> float:
@@ -108,11 +151,8 @@ class FlowModel:
         raise SchemaError(f"unknown center {which!r}")
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name in FlowLayer._PARAM_FIELDS:
-                out.append((f"layer{i}.{name}", getattr(layer, name)))
-        return out
+        """(name, view) of every trained parameter, in `flat` order."""
+        return list(self._named.items())
 
 
 def init_flow(dimension: int, n_layers: int, hidden_width: int, seed: int) -> FlowModel:
@@ -124,35 +164,15 @@ def init_flow(dimension: int, n_layers: int, hidden_width: int, seed: int) -> Fl
     if hidden_width < 1:
         raise SchemaError(f"hidden width must be >= 1, got {hidden_width}")
 
-    half = dimension // 2
+    flat = np.zeros(_flat_size(dimension, n_layers, hidden_width))
+    model = FlowModel(dimension, n_layers, hidden_width, flat)
+    model.mu_abnormal[:] = ABNORMAL_CENTER_OFFSET
     rng = np.random.default_rng(seed)
-    layers = []
-    for i in range(n_layers):
-        def hidden(fan_in: int) -> np.ndarray:
-            return rng.standard_normal((fan_in, hidden_width)) / math.sqrt(fan_in)
-
-        layers.append(
-            FlowLayer(
-                parity=i % 2,
-                norm_log_scale=np.zeros(dimension),
-                norm_bias=np.zeros(dimension),
-                s_w1=hidden(half),
-                s_b1=np.zeros(hidden_width),
-                s_w2=np.zeros((hidden_width, half)),
-                s_b2=np.zeros(half),
-                t_w1=hidden(half),
-                t_b1=np.zeros(hidden_width),
-                t_w2=np.zeros((hidden_width, half)),
-                t_b2=np.zeros(half),
-            )
-        )
-    return FlowModel(
-        dimension=dimension,
-        hidden_width=hidden_width,
-        layers=layers,
-        mu_normal=np.zeros(dimension),
-        mu_abnormal=np.full(dimension, ABNORMAL_CENTER_OFFSET),
-    )
+    for layer in model.layers:
+        # the coupling outputs (s_w2, t_w2 and the biases) stay zero
+        for weight in (layer.s_w1, layer.t_w1):
+            weight[...] = rng.standard_normal(weight.shape) / math.sqrt(dimension // 2)
+    return model
 
 
 def _as_batch(x: np.ndarray, dimension: int) -> tuple[np.ndarray, bool]:
@@ -189,10 +209,12 @@ class _Workspace:
 
     A batch of n <= rows rows uses the row views [:n]. With `training`, each
     layer has its own forward cache, and the backward scratch and the
-    gradient dict exist too. Without it, every layer shares one set of
-    forward buffers (and hs/ht, tanh_u/log_scale/exp_ls share storage), so
-    inference memory is O(rows x hidden_width) whatever the depth. Nothing
-    derived from the parameters is kept from one call to the next.
+    gradient exist too: `grad`, laid out like `model.trained`, with FlowLayer
+    views `grad_layers` and the same views by name in `grads`. Without it,
+    every layer shares one set of forward buffers (and hs/ht,
+    tanh_u/log_scale/exp_ls share storage), so inference memory is
+    O(rows x hidden_width) whatever the depth. Nothing derived from the
+    parameters is kept from one call to the next.
     """
 
     def __init__(self, model: FlowModel, rows: int, training: bool = True):
@@ -218,7 +240,8 @@ class _Workspace:
             self.g_mm = buf(half)
             self.g_hidden = buf(width)
             self.hidden_gate = buf(width)
-            self.grads = {name: np.zeros_like(value) for name, value in model.parameters()}
+            self.grad = np.zeros(model.trained.size)
+            self.grad_layers, self.grads = _layer_views(self.grad, len(model.layers), dim, width)
         else:
             hidden, gate = buf(width), buf(half)
             shared = _LayerCache(buf(dim), buf(dim), hidden, hidden, gate, gate)
@@ -327,19 +350,18 @@ def typicality_score(model: FlowModel, features: np.ndarray) -> np.ndarray | flo
 
 
 def _backward(model: FlowModel, ws: _Workspace, x: np.ndarray, g_logdet: np.ndarray) -> None:
-    """Accumulate parameter gradients for one batch into ws.grads.
+    """Accumulate parameter gradients for one batch into ws.grad.
 
     On entry ws.g_out[:n] holds dLoss/dz; g_logdet is dLoss/dlogdet per
     sample. The forward caches must still hold this batch's forward pass.
     """
     n = x.shape[0]
-    grads = ws.grads
     g_out, g_a, prod = ws.g_out[:n], ws.g_a[:n], ws.prod[:n]
     g_u, gate, g_mm = ws.g_u[:n], ws.gate[:n], ws.g_mm[:n]
     g_hidden, hidden_gate = ws.g_hidden[:n], ws.hidden_gate[:n]
     g_ld_total = g_logdet.sum()
     for i in range(len(model.layers) - 1, -1, -1):
-        layer, cache = model.layers[i], ws.layers[i]
+        layer, cache, grad = model.layers[i], ws.layers[i], ws.grad_layers[i]
         x_in = x if i == 0 else ws.layers[i - 1].out[:n]
         cond, trans = _split(cache.a[:n], layer.parity)
         hs, ht, tanh_u, exp_ls = cache.hs[:n], cache.ht[:n], cache.tanh_u[:n], cache.exp_ls[:n]
@@ -356,30 +378,30 @@ def _backward(model: FlowModel, ws: _Workspace, x: np.ndarray, g_logdet: np.ndar
         np.multiply(LOG_SCALE_BOUND, gate, out=gate)
         np.multiply(g_u, gate, out=g_u)
 
-        grads[f"layer{i}.s_w2"] += hs.T @ g_u
-        grads[f"layer{i}.s_b2"] += g_u.sum(axis=0)
+        grad.s_w2 += hs.T @ g_u
+        grad.s_b2 += g_u.sum(axis=0)
         np.matmul(g_u, layer.s_w2.T, out=g_hidden)
         _one_minus_square(hs, hidden_gate)
         np.multiply(g_hidden, hidden_gate, out=g_hidden)
-        grads[f"layer{i}.s_w1"] += cond.T @ g_hidden
-        grads[f"layer{i}.s_b1"] += g_hidden.sum(axis=0)
+        grad.s_w1 += cond.T @ g_hidden
+        grad.s_b1 += g_hidden.sum(axis=0)
         np.matmul(g_hidden, layer.s_w1.T, out=g_mm)
         np.add(g_cond_out, g_mm, out=g_cond)
 
-        grads[f"layer{i}.t_w2"] += ht.T @ g_scaled
-        grads[f"layer{i}.t_b2"] += g_scaled.sum(axis=0)
+        grad.t_w2 += ht.T @ g_scaled
+        grad.t_b2 += g_scaled.sum(axis=0)
         np.matmul(g_scaled, layer.t_w2.T, out=g_hidden)
         _one_minus_square(ht, hidden_gate)
         np.multiply(g_hidden, hidden_gate, out=g_hidden)
-        grads[f"layer{i}.t_w1"] += cond.T @ g_hidden
-        grads[f"layer{i}.t_b1"] += g_hidden.sum(axis=0)
+        grad.t_w1 += cond.T @ g_hidden
+        grad.t_b1 += g_hidden.sum(axis=0)
         np.matmul(g_hidden, layer.t_w1.T, out=g_mm)
         np.add(g_cond, g_mm, out=g_cond)
 
         exp_nls = np.exp(layer.norm_log_scale)
         np.multiply(g_a, x_in, out=prod)
-        grads[f"layer{i}.norm_log_scale"] += prod.sum(axis=0) * exp_nls + g_ld_total
-        grads[f"layer{i}.norm_bias"] += g_a.sum(axis=0)
+        grad.norm_log_scale += prod.sum(axis=0) * exp_nls + g_ld_total
+        grad.norm_bias += g_a.sum(axis=0)
         np.multiply(g_a, exp_nls, out=g_out)
 
 
@@ -410,8 +432,7 @@ def nll_loss_and_grad(
         raise ContractError(f"workspace holds {ws.rows} training rows, batch needs {rows}")
 
     loss = 0.0
-    for grad in ws.grads.values():
-        grad.fill(0.0)
+    ws.grad.fill(0.0)
     for batch, mu in batches:
         n = batch.shape[0]
         z, logdet = _forward(model, batch, ws)
@@ -467,12 +488,10 @@ def train_flow(
     rows_n = np.empty((min(batch, n_normal), model.dimension))
     rows_a = np.empty((min(batch, n_abnormal), model.dimension))
     workspace = _Workspace(model, max(rows_n.shape[0], rows_a.shape[0]))
-    params = dict(model.parameters())
-    # per parameter: Adam moments m and v, then two scratch arrays
-    adam = {
-        name: (np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p))
-        for name, p in params.items()
-    }
+    params, grad = model.trained, workspace.grad
+    # Adam moments m and v, then two scratch vectors
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    update, denom = np.empty_like(params), np.empty_like(params)
     step = 0
     history: list[float] = []
 
@@ -492,7 +511,7 @@ def train_flow(
                 idx = (s * take + np.arange(take)) % n_abnormal
                 batch_a = np.take(data_abnormal, order_a[idx], axis=0, out=rows_a, mode="clip")
             try:
-                loss, grads = nll_loss_and_grad(model, batch_n, batch_a, workspace)
+                loss, _ = nll_loss_and_grad(model, batch_n, batch_a, workspace)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(epoch, str(exc))
             if not math.isfinite(loss):
@@ -502,39 +521,30 @@ def train_flow(
             step += 1
             bias1 = 1.0 - ADAM_BETA1**step
             bias2 = 1.0 - ADAM_BETA2**step
-            for name, param in params.items():
-                g = grads[name]
-                m, v, update, denom = adam[name]
-                # m = BETA1 * m + (1 - BETA1) * g; v likewise with g * g
-                m *= ADAM_BETA1
-                np.multiply(1.0 - ADAM_BETA1, g, out=update)
-                m += update
-                v *= ADAM_BETA2
-                np.multiply(g, g, out=denom)
-                denom *= 1.0 - ADAM_BETA2
-                v += denom
-                if cfg.learning_rate != 0.0:
-                    # param -= lr * (m / bias1) / (sqrt(v / bias2) + EPSILON)
-                    np.divide(m, bias1, out=update)
-                    update *= cfg.learning_rate
-                    np.divide(v, bias2, out=denom)
-                    np.sqrt(denom, out=denom)
-                    denom += ADAM_EPSILON
-                    update /= denom
-                    param -= update
+            # m = BETA1 * m + (1 - BETA1) * grad; v likewise with grad * grad
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, grad, out=update)
+            m += update
+            v *= ADAM_BETA2
+            np.multiply(grad, grad, out=denom)
+            denom *= 1.0 - ADAM_BETA2
+            v += denom
+            if cfg.learning_rate != 0.0:
+                # params -= lr * (m / bias1) / (sqrt(v / bias2) + EPSILON)
+                np.divide(m, bias1, out=update)
+                update *= cfg.learning_rate
+                np.divide(v, bias2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += ADAM_EPSILON
+                update /= denom
+                params -= update
         history.append(float(np.mean(epoch_losses)))
     return model, history
 
 
 def save_flow(model: FlowModel, path: str | Path) -> None:
-    chunks = [
-        _HEADER.pack(MAGIC, VERSION, model.dimension, len(model.layers), model.hidden_width)
-    ]
-    for _, value in model.parameters():
-        chunks.append(np.ascontiguousarray(value, dtype="<f4").tobytes())
-    chunks.append(np.ascontiguousarray(model.mu_normal, dtype="<f4").tobytes())
-    chunks.append(np.ascontiguousarray(model.mu_abnormal, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    header = _HEADER.pack(MAGIC, VERSION, model.dimension, len(model.layers), model.hidden_width)
+    Path(path).write_bytes(header + model.flat.astype("<f4").tobytes())
 
 
 def load_flow(path: str | Path) -> FlowModel:
@@ -553,35 +563,17 @@ def load_flow(path: str | Path) -> FlowModel:
         raise FileFormatError(f"{path}: invalid geometry ({dimension}, {n_layers}, {hidden_width})")
 
     # the expected size comes from the header alone, before any allocation
-    half = dimension // 2
-    shapes = {
-        "norm_log_scale": (dimension,), "norm_bias": (dimension,),
-        "s_w1": (half, hidden_width), "s_b1": (hidden_width,),
-        "s_w2": (hidden_width, half), "s_b2": (half,),
-        "t_w1": (half, hidden_width), "t_b1": (hidden_width,),
-        "t_w2": (hidden_width, half), "t_b2": (half,),
-    }
-    count = n_layers * sum(math.prod(shape) for shape in shapes.values()) + 2 * dimension
+    count = _flat_size(dimension, n_layers, hidden_width)
     payload = len(blob) - _HEADER.size
     if payload < 4 * count:
         raise FileFormatError(f"{path}: payload shorter than geometry implies")
     if payload > 4 * count:
         raise FileFormatError(f"{path}: {payload - 4 * count} trailing bytes")
-    offset = _HEADER.size
-
-    def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal offset
-        size = math.prod(shape)
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-        offset += 4 * size
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"{path}: non-finite values in {name}")
-        return arr.astype(np.float64).reshape(shape)
-
-    layers = [
-        FlowLayer(i % 2, *(take(f"layer{i}.{f}", shapes[f]) for f in FlowLayer._PARAM_FIELDS))
-        for i in range(n_layers)
-    ]
-    mu_normal = take("mu_normal", (dimension,))
-    mu_abnormal = take("mu_abnormal", (dimension,))
-    return FlowModel(dimension, hidden_width, layers, mu_normal, mu_abnormal)
+    values = np.frombuffer(blob, dtype="<f4", count=count, offset=_HEADER.size)
+    if not np.isfinite(values).all():
+        # float32 views of the payload name the first bad parameter
+        raw = FlowModel(dimension, n_layers, hidden_width, values)
+        named = [*raw.parameters(), ("mu_normal", raw.mu_normal), ("mu_abnormal", raw.mu_abnormal)]
+        bad = next(name for name, value in named if not np.isfinite(value).all())
+        raise NonFiniteError(f"{path}: non-finite values in {bad}")
+    return FlowModel(dimension, n_layers, hidden_width, values.astype(np.float64))

@@ -28,6 +28,11 @@ MAX_ZERO_FRAME_FRACTION = 0.5
 
 SCALE_FLOOR = 1e-12
 
+# Longest track span (last - first + 1 frames) that load_tracks accepts:
+# about 9.7 h at 30 fps. track_arrays holds a track densely over its span,
+# which at this bound is at most 0.43 GB of float64 at 17 joints.
+MAX_TRACK_SPAN = 2**20
+
 # Snippets per block in the batched front end (normalization, featurization):
 # bounds each block's temporaries at BLOCK_ROWS rows whatever the input size.
 BLOCK_ROWS = 256
@@ -129,9 +134,12 @@ def load_tracks(path: str | Path, joints: int | None = None) -> dict[str, list[T
 
     `joints` pins the expected joint count; None infers it from the first
     record and then enforces it. Tracks come back sorted by
-    (video_id, person_id) with frames sorted by frame_index.
+    (video_id, person_id) with frames sorted by frame_index. A track whose
+    span would exceed MAX_TRACK_SPAN frames is a TrackParseError naming the
+    line that stretches it, before anything is allocated for the span.
     """
     records: dict[tuple[str, int], dict[int, PoseFrame]] = {}
+    spans: dict[tuple[str, int], tuple[int, int]] = {}  # first and last frame index
     for lineno, line in read_lines(path):
         if not line:
             continue
@@ -171,6 +179,15 @@ def load_tracks(path: str | Path, joints: int | None = None) -> dict[str, list[T
             raise DuplicateRecordError(
                 f"line {lineno}: duplicate record for ({video_id}, {person_id}, {frame_index})"
             )
+        first, last = spans.get(key, (frame_index, frame_index))
+        first, last = min(first, frame_index), max(last, frame_index)
+        if last - first + 1 > MAX_TRACK_SPAN:
+            raise TrackParseError(
+                lineno,
+                f"track ({video_id}, {person_id}) would span {last - first + 1} frames, "
+                f"more than {MAX_TRACK_SPAN}",
+            )
+        spans[key] = first, last
         try:
             frames[frame_index] = PoseFrame(frame_index, person_id, xy, conf)
         except SchemaError as exc:

@@ -81,6 +81,21 @@ def write_text_inputs(root):
     }
 
 
+def assert_score_rejects_config(benchmark, tmp_path, capsys, text, message):
+    """`score` with config `text` exits 1 with one SchemaError line, before
+    any stage runs or any output is written."""
+    (tmp_path / "run.cfg").write_text(text)
+    model = tmp_path / "model.skfl"
+    save_flow(init_flow(16, 2, 8, seed=0), model)
+    status = run_cli(
+        "score", "--tracks", benchmark / "test_tracks.tsv", "--model", model,
+        "--out", tmp_path / "out", "--config", tmp_path / "run.cfg",
+    )
+    assert status == 1
+    assert capsys.readouterr().err.splitlines() == [f"error\tscore\tSchemaError\t{message}"]
+    assert not (tmp_path / "out").exists()
+
+
 class TestHelpAndUsage:
     @pytest.mark.parametrize(
         "command", ["synth", "featurize", "select", "train", "score", "eval", "check"]
@@ -271,16 +286,42 @@ class TestHelpAndUsage:
     def test_non_finite_config_value_is_typed_error(
         self, small_benchmark, tmp_path, capsys, line, message
     ):
-        (tmp_path / "run.cfg").write_text(f"joints = 17\n{line}\n")
-        model = tmp_path / "model.skfl"
-        save_flow(init_flow(16, 2, 8, seed=0), model)
+        text = f"joints = 17\n{line}\n"
+        assert_score_rejects_config(small_benchmark, tmp_path, capsys, text, message)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("feature_dim = 63", "feature_dim must be even and >= 4, got 63"),
+            ("feature_dim = 2", "feature_dim must be even and >= 4, got 2"),
+            ("k_neighbors = 0", "k_neighbors must be >= 1, got 0"),
+            ("alpha = -0.5", "alpha must be >= 0, got -0.5"),
+            ("beta_normal = 1.5", "beta_normal must lie in (0, 1], got 1.5"),
+            ("beta_abnormal = 0", "beta_abnormal must lie in (0, 1], got 0.0"),
+            ("flow_layers = 0", "flow_layers must be >= 1, got 0"),
+            ("hidden_width = 0", "hidden_width must be >= 1, got 0"),
+            ("epochs = -1", "epochs must be >= 0, got -1"),
+            ("joints = 0", "joints must be >= 1, got 0"),
+            ("smoothing_window = -5", "smoothing_window must be >= 0, got -5"),
+        ],
+    )
+    def test_out_of_range_config_value_is_typed_error(
+        self, small_benchmark, tmp_path, capsys, line, message
+    ):
+        assert_score_rejects_config(small_benchmark, tmp_path, capsys, f"{line}\n", message)
+
+    def test_track_span_beyond_bound_is_typed_error(self, tmp_path, capsys):
+        # featurize would allocate the whole span densely (petabytes here)
+        pose = ";".join(["1.0,2.0,1.0"] * 17)
+        (tmp_path / "tracks.tsv").write_text(f"v\t0\t0\t{pose}\nv\t0\t{10**13}\t{pose}\n")
         status = run_cli(
-            "score", "--tracks", small_benchmark / "test_tracks.tsv", "--model", model,
-            "--out", tmp_path / "out", "--config", tmp_path / "run.cfg",
+            "featurize", "--tracks", tmp_path / "tracks.tsv", "--out", tmp_path / "f.skem",
         )
         assert status == 1
-        assert capsys.readouterr().err.splitlines() == [f"error\tscore\tSchemaError\t{message}"]
-        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error\tfeaturize\tTrackParseError\tload-tracks: line 2: track (v, 0) would span "
+            f"{10**13 + 1} frames, more than {2**20}"
+        ]
 
     def test_bad_grid_value_is_typed_error(self, capsys):
         assert run_cli("check", "--grid", "stride=1,x") == 1

