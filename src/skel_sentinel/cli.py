@@ -34,9 +34,9 @@ from .featurize import (
     load_text_embeddings,
     write_embeddings,
 )
-from .flow import TrainConfig, init_flow, save_flow, train_flow
-from .pipeline import extract_snippets, featurize_snippets, score_tracks, stage
-from .pose_io import load_tracks, parse_snippet_ref, write_tracks
+from .flow import init_flow, save_flow, train_flow
+from .pipeline import score_tracks, snippet_features, stage
+from .pose_io import parse_snippet_ref, write_tracks
 from .scoring import read_frame_scores, write_frame_scores, write_snippet_details
 from .synth import make_benchmark, read_class_map, write_class_map
 from .typicality import (
@@ -154,21 +154,20 @@ def _class_labels(refs: list[str], class_map: dict[str, str]) -> dict[str, str]:
 
 
 def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    if bool(args.classes) != bool(args.text_out):
+        raise SchemaError("--classes and --text-out must be given together")
+    class_map = read_class_map(args.classes) if args.classes else None
     features_path, out_dir = _featurize_out_paths(out)
-    videos = stage("load-tracks", load_tracks, args.tracks, cfg.joints)
-    table = stage("window", extract_snippets, videos, cfg.window_length, cfg.stride)
-    del videos
-    refs, matrix, _ = stage("featurize", featurize_snippets, table, cfg.feature_dim, cfg.seed)
-    del table
+    refs, matrix, _ = snippet_features(cfg, args.tracks)
+    if class_map is not None:
+        labels = _class_labels(refs, class_map)
+        if not labels:
+            raise SchemaError(f"{args.classes}: no video of the class map has a snippet")
+        prototypes = class_prototypes(FeatureStore(refs, matrix), labels)
     _write_resolved(cfg, out_dir, "featurize")
     write_embeddings(refs, matrix, features_path)
     print(f"wrote {len(refs)} features of dimension {cfg.feature_dim} to {features_path}")
-
-    if args.classes or args.text_out:
-        if not (args.classes and args.text_out):
-            raise SchemaError("--classes and --text-out must be given together")
-        labels = _class_labels(refs, read_class_map(args.classes))
-        prototypes = class_prototypes(FeatureStore(refs, matrix), labels)
+    if class_map is not None:
         names = sorted(prototypes)
         write_embeddings(
             names, np.vstack([prototypes[n].values for n in names]), Path(args.text_out)
@@ -211,16 +210,9 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     selection = Path(args.selection)
     normal_refs = _read_selection(selection / "selected_normal.tsv")
     abnormal_refs = _read_selection(selection / "selected_abnormal.tsv")
-    data_n = store.matrix[[store.row(r) for r in normal_refs]].astype(np.float64)
-    data_a = store.matrix[[store.row(r) for r in abnormal_refs]].astype(np.float64)
+    data_n, data_a = store.rows(normal_refs), store.rows(abnormal_refs)
     model = init_flow(store.dimension, cfg.flow_layers, cfg.hidden_width, cfg.seed)
-    train_cfg = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-    )
-    model, history = train_flow(model, data_n, data_a, train_cfg)
+    model, history = train_flow(model, data_n, data_a, cfg)
     _write_resolved(cfg, out, "train")
     save_flow(model, out / "model.skfl")
     with open(out / "loss_history.tsv", "w", encoding="utf-8", newline="\n") as fh:

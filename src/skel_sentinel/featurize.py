@@ -52,7 +52,8 @@ class TextEmbedding:
 
 
 class FeatureStore:
-    """Row-aligned float32 feature matrix with a ref -> row index."""
+    """Row-aligned float32 feature matrix with a ref -> row index; the one
+    checked container that `write_embeddings` and `load_embeddings` share."""
 
     def __init__(self, refs: list[str], matrix: np.ndarray):
         matrix = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -64,7 +65,8 @@ class FeatureStore:
             raise NonFiniteError("feature matrix contains non-finite values")
         index = {ref: row for row, ref in enumerate(refs)}
         if len(index) != len(refs):
-            raise SchemaError("snippet refs must be unique")
+            repeated = next(ref for row, ref in enumerate(refs) if index[ref] != row)
+            raise DuplicateRecordError(f"repeated ref {repeated!r}")
         self.refs = list(refs)
         self.matrix = matrix
         self._index = index
@@ -76,17 +78,25 @@ class FeatureStore:
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
-    def __contains__(self, ref: str) -> bool:
-        return ref in self._index
-
-    def row(self, ref: str) -> int:
+    def _positions(self, refs: list[str]) -> list[int]:
         try:
-            return self._index[ref]
-        except KeyError:
-            raise MissingEmbeddingError(f"no feature stored for {ref!r}")
+            return [self._index[ref] for ref in refs]
+        except KeyError as exc:
+            raise MissingEmbeddingError(f"no feature stored for {exc.args[0]!r}") from None
 
     def lookup(self, ref: str) -> np.ndarray:
-        return self.matrix[self.row(ref)]
+        """The stored float32 row of `ref`."""
+        return self.matrix[self._positions([ref])[0]]
+
+    def rows(self, refs: list[str]) -> np.ndarray:
+        """Float64 copy of the rows of `refs`, in their order: (len(refs), D)."""
+        return self.matrix[self._positions(refs)].astype(np.float64)
+
+
+def descriptor_width(n_joints: int, length: int) -> int:
+    """Columns of a raw descriptor of J joints over T frames."""
+    return (2 * n_joints * length + 2 * n_joints * (length - 1)
+            + n_joints * (n_joints - 1) // 2 * length)
 
 
 def descriptors(joints: np.ndarray) -> np.ndarray:
@@ -99,8 +109,7 @@ def descriptors(joints: np.ndarray) -> np.ndarray:
     n, _, n_joints, length = joints.shape
     n_coords = 2 * n_joints * length
     n_velocities = 2 * n_joints * (length - 1)
-    n_pairs = n_joints * (n_joints - 1) // 2
-    out = np.empty((n, n_coords + n_velocities + n_pairs * length), dtype=np.float64)
+    out = np.empty((n, descriptor_width(n_joints, length)), dtype=np.float64)
     out[:, :n_coords] = joints.reshape(n, n_coords)
     np.subtract(
         joints[..., 1:], joints[..., :-1],
@@ -131,8 +140,6 @@ def _projection(raw_dim: int, target_dim: int, seed: int) -> np.ndarray:
     cached = _projection_cache.get(key)
     if cached is not None:
         return cached
-    if target_dim > raw_dim:
-        raise DimensionError(f"cannot project {raw_dim} dims up to {target_dim}")
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((raw_dim, target_dim))
     q, r = np.linalg.qr(gauss)
@@ -161,7 +168,11 @@ def kinematic_matrix(joints: np.ndarray, dim: int, seed: int) -> np.ndarray:
     """
     if dim < 4:
         raise DimensionError(f"feature dimension must be >= 4, got {dim}")
-    n = joints.shape[0]
+    n, _, n_joints, length = joints.shape
+    raw_dim = descriptor_width(n_joints, length)
+    # checked before `out` is allocated; J is 0 only for a table of no tracks
+    if n_joints and dim > raw_dim:
+        raise DimensionError(f"cannot project {raw_dim} dims up to {dim}")
     out = np.empty((n, dim), dtype=np.float64)
     for b0 in range(0, n, BLOCK_ROWS):
         raw = descriptors(joints[b0 : b0 + BLOCK_ROWS])
@@ -187,22 +198,16 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 def class_prototypes(store: FeatureStore, labels: dict[str, str]) -> dict[str, TextEmbedding]:
     """Unit-normalized per-class mean features, the built-in stand-in for
-    label embeddings when no external text encoder is available."""
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for ref, label in labels.items():
-        if ref not in store:
-            continue
-        vec = store.lookup(ref).astype(np.float64)
-        if label in sums:
-            sums[label] += vec
-            counts[label] += 1
-        else:
-            sums[label] = vec.copy()
-            counts[label] = 1
+    label embeddings when no external text encoder is available. Each class
+    sums its rows in `labels` order, from -0.0, the exact additive identity."""
+    names, codes, counts = np.unique(
+        np.array(list(labels.values()), dtype=object), return_inverse=True, return_counts=True
+    )
+    sums = np.full((len(names), store.dimension), -0.0)
+    np.add.at(sums, codes, store.rows(list(labels)))
     prototypes = {}
-    for label in sorted(sums):
-        mean = sums[label] / counts[label]
+    for label, total, count in zip(names.tolist(), sums, counts.tolist()):
+        mean = total / count
         norm = float(np.linalg.norm(mean))
         if norm <= 1e-12:
             raise DegenerateVectorError(f"class {label!r} has a zero mean feature")
@@ -211,20 +216,21 @@ def class_prototypes(store: FeatureStore, labels: dict[str, str]) -> dict[str, T
 
 
 def write_embeddings(refs: list[str], matrix: np.ndarray, path: str | Path) -> None:
-    """Write rows as float32 plus the `<path>.idx` sidecar with one ref per line."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-    if matrix.ndim != 2:
-        raise DimensionError(f"embedding matrix must be 2-D, got shape {matrix.shape}")
-    if len(refs) != matrix.shape[0]:
-        raise SchemaError(f"{len(refs)} refs for {matrix.shape[0]} rows")
-    if not np.isfinite(matrix).all():
-        raise NonFiniteError("embedding matrix contains non-finite values")
-    count, dim = matrix.shape
+    """Write rows as float32 plus the `<path>.idx` sidecar with one ref per line.
+    What `load_embeddings` would refuse is refused before any file is written."""
+    store = FeatureStore(refs, matrix)
+    for ref in store.refs:
+        if "\n" in ref or ref.endswith("\r"):
+            raise SchemaError(f"ref {ref!r} does not fit on one sidecar line")
+    try:
+        sidecar = "".join(f"{ref}\n" for ref in store.refs).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError(f"ref is not encodable as UTF-8: {exc.reason}") from None
     path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, count, dim))
-        fh.write(matrix.astype("<f4", copy=False).tobytes())
-    Path(f"{path}.idx").write_text("\n".join(refs) + ("\n" if refs else ""), encoding="utf-8")
+        fh.write(_HEADER.pack(MAGIC, VERSION, *store.matrix.shape))
+        fh.write(store.matrix.astype("<f4", copy=False).tobytes())
+    Path(f"{path}.idx").write_bytes(sidecar)
 
 
 def load_embeddings(path: str | Path) -> FeatureStore:
@@ -269,8 +275,7 @@ def load_text_embeddings(path: str | Path) -> dict[str, TextEmbedding]:
     """Read a SKEM file whose sidecar rows are class labels."""
     store = load_embeddings(path)
     embeddings = {}
-    for row, label in enumerate(store.refs):
-        values = store.matrix[row].astype(np.float64)
+    for label, values in zip(store.refs, store.rows(store.refs)):
         norm = float(np.linalg.norm(values))
         if abs(norm - 1.0) > 1e-3:
             raise SchemaError(f"{path}: embedding for {label!r} is not unit norm ({norm})")

@@ -46,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import (
     ContractError,
     DimensionError,
@@ -71,6 +72,10 @@ ABNORMAL_CENTER_OFFSET = 10.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+# Most parameters init_flow builds, about 2,000 times the default flow's
+# 67,456; a larger geometry is refused before anything is allocated.
+MAX_FLOW_PARAMETERS = 2**27
 
 
 @dataclass
@@ -163,8 +168,14 @@ def init_flow(dimension: int, n_layers: int, hidden_width: int, seed: int) -> Fl
         raise SchemaError(f"need at least one layer, got {n_layers}")
     if hidden_width < 1:
         raise SchemaError(f"hidden width must be >= 1, got {hidden_width}")
+    size = _flat_size(dimension, n_layers, hidden_width)
+    if size > MAX_FLOW_PARAMETERS:
+        raise DimensionError(
+            f"a flow of dimension {dimension}, {n_layers} layers and hidden width "
+            f"{hidden_width} holds {size} parameters, more than {MAX_FLOW_PARAMETERS}"
+        )
 
-    flat = np.zeros(_flat_size(dimension, n_layers, hidden_width))
+    flat = np.zeros(size)
     model = FlowModel(dimension, n_layers, hidden_width, flat)
     model.mu_abnormal[:] = ABNORMAL_CENTER_OFFSET
     rng = np.random.default_rng(seed)
@@ -464,12 +475,14 @@ def train_flow(
     model: FlowModel,
     data_normal: np.ndarray,
     data_abnormal: np.ndarray | None,
-    cfg: TrainConfig,
+    cfg: TrainConfig | RunConfig,
 ) -> tuple[FlowModel, list[float]]:
     """Adam maximum-likelihood training; returns the model and per-epoch loss.
 
-    Shuffling is driven by cfg.seed, so identical inputs give identical loss
-    histories and parameters. The model is updated in place.
+    `cfg` is read for learning_rate, batch_size, epochs and seed, fields a
+    RunConfig has too. Shuffling is driven by cfg.seed, so identical inputs
+    give identical loss histories and parameters. The model is updated in
+    place.
     """
     data_normal = np.asarray(data_normal, dtype=np.float64)
     if data_normal.size == 0:

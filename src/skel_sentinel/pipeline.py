@@ -1,9 +1,11 @@
 """Glue between stages: tracks -> snippets -> features -> per-video scores.
 
-`score_tracks` is the one path from a track file to frame scores: both the
-`score` subcommand and `evaluation.run_benchmark` call it, so they share every
-option and write the same bytes. Stage functions are looked up as module
-attributes at call time, so a tracer can wrap them by name.
+`snippet_features` is the one front end from a track file to snippet
+features, for both the `featurize` and `score` subcommands. `score_tracks` is
+the one path from a track file to frame scores: both the `score` subcommand
+and `evaluation.run_benchmark` call it, so they share every option and write
+the same bytes. Stage functions are looked up as module attributes at call
+time, so a tracer can wrap them by name.
 
 The path is columnar from windows to frame scores. `extract_snippets` turns
 all tracks into one `pose_io.SnippetTable` (N rows, joints as an (N, 2, J, T)
@@ -34,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import RunConfig
 from .context import SceneIndex, video_uniqueness_scores
 from .errors import NonFiniteError, SentinelError, StageError
-from .featurize import FeatureStore, kinematic_matrix, load_embeddings
+from .featurize import kinematic_matrix, load_embeddings
 from .flow import FlowModel, load_flow, typicality_score
 from .pose_io import (
     BLOCK_ROWS,
@@ -127,15 +129,6 @@ def featurize_snippets(
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise NonFiniteError(f"feature for {refs[int(np.argmin(finite))]} has non-finite values")
-    return refs, matrix, SnippetMeta(table.video_ids, table.person_ids, table.starts)
-
-
-def snippet_features_from_store(
-    table: SnippetTable, store: FeatureStore
-) -> tuple[list[str], np.ndarray, SnippetMeta]:
-    """Align precomputed embeddings with the snippets derived from the tracks."""
-    refs = table.refs
-    matrix = store.matrix[[store.row(ref) for ref in refs]].astype(np.float64)
     return refs, matrix, SnippetMeta(table.video_ids, table.person_ids, table.starts)
 
 
@@ -233,6 +226,25 @@ def fuse_video(
     return series, smooth_scores(series.frame_scores, cfg.smoothing_window)
 
 
+def snippet_features(
+    cfg: RunConfig, tracks_path: str | Path, features_path: str | Path | None = None
+) -> tuple[list[str], np.ndarray, SnippetMeta]:
+    """Refs, features and metadata of every snippet of a track file.
+
+    Features are computed from the tracks, or gathered in the tracks' snippet
+    order from the `.skem` file at `features_path` when one is given.
+    """
+    videos = stage("load-tracks", load_tracks, tracks_path, cfg.joints)
+    table = stage("window", extract_snippets, videos, cfg.window_length, cfg.stride)
+    del videos  # the track objects are not needed once the joints are windowed
+    if features_path is None:
+        return stage("featurize", featurize_snippets, table, cfg.feature_dim, cfg.seed)
+    store = stage("load-features", load_embeddings, features_path)
+    refs = table.refs
+    meta = SnippetMeta(table.video_ids, table.person_ids, table.starts)
+    return refs, stage("featurize", store.rows, refs), meta
+
+
 @dataclass(frozen=True)
 class ScoredRun:
     videos: dict[str, VideoScores]
@@ -248,22 +260,11 @@ def score_tracks(
 ) -> ScoredRun:
     """Tracks in, per-video series and frame scores out, keyed by video_id.
 
-    Features come from `features_path` when one is given and are computed
-    from the tracks otherwise. Each stage's failure is raised as a StageError
-    naming it.
+    Features come from `snippet_features`. Each stage's failure is raised as
+    a StageError naming it.
     """
     model = stage("load-model", load_flow, model_path)
-    videos = stage("load-tracks", load_tracks, tracks_path, cfg.joints)
-    table = stage("window", extract_snippets, videos, cfg.window_length, cfg.stride)
-    del videos
-    if features_path is None:
-        refs, matrix, meta = stage(
-            "featurize", featurize_snippets, table, cfg.feature_dim, cfg.seed
-        )
-    else:
-        store = stage("load-features", load_embeddings, features_path)
-        refs, matrix, meta = stage("featurize", snippet_features_from_store, table, store)
-    del table  # the joints tensor is not needed once features exist
+    refs, matrix, meta = snippet_features(cfg, tracks_path, features_path)
     indices = stage("index", build_scene_indices, refs, matrix, meta)
     scored = stage("score", score_scenes, model, indices, cfg, cfg.threads)
     fused = stage("series", lambda: {vid: fuse_video(vs, cfg) for vid, vs in scored.items()})

@@ -134,6 +134,9 @@ def smooth_scores(scores: np.ndarray, window: int) -> np.ndarray:
     frame, also for a window longer than the series.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    # A window of 2 * len - 1 already spans the whole series from every frame,
+    # so a longer one gives the same bytes; clamped, it allocates no more.
+    window = min(window, 2 * len(scores) - 1)
     if window <= 1:
         return scores
     kernel = np.ones(window)

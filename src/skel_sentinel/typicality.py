@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .config import read_lines
 from .errors import LabelConflictError, MissingEmbeddingError, SchemaError
 from .featurize import FeatureStore, TextEmbedding, cosine_similarity
@@ -115,21 +113,19 @@ def select_typical(
     similarities: dict[str, float] = {}
 
     def pick(action_list: list[str], beta: float) -> list[str]:
-        wanted = set(action_list)
         for label in action_list:
             if label not in texts:
                 raise MissingEmbeddingError(f"no text embedding for label {label!r}")
-        scored = []
-        for ref, label in labels.items():
-            if label not in wanted:
-                continue
-            sim = cosine_similarity(
-                features.lookup(ref).astype(np.float64), texts[label].values
-            )
-            similarities[ref] = sim
-            scored.append((ref, sim))
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return [ref for ref, _ in scored[: top_count(beta, len(scored))]]
+        wanted = set(action_list)
+        refs = [ref for ref, label in labels.items() if label in wanted]
+        # one cosine per row: a vectorized form changes the last bits
+        sims = [
+            cosine_similarity(row, texts[labels[ref]].values)
+            for ref, row in zip(refs, features.rows(refs))
+        ]
+        similarities.update(zip(refs, sims))
+        ranked = sorted(zip(refs, sims), key=lambda item: (-item[1], item[0]))
+        return [ref for ref, _ in ranked[: top_count(beta, len(ranked))]]
 
     return SelectionResult(
         normal_refs=pick(spec.normal_actions, beta_normal),

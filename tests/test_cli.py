@@ -4,7 +4,7 @@ import pytest
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.config import RunConfig
 from skel_sentinel.evaluation import write_labels
-from skel_sentinel.featurize import load_text_embeddings, write_embeddings
+from skel_sentinel.featurize import load_embeddings, load_text_embeddings, write_embeddings
 from skel_sentinel.flow import init_flow, save_flow
 from skel_sentinel.pose_io import write_tracks
 from skel_sentinel.synth import make_benchmark, write_class_map
@@ -323,6 +323,71 @@ class TestHelpAndUsage:
             f"{10**13 + 1} frames, more than {2**20}"
         ]
 
+    @pytest.mark.parametrize("case", ["classes-without-text-out", "classes-name-no-video"])
+    def test_featurize_classes_failure_writes_nothing(
+        self, small_benchmark, tmp_path, capsys, case
+    ):
+        classes = tmp_path / "classes.tsv"
+        classes.write_text("nobody\twalk\n")
+        argv = [
+            "featurize", "--tracks", small_benchmark / "corpus_tracks.tsv",
+            "--out", tmp_path / "out" / "c.skem", "--config", small_benchmark / "run.cfg",
+            "--classes", classes,
+        ]
+        if case == "classes-without-text-out":
+            message = "--classes and --text-out must be given together"
+        else:
+            argv += ["--text-out", tmp_path / "out" / "t.skem"]
+            message = f"{classes}: no video of the class map has a snippet"
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error\tfeaturize\tSchemaError\t{message}"]
+        assert not (tmp_path / "out").exists()
+
+    # Each value would ask for terabytes or more if it reached an allocation.
+    def test_huge_feature_dim_is_typed_error(self, small_benchmark, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("joints = 17\nfeature_dim = 1000000000\n")
+        status = run_cli(
+            "featurize", "--tracks", small_benchmark / "corpus_tracks.tsv",
+            "--out", tmp_path / "out" / "c.skem", "--config", tmp_path / "run.cfg",
+        )
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error\tfeaturize\tDimensionError\tfeaturize: cannot project 3230 dims up to 1000000000"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_hidden_width_is_typed_error(self, tmp_path, capsys):
+        write_embeddings(["v:0:0", "v:0:1"], np.ones((2, 8)), tmp_path / "f.skem")
+        (tmp_path / "selected_normal.tsv").write_text("v:0:0\t0.9\n")
+        (tmp_path / "selected_abnormal.tsv").write_text("v:0:1\t0.1\n")
+        width = 10**12
+        (tmp_path / "run.cfg").write_text(f"hidden_width = {width}\n")
+        status = run_cli(
+            "train", "--features", tmp_path / "f.skem", "--selection", tmp_path,
+            "--out", tmp_path / "out", "--config", tmp_path / "run.cfg",
+        )
+        assert status == 1
+        # 4 layers of dimension 8: two couplings of 4 -> width -> 4 each
+        size = 4 * (2 * 8 + 2 * (4 * width + width + width * 4 + 4)) + 2 * 8
+        assert capsys.readouterr().err.splitlines() == [
+            f"error\ttrain\tDimensionError\ta flow of dimension 8, 4 layers and hidden width "
+            f"{width} holds {size} parameters, more than {2**27}"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_smoothing_window_spans_each_video(self, small_benchmark, tmp_path):
+        model = tmp_path / "model.skfl"
+        save_flow(init_flow(16, 2, 8, seed=0), model)
+        # 4,096 is longer than twice every test video, so it spans each one too
+        for window in (10**12, 4096):
+            (tmp_path / f"{window}.cfg").write_text(f"{SMALL_CONFIG}smoothing_window = {window}\n")
+            assert run_cli(
+                "score", "--tracks", small_benchmark / "test_tracks.tsv", "--model", model,
+                "--out", tmp_path / str(window), "--config", tmp_path / f"{window}.cfg",
+            ) == 0
+        scores = (tmp_path / str(10**12) / "scores.tsv").read_bytes()
+        assert scores == (tmp_path / "4096" / "scores.tsv").read_bytes()
+
     def test_bad_grid_value_is_typed_error(self, capsys):
         assert run_cli("check", "--grid", "stride=1,x") == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -431,6 +496,39 @@ class TestPipeline:
             "eval", "--scores", tmp_path / "scores" / "scores.tsv",
             "--labels", tmp_path / "test_labels.tsv", "--out", tmp_path / "report", *cfg,
         ) == 0
+
+    def test_score_from_features_file(self, small_benchmark, tmp_path, capsys):
+        # stored rows are gathered by ref, so their order in the file is free
+        root = small_benchmark
+        cfg = ["--config", root / "run.cfg"]
+        model = tmp_path / "model.skfl"
+        save_flow(init_flow(16, 2, 8, seed=0), model)
+        assert run_cli(
+            "featurize", "--tracks", root / "test_tracks.tsv", "--out", tmp_path / "f.skem", *cfg
+        ) == 0
+        store = load_embeddings(tmp_path / "f.skem")
+        order = np.random.default_rng(0).permutation(len(store))
+        shuffled = [store.refs[i] for i in order]
+        write_embeddings(shuffled, store.matrix[order], tmp_path / "shuffled.skem")
+        write_embeddings(shuffled[1:], store.matrix[order[1:]], tmp_path / "missing.skem")
+
+        def score(name):
+            return run_cli(
+                "score", "--tracks", root / "test_tracks.tsv", "--model", model,
+                "--features", tmp_path / f"{name}.skem", "--out", tmp_path / name, *cfg,
+            )
+
+        assert score("f") == 0
+        assert score("shuffled") == 0
+        for output in ("scores.tsv", "details.tsv"):
+            written = (tmp_path / "f" / output).read_bytes()
+            assert written and written == (tmp_path / "shuffled" / output).read_bytes()
+        capsys.readouterr()
+        assert score("missing") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error\tscore\tMissingEmbeddingError\tfeaturize: no feature stored for {shuffled[0]!r}"
+        ]
+        assert not (tmp_path / "missing").exists()
 
     def test_featurize_idempotent_byte_identical(self, small_benchmark, tmp_path):
         root = small_benchmark

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import skel_sentinel
 from skel_sentinel.errors import (
@@ -19,6 +20,7 @@ from skel_sentinel.errors import (
     MissingEmbeddingError,
     NonFiniteError,
     SchemaError,
+    SentinelError,
 )
 from skel_sentinel.featurize import (
     FeatureStore,
@@ -90,6 +92,14 @@ class TestKinematicFeatures:
     def test_small_dim_rejected(self):
         with pytest.raises(DimensionError):
             kinematic_matrix(make_table().joints, 3, seed=0)
+
+    @pytest.mark.parametrize("rows", [4096, 0])
+    def test_dim_beyond_descriptor_rejected_before_allocating(self, rows):
+        # the (4096, 10**9) output would need 32 TB; with no rows, the
+        # .skem file would claim 10**9 columns
+        joints = np.zeros((rows, 2, J, 16))
+        with pytest.raises(DimensionError, match="cannot project 470 dims up to 1000000000"):
+            kinematic_matrix(joints, 10**9, seed=0)
 
     def test_same_bytes_at_any_blas_thread_count(self):
         # A single (256, K) @ (K, dim) GEMM changes its last bits between one
@@ -232,6 +242,36 @@ class TestEmbeddingFile:
             assert len(store.refs) == len(set(store.refs)) == count
 
 
+    def test_repeated_ref_refused_and_nothing_written(self, tmp_path):
+        with pytest.raises(DuplicateRecordError, match="repeated ref 'a'"):
+            write_embeddings(["a", "a"], np.zeros((2, 4)), tmp_path / "f.skem")
+        assert not any(tmp_path.iterdir())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        refs=st.lists(
+            st.text(alphabet="ab\r\n\u2028\x00é😀", max_size=3) | st.text(max_size=3),
+            max_size=5,
+        ),
+        extra_rows=st.sampled_from([0, 0, 0, -1, 1]),
+        dim=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_write_is_refused_or_round_trips(self, refs, extra_rows, dim, data):
+        rows = max(0, len(refs) + extra_rows)
+        matrix = data.draw(hnp.arrays(np.float32, (rows, dim), elements=st.floats(width=32)))
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "f.skem"
+            try:
+                write_embeddings(refs, matrix, path)
+            except SentinelError:
+                assert not any(Path(folder).iterdir())
+                return
+            store = load_embeddings(path)
+        assert store.refs == refs
+        assert store.matrix.tobytes() == matrix.astype("<f4").tobytes()
+
+
 class TestFeatureStore:
     def test_lookup_bit_equality(self):
         rng = np.random.default_rng(8)
@@ -243,6 +283,48 @@ class TestFeatureStore:
         store = FeatureStore(["a"], np.zeros((1, 4), dtype=np.float32))
         with pytest.raises(MissingEmbeddingError):
             store.lookup("b")
+
+    def test_rows_are_float64_copies_in_ref_order(self):
+        matrix = np.random.default_rng(3).standard_normal((4, 3)).astype(np.float32)
+        store = FeatureStore(["a", "b", "c", "d"], matrix)
+        rows = store.rows(["c", "a", "c"])
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == matrix[[2, 0, 2]].astype(np.float64).tobytes()
+        rows[:] = 0.0
+        assert store.matrix.tobytes() == matrix.tobytes()
+        assert store.rows([]).shape == (0, 3)
+
+    def test_rows_missing_ref_is_named(self):
+        store = FeatureStore(["a", "b"], np.zeros((2, 4)))
+        with pytest.raises(MissingEmbeddingError, match="no feature stored for 'x'"):
+            store.rows(["a", "x", "b"])
+
+    def test_repeated_ref_refused(self):
+        with pytest.raises(DuplicateRecordError, match="repeated ref 'b'"):
+            FeatureStore(["a", "b", "c", "b"], np.zeros((4, 2)))
+
+    def test_prototypes_are_running_sum_bits(self):
+        rng = np.random.default_rng(11)
+        refs = [f"r{i}" for i in range(40)]
+        matrix = (rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-6, 6, (40, 1)))
+        matrix[:, 0] = -0.0  # a column of negative zeros sums to -0.0, not +0.0
+        store = FeatureStore(refs, matrix)
+        labels = {ref: ["walk", "run", "jump"][int(rng.integers(3))] for ref in refs[::-1]}
+        protos = class_prototypes(store, labels)
+        for label in ("jump", "run", "walk"):
+            members = [ref for ref, name in labels.items() if name == label]
+            total = store.lookup(members[0]).astype(np.float64)
+            for ref in members[1:]:
+                total = total + store.lookup(ref)
+            mean = total / len(members)
+            expected = mean / float(np.linalg.norm(mean))
+            assert protos[label].values.tobytes() == expected.tobytes()
+        assert list(protos) == ["jump", "run", "walk"]
+
+    def test_prototypes_labelled_ref_missing_from_store(self):
+        store = FeatureStore(["a"], np.ones((1, 4)))
+        with pytest.raises(MissingEmbeddingError, match="'b'"):
+            class_prototypes(store, {"a": "walk", "b": "walk"})
 
     def test_prototypes_unit_norm_and_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)

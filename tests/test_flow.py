@@ -15,6 +15,7 @@ from skel_sentinel.checks import (
     numeric_logdet,
     roundtrip_error_z,
 )
+from skel_sentinel.config import RunConfig
 from skel_sentinel.errors import (
     ContractError,
     DimensionError,
@@ -60,6 +61,16 @@ class TestInit:
     def test_odd_dimension_rejected(self):
         with pytest.raises(DimensionError):
             init_flow(3, 2, 8, seed=0)
+
+    @pytest.mark.parametrize(
+        "dimension, n_layers, width", [(64, 4, 10**12), (64, 10**12, 128), (2 * 10**12, 4, 128)]
+    )
+    def test_oversized_flow_refused_before_allocating(self, dimension, n_layers, width):
+        with pytest.raises(
+            DimensionError,
+            match=f"dimension {dimension}, {n_layers} layers and hidden width {width} holds",
+        ):
+            init_flow(dimension, n_layers, width, seed=0)
 
     def test_center_separation(self):
         for d in (2, 16, 64):
@@ -225,6 +236,16 @@ class TestTraining:
         _, h1 = train_flow(init_flow(4, 2, 8, seed=29), data_n, data_a, cfg)
         _, h2 = train_flow(init_flow(4, 2, 8, seed=29), data_n, data_a, cfg)
         assert h1 == h2
+
+    def test_run_config_trains_as_train_config(self):
+        # `train` passes its RunConfig straight through; the fields read are shared
+        rng = np.random.default_rng(27)
+        data_n, data_a = two_clusters(rng, 4, 128)
+        fields = dict(learning_rate=0.002, batch_size=48, epochs=4, seed=28)
+        a, h1 = train_flow(init_flow(4, 2, 8, seed=29), data_n, data_a, TrainConfig(**fields))
+        b, h2 = train_flow(init_flow(4, 2, 8, seed=29), data_n, data_a, RunConfig(**fields))
+        assert h1 == h2
+        assert a.flat.tobytes() == b.flat.tobytes()
 
     def test_full_shot_mode_trains_without_abnormal(self):
         rng = np.random.default_rng(30)

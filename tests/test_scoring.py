@@ -204,6 +204,21 @@ class TestSmoothing:
         assert smoothed.shape == (n,)
         np.testing.assert_allclose(smoothed, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 59, 224])
+    def test_window_beyond_twice_the_series_is_clamped(self, n):
+        # A window of 10**12 would need terabytes unclamped; any window of at
+        # least 2n - 1 averages every frame over the whole series.
+        x = np.random.default_rng(n).standard_normal(n)
+        window = 2 * n + 5
+        kernel = np.ones(window)
+        centered = slice((window - 1) // 2, (window - 1) // 2 + n)
+        unclamped = (
+            np.convolve(x, kernel, mode="full")[centered]
+            / np.convolve(np.ones(n), kernel, mode="full")[centered]
+        )
+        np.testing.assert_array_equal(smooth_scores(x, 10**12).view(np.int64), unclamped.view(np.int64))
+        np.testing.assert_array_equal(smooth_scores(x, window).view(np.int64), unclamped.view(np.int64))
+
     @pytest.mark.parametrize("window", [2, 3, 4, 7, 16])
     def test_bytes_unchanged_when_window_fits(self, window):
         # np.convolve(mode="same") is the previous implementation; for a window
