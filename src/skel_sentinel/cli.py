@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages: synth, featurize, select, train,
-score, eval, check. Every run resolves one RunConfig (defaults, then
---config file, then explicit flags) and writes it next to its outputs as
-``config.<stage>.resolved``. Failures print a single machine-parsable line
+score, eval, check. Each command resolves one RunConfig (defaults, then
+--config file, then explicit flags), runs once, and writes the config next to
+its outputs as ``config.<stage>.resolved``. ``--out`` names an output
+directory, except for ``featurize``, where it names the ``.skem`` file; its
+``.idx`` sidecar goes beside it and its resolved config in the same
+directory. Failures print a single machine-parsable line
 
     error<TAB><command><TAB><exception type><TAB><message>
 
@@ -15,8 +18,6 @@ name, e.g. ``load-tracks: line 3: ...``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
 import sys
 import time
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .config import RunConfig, parse_value, read_lines, resolve_threads
+from .config import RunConfig, read_lines, resolve_threads
 from .errors import DuplicateRecordError, SchemaError, SentinelError, StageError
 from .evaluation import evaluate, read_labels, write_labels, write_report
 from .featurize import (
@@ -53,10 +54,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--threads", type=int, default=None,
         help="worker cap; falls back to $SKEL_SENTINEL_THREADS, then 1",
     )
-    parser.add_argument(
-        "--grid", action="append", default=[], metavar="KEY=V1,V2",
-        help="expand into one run per value combination (repeatable)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("featurize", "tracks -> snippet embedding file")
     p.add_argument("--tracks", required=True, help="input track file")
-    p.add_argument("--out", required=True, help="output .skem file or directory")
+    p.add_argument("--out", required=True, help="output .skem file")
     p.add_argument("--classes", help="video_id<TAB>class map; enables --text-out")
     p.add_argument("--text-out", help="write per-class prototype embeddings here")
 
@@ -137,12 +134,6 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _featurize_out_paths(out: Path) -> tuple[Path, Path]:
-    if out.suffix == ".skem":
-        return out, out.parent
-    return out / "features.skem", out
-
-
 def _class_labels(refs: list[str], class_map: dict[str, str]) -> dict[str, str]:
     """snippet_ref -> class of its video, for the videos the class map names."""
     labels = {}
@@ -154,19 +145,21 @@ def _class_labels(refs: list[str], class_map: dict[str, str]) -> dict[str, str]:
 
 
 def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    for path in (out, args.text_out):
+        if path and Path(path).is_dir():
+            raise SchemaError(f"{path}: is a directory")
     if bool(args.classes) != bool(args.text_out):
         raise SchemaError("--classes and --text-out must be given together")
     class_map = read_class_map(args.classes) if args.classes else None
-    features_path, out_dir = _featurize_out_paths(out)
     refs, matrix, _ = snippet_features(cfg, args.tracks)
     if class_map is not None:
         labels = _class_labels(refs, class_map)
         if not labels:
             raise SchemaError(f"{args.classes}: no video of the class map has a snippet")
         prototypes = class_prototypes(FeatureStore(refs, matrix), labels)
-    _write_resolved(cfg, out_dir, "featurize")
-    write_embeddings(refs, matrix, features_path)
-    print(f"wrote {len(refs)} features of dimension {cfg.feature_dim} to {features_path}")
+    _write_resolved(cfg, out.parent, "featurize")
+    write_embeddings(refs, matrix, out)
+    print(f"wrote {len(refs)} features of dimension {cfg.feature_dim} to {out}")
     if class_map is not None:
         names = sorted(prototypes)
         write_embeddings(
@@ -267,45 +260,13 @@ _HANDLERS = {
 }
 
 
-def _parse_grid(specs: list[str]) -> list[dict[str, object]]:
-    if not specs:
-        return [{}]
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    axes = []
-    for spec in specs:
-        if "=" not in spec:
-            raise SchemaError(f"--grid expects KEY=V1,V2 ..., got {spec!r}")
-        key, _, values_text = spec.partition("=")
-        key = key.strip()
-        if key not in fields:
-            raise SchemaError(f"--grid: unknown config key {key!r}")
-        field_type = fields[key].type
-        axes.append([
-            (key, parse_value(v, field_type, f"--grid {key}"))
-            for v in values_text.split(",") if v
-        ])
-    return [dict(combo) for combo in itertools.product(*axes)]
-
-
 def command_dispatch(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
+    out = Path(args.out) if hasattr(args, "out") else None
     try:
-        base_cfg = _resolve_config(args)
-        combos = _parse_grid(args.grid)
-        status = 0
-        for i, combo in enumerate(combos):
-            cfg = base_cfg.replace(**combo) if combo else base_cfg
-            out = Path(args.out) if getattr(args, "out", None) else None
-            if combo:
-                tag = "_".join(f"{k}={v}" for k, v in combo.items())
-                if out is None:
-                    raise SchemaError("--grid needs --out")
-                out = out / f"grid{i:03d}_{tag}"
-                print(f"[grid {i}] {tag}")
-            status = max(status, handler(args, cfg, out))
-        return status
+        return handler(args, _resolve_config(args), out)
     except (SentinelError, OSError, ValueError) as exc:
         cause = exc.cause if isinstance(exc, StageError) else exc
         message = str(exc).replace("\n", " ")

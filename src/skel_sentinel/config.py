@@ -55,7 +55,7 @@ class RunConfig:
                      "batch_size"):
             if getattr(self, name) < 1:
                 raise SchemaError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        for name in ("alpha", "learning_rate", "epochs", "smoothing_window"):
+        for name in ("alpha", "learning_rate", "epochs", "smoothing_window", "seed"):
             if getattr(self, name) < 0:
                 raise SchemaError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         for name in ("beta_normal", "beta_abnormal"):

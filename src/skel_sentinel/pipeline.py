@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .context import SceneIndex, video_uniqueness_scores
-from .errors import NonFiniteError, SentinelError, StageError
+from .errors import NonFiniteError, SchemaError, SentinelError, StageError
 from .featurize import kinematic_matrix, load_embeddings
 from .flow import FlowModel, load_flow, typicality_score
 from .pose_io import (
@@ -232,11 +232,18 @@ def snippet_features(
     """Refs, features and metadata of every snippet of a track file.
 
     Features are computed from the tracks, or gathered in the tracks' snippet
-    order from the `.skem` file at `features_path` when one is given.
+    order from the `.skem` file at `features_path` when one is given. A track
+    file that yields no snippet fails the `window` stage.
     """
     videos = stage("load-tracks", load_tracks, tracks_path, cfg.joints)
     table = stage("window", extract_snippets, videos, cfg.window_length, cfg.stride)
     del videos  # the track objects are not needed once the joints are windowed
+    if not len(table):
+        raise StageError("window", SchemaError(
+            f"{tracks_path}: no snippet of window_length = {cfg.window_length}; dropped "
+            f"{table.dropped_zero} zero-dominated and {table.dropped_degenerate} "
+            "degenerate window(s)"
+        ))
     if features_path is None:
         return stage("featurize", featurize_snippets, table, cfg.feature_dim, cfg.seed)
     store = stage("load-features", load_embeddings, features_path)

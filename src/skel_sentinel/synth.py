@@ -241,9 +241,11 @@ TEST_VIDEO_LENGTH = 224
 # every test video carries an anomaly, as in real VAD test sets; the
 # per-video standardization of the fusion stage is only well calibrated when
 # an anomaly anchors the video's score scale
-TEST_VIDEOS_NONE = 0
 TEST_VIDEOS_PATTERN = 15  # every third one is an incursion, the rest switches
 TEST_VIDEOS_OUTLIER = 15
+# test kind -> its scene-seed offset index; the offsets are part of every
+# bundle's bytes, so they stay fixed
+TEST_KINDS = {"pattern": 1, "outlier": 2}
 TEST_WALKERS = 7  # plus one scene-dependent extra agent
 # large enough that nobody reaches a wall in TEST_VIDEO_LENGTH frames;
 # wall bounces flip headings and would inject spurious uniqueness
@@ -261,7 +263,7 @@ class BenchmarkData:
     corpus_classes: dict[str, str]  # video_id -> action class
     test_videos: dict[str, list[Track]]
     test_labels: dict[str, np.ndarray]
-    manifest: dict[str, str]  # video_id -> none | pattern | outlier
+    manifest: dict[str, str]  # video_id -> pattern | outlier
     typicality: TypicalitySpec
 
 
@@ -270,6 +272,13 @@ def make_benchmark(
     videos_per_class: int = CORPUS_VIDEOS_PER_CLASS,
     test_counts: dict[str, int] | None = None,
 ) -> BenchmarkData:
+    if test_counts is None:
+        test_counts = {"pattern": TEST_VIDEOS_PATTERN, "outlier": TEST_VIDEOS_OUTLIER}
+    unknown = sorted(set(test_counts) - set(TEST_KINDS))
+    if unknown:
+        raise SchemaError(
+            f"test_counts: unknown test kind {unknown[0]!r}, expected one of {list(TEST_KINDS)}"
+        )
     corpus_videos: dict[str, list[Track]] = {}
     corpus_classes: dict[str, str] = {}
     scene_seed = seed * 1_000_003
@@ -287,17 +296,11 @@ def make_benchmark(
             corpus_videos[video_id] = tracks
             corpus_classes[video_id] = class_name
 
-    if test_counts is None:
-        test_counts = {
-            "none": TEST_VIDEOS_NONE,
-            "pattern": TEST_VIDEOS_PATTERN,
-            "outlier": TEST_VIDEOS_OUTLIER,
-        }
     test_videos: dict[str, list[Track]] = {}
     test_labels: dict[str, np.ndarray] = {}
     manifest: dict[str, str] = {}
     pattern_anomalies = ["fast-run", "erratic-jitter"]
-    for kind_index, kind in enumerate(("none", "pattern", "outlier")):
+    for kind, kind_index in TEST_KINDS.items():
         for i in range(test_counts.get(kind, 0)):
             video_id = f"test_{kind}_{i:03d}"
             scene_seed += 1
@@ -342,23 +345,13 @@ def make_benchmark(
                         events=[AnomalyEvent(anomaly, ANOMALY_START, ANOMALY_END)],
                         heading_deg=agents[0].heading_deg,
                     )
-            elif kind == "outlier":
+            else:
                 agents.append(walker())
                 agents[0] = AgentSpec(
                     "linear-walk",
                     events=[AnomalyEvent("weave-walk", ANOMALY_START, ANOMALY_END)],
                     heading_deg=agents[0].heading_deg,
                 )
-            else:
-                # vary normal-scene composition: plain crowd, counter-flow
-                # walker, or a stationary bystander
-                variant = i % 3
-                if variant == 1:
-                    agents.append(walker(180.0))
-                elif variant == 2:
-                    agents.append(AgentSpec("stationary"))
-                else:
-                    agents.append(walker())
             cfg = SceneConfig(
                 video_id=video_id,
                 video_length=TEST_VIDEO_LENGTH,

@@ -303,6 +303,7 @@ class TestHelpAndUsage:
             ("epochs = -1", "epochs must be >= 0, got -1"),
             ("joints = 0", "joints must be >= 1, got 0"),
             ("smoothing_window = -5", "smoothing_window must be >= 0, got -5"),
+            ("seed = -3", "seed must be >= 0, got -3"),
         ],
     )
     def test_out_of_range_config_value_is_typed_error(
@@ -388,11 +389,39 @@ class TestHelpAndUsage:
         scores = (tmp_path / str(10**12) / "scores.tsv").read_bytes()
         assert scores == (tmp_path / "4096" / "scores.tsv").read_bytes()
 
-    def test_bad_grid_value_is_typed_error(self, capsys):
-        assert run_cli("check", "--grid", "stride=1,x") == 1
+    def test_empty_featurize_out_is_typed_error(self, tmp_path, capsys, monkeypatch):
+        # "" is the current directory, not a missing --out
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("featurize", "--tracks", "t.tsv", "--out", "") == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error\tcheck\tSchemaError\t--grid stride: expected int, got 'x'"
+            "error\tfeaturize\tSchemaError\t.: is a directory"
         ]
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("check", "--grid", "stride=1,2")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["featurize", "score"])
+    def test_track_file_without_snippet_is_typed_error(self, tmp_path, capsys, command):
+        # 3 frames, shorter than one window of the default 16
+        pose = ";".join(["1.0,2.0,1.0"] * 17)
+        tracks = tmp_path / "tracks.tsv"
+        tracks.write_text("".join(f"v\t0\t{t}\t{pose}\n" for t in range(3)))
+        model = tmp_path / "model.skfl"
+        save_flow(init_flow(64, 2, 8, seed=0), model)
+        out = tmp_path / "out"
+        argv = {
+            "featurize": ["featurize", "--tracks", tracks, "--out", out / "f.skem"],
+            "score": ["score", "--tracks", tracks, "--model", model, "--out", out],
+        }[command]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error\t{command}\tSchemaError\twindow: {tracks}: no snippet of window_length = 16; "
+            "dropped 0 zero-dominated and 0 degenerate window(s)"
+        ]
+        assert not out.exists()
 
     def test_train_with_empty_normal_selection_is_typed_error(self, tmp_path, capsys):
         matrix = np.random.default_rng(0).random((2, 8))
@@ -542,15 +571,41 @@ class TestPipeline:
         b = (tmp_path / "b" / "features.skem").read_bytes()
         assert a == b
 
-    def test_grid_expands_runs(self, small_benchmark, tmp_path):
+    def test_featurize_out_names_the_skem_file(self, small_benchmark, tmp_path):
+        # any --out is the .skem file itself, with or without the suffix
         root = small_benchmark
-        assert run_cli(
-            "featurize", "--tracks", root / "corpus_tracks.tsv",
-            "--out", tmp_path, "--config", root / "run.cfg",
-            "--grid", "feature_dim=8,16",
-        ) == 0
-        dirs = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
-        assert dirs == ["grid000_feature_dim=8", "grid001_feature_dim=16"]
+        for out in (tmp_path / "a" / "f", tmp_path / "b" / "f.skem"):
+            assert run_cli(
+                "featurize", "--tracks", root / "test_tracks.tsv", "--out", out,
+                "--config", root / "run.cfg",
+            ) == 0
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+            "config.featurize.resolved", "f", "f.idx",
+        ]
+        for a, b in (("f", "f.skem"), ("f.idx", "f.skem.idx")):
+            assert (tmp_path / "a" / a).read_bytes() == (tmp_path / "b" / b).read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--out", "--text-out"])
+    def test_featurize_output_directory_is_typed_error(
+        self, small_benchmark, tmp_path, capsys, flag
+    ):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        outputs = {"--out": tmp_path / "f.skem", "--text-out": tmp_path / "t.skem"}
+        outputs[flag] = folder
+        argv = [
+            "featurize", "--tracks", small_benchmark / "corpus_tracks.tsv",
+            "--classes", small_benchmark / "corpus_classes.tsv",
+            "--config", small_benchmark / "run.cfg",
+        ]
+        for name, path in outputs.items():
+            argv += [name, path]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error\tfeaturize\tSchemaError\t{folder}: is a directory"
+        ]
+        assert list(tmp_path.iterdir()) == [folder]
+        assert not list(folder.iterdir())
 
     def test_features_config_key_is_unknown(self, small_benchmark, tmp_path, capsys):
         # --features alone picks the feature source; the old config key is gone

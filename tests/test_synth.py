@@ -143,6 +143,11 @@ class TestBenchmark:
         listed = set(data.typicality.normal_actions) | set(data.typicality.abnormal_actions)
         assert set(data.corpus_classes.values()) == listed
 
+    @pytest.mark.parametrize("kind", ["none", "Pattern"])
+    def test_unknown_test_kind_rejected(self, kind):
+        with pytest.raises(SchemaError, match=f"unknown test kind '{kind}'"):
+            make_benchmark(seed=0, videos_per_class=1, test_counts={kind: 1, "outlier": 1})
+
 
 def test_class_map_round_trip(tmp_path):
     classes = {"v1": "linear-walk", "v2": "fast-run"}
