@@ -12,7 +12,8 @@ directory. Failures print a single machine-parsable line
 
 to stderr and exit 1; usage problems exit 2. When a pipeline stage fails, the
 type is that of the underlying error and the message starts with the stage
-name, e.g. ``load-tracks: line 3: ...``.
+name, e.g. ``load-tracks: line 3: ...``. Every command but ``train`` runs
+with one OpenBLAS thread (`pipeline.one_blas_thread`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +38,8 @@ from .featurize import (
     write_embeddings,
 )
 from .flow import init_flow, save_flow, train_flow
-from .pipeline import score_tracks, snippet_features, stage
-from .pose_io import parse_snippet_ref, write_tracks
+from .pipeline import one_blas_thread, score_tracks, snippet_features, stage
+from .pose_io import make_snippet_ref, parse_snippet_ref, write_tracks
 from .scoring import read_frame_scores, write_frame_scores, write_snippet_details
 from .synth import make_benchmark, read_class_map, write_class_map
 from .typicality import (
@@ -188,13 +190,25 @@ def cmd_select(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 
 def _read_selection(path: Path) -> list[str]:
+    """Refs of a `selected_*.tsv` file, whose lines are `ref<TAB>similarity`.
+
+    A ref not of the form `video:person:start`, or a repeated one, is a typed
+    error naming the path and line.
+    """
     refs: dict[str, None] = {}
     for lineno, line in read_lines(path):
+        if not line:
+            continue
         ref = line.split("\t")[0]
+        try:
+            canonical = make_snippet_ref(*parse_snippet_ref(ref))
+        except ValueError:
+            canonical = None
+        if canonical != ref:
+            raise SchemaError(f"{path}, line {lineno}: bad snippet ref {ref!r}")
         if ref in refs:
             raise DuplicateRecordError(f"{path}, line {lineno}: repeated ref {ref!r}")
-        if line:
-            refs[ref] = None
+        refs[ref] = None
     return list(refs)
 
 
@@ -265,8 +279,11 @@ def command_dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     out = Path(args.out) if hasattr(args, "out") else None
+    # only training's GEMMs gain from more than one BLAS thread
+    blas_threads = nullcontext() if args.command == "train" else one_blas_thread()
     try:
-        return handler(args, _resolve_config(args), out)
+        with blas_threads:
+            return handler(args, _resolve_config(args), out)
     except (SentinelError, OSError, ValueError) as exc:
         cause = exc.cause if isinstance(exc, StageError) else exc
         message = str(exc).replace("\n", " ")

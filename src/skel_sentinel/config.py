@@ -41,26 +41,9 @@ class RunConfig:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if field.type == "float" and not math.isfinite(value):
-                raise SchemaError(f"{field.name} must be finite, got {value!r}")
-        if self.epsilon <= 0:
-            raise SchemaError(f"epsilon must be > 0, got {self.epsilon!r}")
-        # the flow splits each feature vector into two halves
-        if self.feature_dim < 4 or self.feature_dim % 2:
-            raise SchemaError(f"feature_dim must be even and >= 4, got {self.feature_dim!r}")
-        if self.window_length < 2:
-            raise SchemaError("window_length must be >= 2")
-        for name in ("joints", "stride", "flow_layers", "hidden_width", "k_neighbors",
-                     "batch_size"):
-            if getattr(self, name) < 1:
-                raise SchemaError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        for name in ("alpha", "learning_rate", "epochs", "smoothing_window", "seed"):
-            if getattr(self, name) < 0:
-                raise SchemaError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("beta_normal", "beta_abnormal"):
-            if not 0 < getattr(self, name) <= 1:
-                raise SchemaError(f"{name} must lie in (0, 1], got {getattr(self, name)!r}")
+            problem = _range_problem(field.name, getattr(self, field.name))
+            if problem:
+                raise SchemaError(problem)
 
     def replace(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **overrides)
@@ -90,7 +73,35 @@ class RunConfig:
             values[key] = parse_value(
                 value.strip(), known[key].type, f"{path}, line {lineno}: {key}"
             )
+            problem = _range_problem(key, values[key])
+            if problem:
+                raise SchemaError(f"{path}, line {lineno}: {problem}")
         return cls(**values)
+
+
+_AT_LEAST_ONE = ("joints", "stride", "flow_layers", "hidden_width", "k_neighbors", "batch_size")
+_NON_NEGATIVE = ("alpha", "learning_rate", "epochs", "smoothing_window", "seed")
+_FRACTIONS = ("beta_normal", "beta_abnormal")
+
+
+def _range_problem(name: str, value) -> str | None:
+    """Why `value` is out of range for the RunConfig field `name`, or None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{name} must be finite, got {value!r}"
+    if name == "epsilon" and value <= 0:
+        return f"epsilon must be > 0, got {value!r}"
+    # the flow splits each feature vector into two halves
+    if name == "feature_dim" and (value < 4 or value % 2):
+        return f"feature_dim must be even and >= 4, got {value!r}"
+    if name == "window_length" and value < 2:
+        return f"window_length must be >= 2, got {value!r}"
+    if name in _AT_LEAST_ONE and value < 1:
+        return f"{name} must be >= 1, got {value!r}"
+    if name in _NON_NEGATIVE and value < 0:
+        return f"{name} must be >= 0, got {value!r}"
+    if name in _FRACTIONS and not 0 < value <= 1:
+        return f"{name} must lie in (0, 1], got {value!r}"
+    return None
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:

@@ -555,9 +555,26 @@ def train_flow(
     return model, history
 
 
+def _require_finite(stored: FlowModel, path: str | Path) -> None:
+    """NonFiniteError naming the first parameter of `stored`, a model over a
+    checkpoint's float32 values, that is not finite."""
+    if np.isfinite(stored.flat).all():
+        return
+    named = [
+        *stored.parameters(), ("mu_normal", stored.mu_normal), ("mu_abnormal", stored.mu_abnormal)
+    ]
+    bad = next(name for name, value in named if not np.isfinite(value).all())
+    raise NonFiniteError(f"{path}: non-finite values in {bad}")
+
+
 def save_flow(model: FlowModel, path: str | Path) -> None:
+    """Write `model` as float32; a parameter that is not finite as float32 is
+    a NonFiniteError naming it, raised before anything is written."""
+    with np.errstate(over="ignore"):
+        values = model.flat.astype("<f4")
+    _require_finite(FlowModel(model.dimension, len(model.layers), model.hidden_width, values), path)
     header = _HEADER.pack(MAGIC, VERSION, model.dimension, len(model.layers), model.hidden_width)
-    Path(path).write_bytes(header + model.flat.astype("<f4").tobytes())
+    Path(path).write_bytes(header + values.tobytes())
 
 
 def load_flow(path: str | Path) -> FlowModel:
@@ -583,10 +600,5 @@ def load_flow(path: str | Path) -> FlowModel:
     if payload > 4 * count:
         raise FileFormatError(f"{path}: {payload - 4 * count} trailing bytes")
     values = np.frombuffer(blob, dtype="<f4", count=count, offset=_HEADER.size)
-    if not np.isfinite(values).all():
-        # float32 views of the payload name the first bad parameter
-        raw = FlowModel(dimension, n_layers, hidden_width, values)
-        named = [*raw.parameters(), ("mu_normal", raw.mu_normal), ("mu_abnormal", raw.mu_abnormal)]
-        bad = next(name for name, value in named if not np.isfinite(value).all())
-        raise NonFiniteError(f"{path}: non-finite values in {bad}")
+    _require_finite(FlowModel(dimension, n_layers, hidden_width, values), path)
     return FlowModel(dimension, n_layers, hidden_width, values.astype(np.float64))

@@ -164,9 +164,11 @@ def read_frame_values(
     `parse` turns a value field into a number. It raises ValueError for text
     that is not one and a SentinelError for a value the format rejects; every
     error names the path and line. A repeated (video_id, frame_index) row is a
-    DuplicateRecordError, and each video's frames must run from 0 without gaps.
+    DuplicateRecordError, and each video's frames must run from 0 without gaps:
+    a gap is a SchemaError naming the line of the video's last frame.
     """
     per_video: dict[str, dict[int, float]] = {}
+    last_line: dict[str, tuple[int, int]] = {}  # (frame, line) of each video's last frame
     for lineno, line in read_lines(path):
         if not line:
             continue
@@ -190,10 +192,14 @@ def read_frame_values(
         if frame in frames:
             raise DuplicateRecordError(f"{where}: duplicate row for ({video_id}, {frame})")
         frames[frame] = value
+        last_line[video_id] = max(last_line.get(video_id, (frame, lineno)), (frame, lineno))
     out = {}
     for video_id, frames in per_video.items():
-        if len(frames) != max(frames) + 1:
-            raise SchemaError(f"{path}: {video_id} has gaps in its {name}s")
+        last, lineno = last_line[video_id]
+        if len(frames) != last + 1:
+            raise SchemaError(
+                f"{path}, line {lineno}: {video_id} has gaps in its {name}s before frame {last}"
+            )
         out[video_id] = np.array([frames[i] for i in range(len(frames))], dtype=dtype)
     return out
 

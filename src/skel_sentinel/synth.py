@@ -391,7 +391,7 @@ def read_class_map(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(parts):
             raise SchemaError(f"{path}, line {lineno}: expected video_id<TAB>class")
         if parts[0] in classes:
             raise DuplicateRecordError(f"{path}, line {lineno}: repeated video_id {parts[0]!r}")

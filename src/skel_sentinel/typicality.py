@@ -54,31 +54,44 @@ class SelectionResult:
 
 
 def load_typicality_spec(path: str | Path) -> TypicalitySpec:
-    normal: list[str] = []
-    abnormal: list[str] = []
-    prompt = ""
-    section: list[str] | None = None
+    """The spec in the file at `path`.
+
+    A bad line (unknown section, label outside a section, repeated prompt or
+    label, a label in both lists) is a typed error naming the path and line;
+    an empty list is a SchemaError naming the path.
+    """
+    lists: dict[str, list[str]] = {"normal": [], "abnormal": []}
+    prompt = None
+    section = None
     for lineno, raw in read_lines(path):
+        where = f"{path}, line {lineno}"
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("prompt"):
             head, sep, rest = line.partition("=")
             if head.strip() == "prompt" and sep:
+                if prompt is not None:
+                    raise SchemaError(f"{where}: repeated prompt")
                 prompt = rest[1:] if rest.startswith(" ") else rest
                 continue
-        if line == "[normal]":
-            section = normal
-            continue
-        if line == "[abnormal]":
-            section = abnormal
+        if line in ("[normal]", "[abnormal]"):
+            section = line[1:-1]
             continue
         if line.startswith("[") and line.endswith("]"):
-            raise SchemaError(f"{path}, line {lineno}: unknown section {line}")
+            raise SchemaError(f"{where}: unknown section {line}")
         if section is None:
-            raise SchemaError(f"{path}, line {lineno}: label before any section")
-        section.append(line)
-    return TypicalitySpec(normal_actions=normal, abnormal_actions=abnormal, prompt_text=prompt)
+            raise SchemaError(f"{where}: label before any section")
+        if line in lists[section]:
+            raise SchemaError(f"{where}: repeated {section} label {line!r}")
+        other = "abnormal" if section == "normal" else "normal"
+        if line in lists[other]:
+            raise LabelConflictError(f"{where}: label {line!r} is in both lists")
+        lists[section].append(line)
+    for name, labels in lists.items():
+        if not labels:
+            raise SchemaError(f"{path}: no {name} label")
+    return TypicalitySpec(lists["normal"], lists["abnormal"], prompt or "")
 
 
 def save_typicality_spec(spec: TypicalitySpec, path: str | Path) -> None:

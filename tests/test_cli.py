@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from skel_sentinel import cli, pipeline
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.config import RunConfig
+from skel_sentinel.errors import SchemaError
 from skel_sentinel.evaluation import write_labels
 from skel_sentinel.featurize import load_embeddings, load_text_embeddings, write_embeddings
 from skel_sentinel.flow import init_flow, save_flow
@@ -82,9 +84,10 @@ def write_text_inputs(root):
 
 
 def assert_score_rejects_config(benchmark, tmp_path, capsys, text, message):
-    """`score` with config `text` exits 1 with one SchemaError line, before
-    any stage runs or any output is written."""
+    """`score` with config `text` exits 1 with one SchemaError line naming
+    the config's last line, before any stage runs or any output is written."""
     (tmp_path / "run.cfg").write_text(text)
+    message = f"{tmp_path / 'run.cfg'}, line {text.count(chr(10))}: {message}"
     model = tmp_path / "model.skfl"
     save_flow(init_flow(16, 2, 8, seed=0), model)
     status = run_cli(
@@ -680,3 +683,90 @@ def test_threads_env_fallback(small_benchmark, tmp_path, monkeypatch):
     ) == 0
     cfg = RunConfig.from_file(tmp_path / "config.featurize.resolved")
     assert cfg.threads == 2
+
+
+BLAS = pipeline.blas_thread_control()
+needs_openblas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread control found")
+
+
+def blas_threads() -> int:
+    return BLAS[2]()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS at two threads for the test, so one thread is told apart."""
+    _, set_threads, get_threads = BLAS
+    previous = get_threads()
+    set_threads(2)
+    yield
+    set_threads(previous)
+
+
+@needs_openblas
+class TestBlasThreadPolicy:
+    def test_one_thread_inside_then_restored(self, two_blas_threads):
+        with pipeline.one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_restored_when_the_body_raises(self, two_blas_threads):
+        with pytest.raises(SchemaError):
+            with pipeline.one_blas_thread():
+                raise SchemaError("boom")
+        assert blas_threads() == 2
+
+    def test_does_nothing_without_a_known_library(self, two_blas_threads, monkeypatch):
+        monkeypatch.setattr(pipeline, "blas_thread_control", lambda: None)
+        with pipeline.one_blas_thread():
+            assert blas_threads() == 2
+        assert blas_threads() == 2
+
+    def test_score_at_one_thread_and_train_at_the_library_count(
+        self, small_benchmark, tmp_path, monkeypatch, two_blas_threads
+    ):
+        seen = []
+
+        def recorded(name, fn):
+            def wrapped(*args, **kwargs):
+                seen.append((name, blas_threads()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "score_scenes", recorded("score", pipeline.score_scenes))
+        monkeypatch.setattr(cli, "train_flow", recorded("train", cli.train_flow))
+        root = small_benchmark
+        cfg = ["--config", root / "run.cfg"]
+        assert run_cli(
+            "featurize", "--tracks", root / "corpus_tracks.tsv", "--out", tmp_path / "c.skem",
+            "--classes", root / "corpus_classes.tsv", "--text-out", tmp_path / "t.skem", *cfg,
+        ) == 0
+        assert run_cli(
+            "select", "--features", tmp_path / "c.skem", "--texts", tmp_path / "t.skem",
+            "--classes", root / "corpus_classes.tsv", "--spec", root / "typicality.spec",
+            "--out", tmp_path / "sel", *cfg,
+        ) == 0
+
+        def train(out):
+            assert run_cli(
+                "train", "--features", tmp_path / "c.skem", "--selection", tmp_path / "sel",
+                "--out", out, *cfg,
+            ) == 0
+
+        def score(out):
+            assert run_cli(
+                "score", "--tracks", root / "test_tracks.tsv",
+                "--model", tmp_path / "model" / "model.skfl", "--out", out, *cfg,
+            ) == 0
+            return (out / "scores.tsv").read_bytes()
+
+        # score, train, score in one process: switching the count back and
+        # forth changes no byte
+        train(tmp_path / "model")
+        first = score(tmp_path / "s1")
+        train(tmp_path / "model2")
+        assert score(tmp_path / "s2") == first
+        model = (tmp_path / "model" / "model.skfl").read_bytes()
+        assert (tmp_path / "model2" / "model.skfl").read_bytes() == model
+        assert seen == [("train", 2), ("score", 1), ("train", 2), ("score", 1)]
+        assert blas_threads() == 2

@@ -334,12 +334,34 @@ class TestCheckpoint:
     )
     def test_non_finite_parameter_names_path_and_parameter(self, tmp_path, name, index, value):
         model = make_perturbed_flow(4, 2, 3, seed=44, scale=0.1)
+        path = tmp_path / "model.skfl"
+        save_flow(model, path)
+        # save_flow refuses the bad value, so it is written into the payload
+        target = model.mu_abnormal if name == "mu_abnormal" else dict(model.parameters())[name]
+        target[index] = value
+        header = path.read_bytes()[: -4 * model.flat.size]
+        path.write_bytes(header + model.flat.astype("<f4").tobytes())
+        with pytest.raises(NonFiniteError, match=f"model.skfl: non-finite values in {name}"):
+            load_flow(path)
+
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [
+            ("mu_abnormal", 1, np.nan),
+            ("layer0.norm_log_scale", 0, np.inf),
+            # finite as float64, inf as float32
+            ("layer0.norm_log_scale", 3, 1e39),
+            ("layer1.t_b2", 0, -1e39),
+        ],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, name, index, value):
+        model = make_perturbed_flow(4, 2, 3, seed=44, scale=0.1)
         target = model.mu_abnormal if name == "mu_abnormal" else dict(model.parameters())[name]
         target[index] = value
         path = tmp_path / "model.skfl"
-        save_flow(model, path)
         with pytest.raises(NonFiniteError, match=f"model.skfl: non-finite values in {name}"):
-            load_flow(path)
+            save_flow(model, path)
+        assert not path.exists()
 
 
 def small_blob() -> bytes:

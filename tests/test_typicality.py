@@ -45,7 +45,7 @@ class TestSpecFile:
     def test_empty_list_is_schema_error(self, tmp_path):
         path = tmp_path / "t.spec"
         path.write_text("[normal]\nwalking\n[abnormal]\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="t.spec: no abnormal label$"):
             load_typicality_spec(path)
 
     def test_round_trip_preserves_order(self, tmp_path):
