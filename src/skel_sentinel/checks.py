@@ -42,15 +42,16 @@ def roundtrip_error_z(model: FlowModel, n_vectors: int, seed: int, spread: float
 
 
 def numeric_logdet(model: FlowModel, x: np.ndarray, step: float = 1e-5) -> float:
-    """ln|det J| from a central-difference Jacobian of the forward map."""
+    """ln|det J| at the vector x from a central-difference Jacobian of the
+    forward map, one perturbed one-row batch per side and column."""
     d = model.dimension
     jac = np.empty((d, d))
     for j in range(d):
         delta = np.zeros(d)
         delta[j] = step
-        z_plus, _ = flow_forward(model, x + delta)
-        z_minus, _ = flow_forward(model, x - delta)
-        jac[:, j] = (z_plus - z_minus) / (2.0 * step)
+        z_plus, _ = flow_forward(model, (x + delta)[None])
+        z_minus, _ = flow_forward(model, (x - delta)[None])
+        jac[:, j] = (z_plus[0] - z_minus[0]) / (2.0 * step)
     sign, logabsdet = np.linalg.slogdet(jac)
     if sign == 0:
         raise ArithmeticError("numeric Jacobian is singular")
@@ -62,8 +63,8 @@ def logdet_max_error(model: FlowModel, n_inputs: int, seed: int, spread: float =
     worst = 0.0
     for _ in range(n_inputs):
         x = rng.standard_normal(model.dimension) * spread
-        _, analytic = flow_forward(model, x)
-        worst = max(worst, abs(analytic - numeric_logdet(model, x)))
+        _, analytic = flow_forward(model, x[None])
+        worst = max(worst, abs(analytic[0] - numeric_logdet(model, x)))
     return worst
 
 
@@ -93,7 +94,7 @@ def gradient_max_rel_error(
 
 
 def density_integral(model: FlowModel, half_width: float = 8.0, points: int = 481) -> float:
-    """Trapezoid integration of exp(log_prob(x, normal)) on a square grid
+    """Trapezoid integration of exp(log_prob(x)) on a square grid
     centered at the normal base center; requires dimension 2."""
     if model.dimension != 2:
         raise ValueError("density grid check is defined for dimension 2")
@@ -101,7 +102,7 @@ def density_integral(model: FlowModel, half_width: float = 8.0, points: int = 48
     axis = np.linspace(-half_width, half_width, points)
     xs, ys = np.meshgrid(axis + center[0], axis + center[1])
     grid = np.column_stack([xs.ravel(), ys.ravel()])
-    density = np.exp(log_prob(model, grid, "normal")).reshape(points, points)
+    density = np.exp(log_prob(model, grid)).reshape(points, points)
     return float(_trapezoid(_trapezoid(density, axis, axis=1), axis))
 
 

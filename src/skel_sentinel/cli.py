@@ -136,11 +136,27 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _class_labels(refs: list[str], class_map: dict[str, str]) -> dict[str, str]:
-    """snippet_ref -> class of its video, for the videos the class map names."""
+def _ref_video(ref: str, where: str) -> str:
+    """The video id of a snippet ref written exactly as `video:person:start`;
+    any other ref is a SchemaError naming `where`."""
+    try:
+        video_id, person, start = parse_snippet_ref(ref)
+        if make_snippet_ref(video_id, person, start) == ref:
+            return video_id
+    except ValueError:
+        pass
+    raise SchemaError(f"{where}: bad snippet ref {ref!r}")
+
+
+def _class_labels(refs: list[str], class_map: dict[str, str], features: Path) -> dict[str, str]:
+    """snippet_ref -> class of its video, for the videos the class map names.
+
+    `refs` are the rows of the `.skem` file `features`; a row's ref that is not
+    a snippet ref is a SchemaError naming its sidecar line.
+    """
     labels = {}
-    for ref in refs:
-        video_id = parse_snippet_ref(ref)[0]
+    for lineno, ref in enumerate(refs, start=1):
+        video_id = _ref_video(ref, f"{features}.idx, line {lineno}")
         if video_id in class_map:
             labels[ref] = class_map[video_id]
     return labels
@@ -155,7 +171,7 @@ def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     class_map = read_class_map(args.classes) if args.classes else None
     refs, matrix, _ = snippet_features(cfg, args.tracks)
     if class_map is not None:
-        labels = _class_labels(refs, class_map)
+        labels = _class_labels(refs, class_map, out)
         if not labels:
             raise SchemaError(f"{args.classes}: no video of the class map has a snippet")
         prototypes = class_prototypes(FeatureStore(refs, matrix), labels)
@@ -174,7 +190,7 @@ def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 def cmd_select(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     store = load_embeddings(args.features)
     texts = load_text_embeddings(args.texts)
-    labels = _class_labels(store.refs, read_class_map(args.classes))
+    labels = _class_labels(store.refs, read_class_map(args.classes), args.features)
     spec = load_typicality_spec(args.spec)
     result = select_typical(store, texts, labels, spec, cfg.beta_normal, cfg.beta_abnormal)
     _write_resolved(cfg, out, "select")
@@ -200,12 +216,7 @@ def _read_selection(path: Path) -> list[str]:
         if not line:
             continue
         ref = line.split("\t")[0]
-        try:
-            canonical = make_snippet_ref(*parse_snippet_ref(ref))
-        except ValueError:
-            canonical = None
-        if canonical != ref:
-            raise SchemaError(f"{path}, line {lineno}: bad snippet ref {ref!r}")
+        _ref_video(ref, f"{path}, line {lineno}")
         if ref in refs:
             raise DuplicateRecordError(f"{path}, line {lineno}: repeated ref {ref!r}")
         refs[ref] = None

@@ -4,13 +4,14 @@ Label files are UTF-8 lines `video_id<TAB>frame_index<TAB>label`; reports are
 key-value lines. The micro-average concatenates every labeled frame across
 videos before ranking, with tied scores credited 0.5 per positive-negative
 pair (Mann-Whitney convention). `evaluate` is the one place that aligns frame
-scores with labels; the `eval` subcommand and `run_benchmark` both use it.
+scores with labels; the `eval` subcommand and `run_benchmark` both use it,
+and `run_benchmark` takes the CLI's options: a RunConfig and `score --features`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -157,38 +158,38 @@ class BenchmarkReport:
 
 def run_benchmark(
     tracks_path: str | Path,
-    features_source: str,
     model_path: str | Path,
     labels_path: str | Path,
     out_dir: str | Path,
     cfg: RunConfig,
+    features_path: str | Path | None = None,
 ) -> BenchmarkReport:
     """`score` then `eval` in one call, plus single-family ablations.
 
-    `features_source` is either "kinematic" or the path of an embedding file
-    covering every snippet in the tracks. Scoring is `pipeline.score_tracks`
-    and evaluation is `evaluate`, as in the CLI: score series end at
-    max(start) + T, evaluation pads an uncovered tail with the video's
-    minimum, and a labeled video without scores is a SchemaError. The
-    typicality-only and uniqueness-only ablations fuse one family with zeros
-    and go through the same two functions. Writes the CLI's scores.tsv and
-    details.tsv plus report.txt into out_dir and returns the in-memory report,
-    whose frame scores are the series as written, not padded to the labels.
+    `features_path` is passed to `pipeline.score_tracks` as `score --features`
+    passes it: None computes kinematic features from the tracks, and a `.skem`
+    path supplies a stored feature for every snippet. Evaluation is
+    `evaluate`, as in the CLI: score series end at max(start) + T, evaluation
+    pads an uncovered tail with the video's minimum, and a labeled video
+    without scores is a SchemaError. The typicality-only and uniqueness-only
+    ablations fuse one family with the other set to zeros and go through the
+    same two functions. Writes the CLI's scores.tsv and details.tsv plus
+    report.txt into out_dir and returns the in-memory report, whose frame
+    scores are the series as written, not padded to the labels.
     """
     started = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     labels = stage("load-labels", read_labels, labels_path)
-    features_path = None if features_source == "kinematic" else features_source
     run = score_tracks(cfg, tracks_path, model_path, features_path)
 
     frames_typ = {
-        vid: fuse_video(vs, cfg, uniqueness=np.zeros_like(vs.uniqueness))[1]
+        vid: fuse_video(replace(vs, uniqueness=np.zeros_like(vs.uniqueness)), cfg)[1]
         for vid, vs in run.videos.items()
     }
     frames_unq = {
-        vid: fuse_video(vs, cfg, typicality=np.zeros_like(vs.typicality))[1]
+        vid: fuse_video(replace(vs, typicality=np.zeros_like(vs.typicality)), cfg)[1]
         for vid, vs in run.videos.items()
     }
     result = stage("evaluate", evaluate, labels, run.frame_scores)

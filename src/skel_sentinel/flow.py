@@ -8,6 +8,11 @@ log-determinant. The base density is a spherical unit Gaussian with two
 centers, one for typical-normal features and one far away for
 typical-abnormal features; training maximizes log-likelihood of both.
 
+Inference has one form: `flow_forward`, `flow_inverse`, `log_prob` and
+`typicality_score` take an (n, D) batch and return per-row results, and
+`log_prob` is the density under the normal center. The abnormal center
+enters only the training loss. One vector x is scored as the batch x[None].
+
 Every parameter lives in one float64 vector, `FlowModel.flat`: each
 layer's parameters in `_layout` order, then the two base centers. The layer
 fields and both centers are views of it, so initialization, checkpoints,
@@ -148,13 +153,6 @@ class FlowModel:
         """Log-normalization constant of the unit Gaussian base density."""
         return -0.5 * self.dimension * math.log(2.0 * math.pi)
 
-    def center(self, which: str) -> np.ndarray:
-        if which == "normal":
-            return self.mu_normal
-        if which == "abnormal":
-            return self.mu_abnormal
-        raise SchemaError(f"unknown center {which!r}")
-
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """(name, view) of every trained parameter, in `flat` order."""
         return list(self._named.items())
@@ -186,14 +184,12 @@ def init_flow(dimension: int, n_layers: int, hidden_width: int, seed: int) -> Fl
     return model
 
 
-def _as_batch(x: np.ndarray, dimension: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dimension: int) -> np.ndarray:
+    """x as a float64 (n, dimension) batch; any other shape is a DimensionError."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != dimension:
-        raise DimensionError(f"expected vectors of dimension {dimension}, got shape {x.shape}")
-    return x, single
+        raise DimensionError(f"expected (n, {dimension}) batches, got shape {x.shape}")
+    return x
 
 
 def _split(a: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,21 +303,20 @@ def _forward(model: FlowModel, x: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
     return current, logdet
 
 
-def flow_forward(model: FlowModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-    """Map features to base space; returns (z, accumulated log-determinant)."""
-    batch, single = _as_batch(x, model.dimension)
+def flow_forward(model: FlowModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map an (n, D) batch to base space; returns (z, per-row log-determinant)."""
+    batch = _as_batch(x, model.dimension)
     if not np.isfinite(batch).all():
         raise NonFiniteError("flow input contains non-finite values")
     z, logdet = _forward(model, batch, _Workspace(model, batch.shape[0], training=False))
     if not (np.isfinite(z).all() and np.isfinite(logdet).all()):
         raise NonFiniteError("flow produced non-finite values")
-    if single:
-        return z[0], float(logdet[0])
     return z, logdet
 
 
 def flow_inverse(model: FlowModel, z: np.ndarray) -> np.ndarray:
-    batch, single = _as_batch(z, model.dimension)
+    """Map an (n, D) batch of base-space points back to feature space."""
+    batch = _as_batch(z, model.dimension)
     if not np.isfinite(batch).all():
         raise NonFiniteError("flow inverse input contains non-finite values")
     current = batch
@@ -338,26 +333,25 @@ def flow_inverse(model: FlowModel, z: np.ndarray) -> np.ndarray:
         current = (a - layer.norm_bias) * np.exp(-layer.norm_log_scale)
     if not np.isfinite(current).all():
         raise NonFiniteError("flow inverse produced non-finite values")
-    return current[0] if single else current
+    return current
 
 
-def log_prob(model: FlowModel, x: np.ndarray, center: str) -> np.ndarray | float:
-    """Log-density of x under the flow with the requested base center."""
-    mu = model.center(center)
-    batch, single = _as_batch(x, model.dimension)
+def log_prob(model: FlowModel, x: np.ndarray) -> np.ndarray:
+    """Log-density of each row of an (n, D) batch under the normal center."""
+    batch = _as_batch(x, model.dimension)
     z, logdet = _forward(model, batch, _Workspace(model, batch.shape[0], training=False))
-    diff = np.subtract(z, mu, out=z)
+    diff = np.subtract(z, model.mu_normal, out=z)
     sq = np.multiply(diff, diff, out=diff)
     values = model.base_log_norm - 0.5 * sq.sum(axis=1) + logdet
     if not np.isfinite(values).all():
         raise NonFiniteError("log_prob produced non-finite values")
-    return float(values[0]) if single else values
+    return values
 
 
-def typicality_score(model: FlowModel, features: np.ndarray) -> np.ndarray | float:
-    """Negative log-likelihood under the normal center; higher = more anomalous."""
-    result = log_prob(model, features, "normal")
-    return -result if isinstance(result, float) else -np.asarray(result)
+def typicality_score(model: FlowModel, features: np.ndarray) -> np.ndarray:
+    """Negative log-likelihood of each row under the normal center; higher =
+    more anomalous."""
+    return -log_prob(model, features)
 
 
 def _backward(model: FlowModel, ws: _Workspace, x: np.ndarray, g_logdet: np.ndarray) -> None:
@@ -432,11 +426,11 @@ def nll_loss_and_grad(
     batch_normal = np.asarray(batch_normal, dtype=np.float64)
     if batch_normal.size == 0:
         raise EmptyBatchError("normal batch must be non-empty")
-    batches = [(_as_batch(batch_normal, model.dimension)[0], model.mu_normal)]
+    batches = [(_as_batch(batch_normal, model.dimension), model.mu_normal)]
     if batch_abnormal is not None:
         batch_abnormal = np.asarray(batch_abnormal, dtype=np.float64)
         if batch_abnormal.size > 0:
-            batches.append((_as_batch(batch_abnormal, model.dimension)[0], model.mu_abnormal))
+            batches.append((_as_batch(batch_abnormal, model.dimension), model.mu_abnormal))
     rows = max(batch.shape[0] for batch, _ in batches)
     ws = _Workspace(model, rows) if workspace is None else workspace
     if not ws.training or ws.rows < rows:
@@ -487,12 +481,12 @@ def train_flow(
     data_normal = np.asarray(data_normal, dtype=np.float64)
     if data_normal.size == 0:
         raise EmptyBatchError("training requires a non-empty normal set")
-    data_normal, _ = _as_batch(data_normal, model.dimension)
+    data_normal = _as_batch(data_normal, model.dimension)
     n_abnormal = 0
     if data_abnormal is not None:
         data_abnormal = np.asarray(data_abnormal, dtype=np.float64)
         if data_abnormal.size > 0:
-            data_abnormal, _ = _as_batch(data_abnormal, model.dimension)
+            data_abnormal = _as_batch(data_abnormal, model.dimension)
             n_abnormal = data_abnormal.shape[0]
 
     rng = np.random.default_rng(cfg.seed)

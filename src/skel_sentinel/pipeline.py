@@ -183,7 +183,7 @@ def score_scene(
         refs=index.refs,
         person_ids=index.person_ids,
         start_times=index.times,
-        typicality=np.asarray(st, dtype=np.float64),
+        typicality=st,
         uniqueness=su,
         isolated=isolated,
     )
@@ -264,22 +264,14 @@ def one_blas_thread() -> Iterator[None]:
         set_threads(previous)
 
 
-def fuse_video(
-    vs: VideoScores,
-    cfg: RunConfig,
-    typicality: np.ndarray | None = None,
-    uniqueness: np.ndarray | None = None,
-) -> tuple[ScoreSeries, np.ndarray]:
+def fuse_video(vs: VideoScores, cfg: RunConfig) -> tuple[ScoreSeries, np.ndarray]:
     """Fused series and smoothed frame scores of one video.
 
     The series ends at max(start) + T; a tail no window covers is left to
-    `evaluation.evaluate` to pad. Either score family can be replaced, for
-    the single-family ablations.
+    `evaluation.evaluate` to pad.
     """
     series = build_score_series(
-        vs.video_id, vs.refs, vs.person_ids, vs.start_times,
-        vs.typicality if typicality is None else typicality,
-        vs.uniqueness if uniqueness is None else uniqueness,
+        vs.video_id, vs.refs, vs.person_ids, vs.start_times, vs.typicality, vs.uniqueness,
         int(vs.start_times.max()) + cfg.window_length, cfg.window_length, cfg.epsilon,
     )
     return series, smooth_scores(series.frame_scores, cfg.smoothing_window)

@@ -129,11 +129,10 @@ def parse_snippet_ref(ref: str) -> tuple[str, int, int]:
     return video_id, int(person), int(start)
 
 
-def load_tracks(path: str | Path, joints: int | None = None) -> dict[str, list[Track]]:
+def load_tracks(path: str | Path, joints: int) -> dict[str, list[Track]]:
     """Read a track file into Tracks grouped by video_id.
 
-    `joints` pins the expected joint count; None infers it from the first
-    record and then enforces it. Tracks come back sorted by
+    Every record must hold `joints` x,y,c triples. Tracks come back sorted by
     (video_id, person_id) with frames sorted by frame_index. A track whose
     span would exceed MAX_TRACK_SPAN frames is a TrackParseError naming the
     line that stretches it, before anything is allocated for the span.
@@ -156,8 +155,6 @@ def load_tracks(path: str | Path, joints: int | None = None) -> dict[str, list[T
             raise TrackParseError(lineno, "person_id and frame_index must be >= 0")
 
         triples = pose_text.split(";")
-        if joints is None:
-            joints = len(triples)
         if len(triples) != joints:
             raise SchemaError(f"line {lineno}: expected {joints} joints, got {len(triples)}")
         xy = np.empty((joints, 2), dtype=np.float64)

@@ -2,6 +2,8 @@
 
 Typicality and uniqueness are standardized per video (their raw scales are
 not comparable across scenes) and summed into the holistic snippet score.
+A family whose standard deviation is below `epsilon` contributes zero; every
+caller passes `RunConfig.epsilon`, the one place its default lives.
 Snippet scores spread over the frames their window covers; frames see the
 maximum over persons, and frames nobody covers fall back to the video's
 minimum snippet score.
@@ -37,8 +39,6 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-STD_EPSILON = 1e-8
-
 
 @dataclass(frozen=True)
 class ScoreSeries:
@@ -54,7 +54,7 @@ class ScoreSeries:
     frame_scores: np.ndarray
 
 
-def standardize(values: np.ndarray, epsilon: float = STD_EPSILON) -> np.ndarray:
+def standardize(values: np.ndarray, epsilon: float) -> np.ndarray:
     """Z-score against the array's own mean/std; a family whose spread is
     below epsilon carries no signal and contributes zero instead."""
     values = np.asarray(values, dtype=np.float64)
@@ -65,7 +65,7 @@ def standardize(values: np.ndarray, epsilon: float = STD_EPSILON) -> np.ndarray:
 
 
 def holistic_scores(
-    typicality: np.ndarray, uniqueness: np.ndarray, epsilon: float = STD_EPSILON
+    typicality: np.ndarray, uniqueness: np.ndarray, epsilon: float
 ) -> np.ndarray:
     typicality = np.asarray(typicality, dtype=np.float64)
     uniqueness = np.asarray(uniqueness, dtype=np.float64)
@@ -110,7 +110,7 @@ def build_score_series(
     uniqueness: np.ndarray,
     video_length: int,
     window_length: int,
-    epsilon: float = STD_EPSILON,
+    epsilon: float,
 ) -> ScoreSeries:
     series = ScoreSeries(
         video_id=video_id,

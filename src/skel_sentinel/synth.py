@@ -44,7 +44,9 @@ class MotionPattern:
     speed: float  # pixels per frame along the heading
     jitter: float  # per-joint per-frame noise, pixels
     sway: float = 0.0  # lateral sinusoid amplitude, pixels
-    sway_period: float = 32.0  # frames per sway cycle
+
+
+SWAY_PERIOD = 32.0  # frames per sway cycle
 
 
 # per-joint noise mimics pose-detector error
@@ -55,7 +57,7 @@ PATTERNS: dict[str, MotionPattern] = {
         MotionPattern("linear-walk", speed=1.3, jitter=0.3),
         MotionPattern("fast-run", speed=4.8, jitter=0.6),
         MotionPattern("erratic-jitter", speed=0.7, jitter=3.5),
-        MotionPattern("weave-walk", speed=1.3, jitter=0.3, sway=12.0, sway_period=32.0),
+        MotionPattern("weave-walk", speed=1.3, jitter=0.3, sway=12.0),
     )
 }
 
@@ -94,7 +96,6 @@ class SceneConfig:
     video_length: int
     agents: list[AgentSpec]
     seed: int
-    noise_scale: float = 1.0
     canvas: tuple[float, float] = CANVAS
 
     def __post_init__(self):
@@ -169,13 +170,9 @@ def generate_scene(cfg: SceneConfig) -> tuple[list[Track], np.ndarray]:
                 pattern_t0 = t
             perp = np.array([-heading[1], heading[0]])
             # sway phase restarts with the pattern so switches stay continuous
-            sway = pattern.sway * np.sin(
-                2.0 * np.pi * (t - pattern_t0) / pattern.sway_period
-            )
+            sway = pattern.sway * np.sin(2.0 * np.pi * (t - pattern_t0) / SWAY_PERIOD)
             center = pos + sway * perp
-            noise = rng.standard_normal((N_JOINTS, 2)) * (
-                pattern.jitter * cfg.noise_scale
-            )
+            noise = rng.standard_normal((N_JOINTS, 2)) * pattern.jitter
             xy = center + JOINT_TEMPLATE + noise
             frames.append(
                 PoseFrame(

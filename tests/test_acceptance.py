@@ -101,9 +101,7 @@ def run_full_pipeline(out_dir, seed=0):
     write_tracks(data.test_videos, tracks_path)
     write_labels(data.test_labels, labels_path)
     save_flow(model, model_path)
-    bench = run_benchmark(
-        tracks_path, "kinematic", model_path, labels_path, out_dir, cfg
-    )
+    bench = run_benchmark(tracks_path, model_path, labels_path, out_dir, cfg)
     return bench, data.manifest
 
 

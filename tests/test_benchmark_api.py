@@ -47,7 +47,7 @@ class TestRunBenchmark:
     def test_writes_report_and_scores(self, small_run, tmp_path):
         root, cfg = small_run
         report = run_benchmark(
-            root / "tracks.tsv", "kinematic", root / "model.skfl",
+            root / "tracks.tsv", root / "model.skfl",
             root / "labels.tsv", tmp_path, cfg,
         )
         assert (tmp_path / "scores.tsv").exists()
@@ -62,11 +62,11 @@ class TestRunBenchmark:
     def test_deterministic_scores(self, small_run, tmp_path):
         root, cfg = small_run
         a = run_benchmark(
-            root / "tracks.tsv", "kinematic", root / "model.skfl",
+            root / "tracks.tsv", root / "model.skfl",
             root / "labels.tsv", tmp_path / "a", cfg,
         )
         b = run_benchmark(
-            root / "tracks.tsv", "kinematic", root / "model.skfl",
+            root / "tracks.tsv", root / "model.skfl",
             root / "labels.tsv", tmp_path / "b", cfg,
         )
         assert a.micro == b.micro
@@ -78,7 +78,7 @@ class TestRunBenchmark:
         root, cfg = small_run
         with pytest.raises(StageError, match="load-model") as exc:
             run_benchmark(
-                root / "tracks.tsv", "kinematic", root / "nope.skfl",
+                root / "tracks.tsv", root / "nope.skfl",
                 root / "labels.tsv", tmp_path, cfg,
             )
         assert "nope.skfl" in str(exc.value)
@@ -86,11 +86,11 @@ class TestRunBenchmark:
     def test_threaded_scoring_matches_serial(self, small_run, tmp_path):
         root, cfg = small_run
         serial = run_benchmark(
-            root / "tracks.tsv", "kinematic", root / "model.skfl",
+            root / "tracks.tsv", root / "model.skfl",
             root / "labels.tsv", tmp_path / "s", cfg,
         )
         threaded = run_benchmark(
-            root / "tracks.tsv", "kinematic", root / "model.skfl",
+            root / "tracks.tsv", root / "model.skfl",
             root / "labels.tsv", tmp_path / "t", cfg.replace(threads=4),
         )
         assert (tmp_path / "s" / "scores.tsv").read_bytes() == (
@@ -112,7 +112,7 @@ class TestRunBenchmark:
         cfg = cfg.replace(smoothing_window=window, stride=stride)
         cfg.to_file(tmp_path / "run.cfg")
         report = run_benchmark(
-            root / "tracks.tsv", "kinematic", root / "model.skfl",
+            root / "tracks.tsv", root / "model.skfl",
             root / "labels.tsv", tmp_path / "bench", cfg,
         )
         assert command_dispatch([
@@ -129,6 +129,33 @@ class TestRunBenchmark:
             ).read_bytes()
         lines = (tmp_path / "report" / "report.txt").read_text().splitlines()
         # report.txt carries 6 decimals
+        assert "micro_auc = " + f"{report.micro:.6f}" in lines
+
+
+    def test_features_path_matches_score_features(self, small_run, tmp_path):
+        root, cfg = small_run
+        cfg.to_file(tmp_path / "run.cfg")
+        config = ["--config", str(tmp_path / "run.cfg")]
+        features = tmp_path / "f.skem"
+        assert command_dispatch([
+            "featurize", "--tracks", str(root / "tracks.tsv"), "--out", str(features), *config,
+        ]) == 0
+        report = run_benchmark(
+            root / "tracks.tsv", root / "model.skfl", root / "labels.tsv", tmp_path / "bench",
+            cfg, features_path=features,
+        )
+        assert command_dispatch([
+            "score", "--tracks", str(root / "tracks.tsv"), "--model", str(root / "model.skfl"),
+            "--features", str(features), "--out", str(tmp_path / "scores"), *config,
+        ]) == 0
+        assert command_dispatch([
+            "eval", "--scores", str(tmp_path / "scores" / "scores.tsv"),
+            "--labels", str(root / "labels.tsv"), "--out", str(tmp_path / "report"),
+        ]) == 0
+        for name in ("scores.tsv", "details.tsv"):
+            written = (tmp_path / "bench" / name).read_bytes()
+            assert written and written == (tmp_path / "scores" / name).read_bytes()
+        lines = (tmp_path / "report" / "report.txt").read_text().splitlines()
         assert "micro_auc = " + f"{report.micro:.6f}" in lines
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -237,6 +242,14 @@ class TestHelpAndUsage:
         assert err[0].endswith(f"{path}, line 2: {message}")
         if name == "tracks.tsv":
             assert f"\tload-tracks: {path}, line 2: " in err[0]
+
+    def test_select_on_class_embeddings_is_typed_error(self, tmp_path, capsys):
+        # t.skem holds class labels, not snippet refs, in its sidecar
+        assert run_cli(*malformed_input_argv(tmp_path, "label-ref-sidecar")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error\tselect\tSchemaError\t{tmp_path / 't.skem'}.idx, line 1: bad snippet ref 'run'"
+        ]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "flag, error, stage",
@@ -665,6 +678,68 @@ class TestFullScalePipeline:
             next(l for l in report.splitlines() if l.startswith("micro_auc")).split("=")[1]
         )
         assert micro >= 0.90
+
+
+def malformed_input_argv(root, kind):
+    """argv of one CLI run that reads one malformed input of `kind`, written
+    under `root` beside valid versions of the other inputs."""
+    runs = write_text_inputs(root)
+    select, train = runs["f.skem.idx"], runs["sel/selected_normal.tsv"]
+    pose = ";".join(["1.0,2.0,1.0"] * 17)
+    if kind == "track-line":
+        bad = pose.replace("1.0,2.0,1.0", "1.0,2.0", 1)  # joint 0 lacks its confidence
+        (root / "tracks.tsv").write_text(f"v\t0\t0\t{pose}\nv\t0\t1\t{bad}\n")
+        return runs["tracks.tsv"]
+    if kind == "truncated-skem":
+        blob = (root / "f.skem").read_bytes()
+        (root / "f.skem").write_bytes(blob[:-3])
+        return train
+    if kind == "skfl-magic":
+        save_flow(init_flow(16, 1, 4, seed=0), root / "model.skfl")
+        blob = (root / "model.skfl").read_bytes()
+        (root / "model.skfl").write_bytes(b"SKFX" + blob[4:])
+        return ["score", "--tracks", root / "tracks.tsv", "--model", root / "model.skfl",
+                "--out", root / "out"]
+    if kind == "spec-empty-list":
+        (root / "spec.txt").write_text("prompt = p\n[normal]\nwalk\n[abnormal]\n")
+        return select
+    if kind == "config-range":
+        (root / "run.cfg").write_text("joints = 17\nk_neighbors = 0\n")
+        return runs["run.cfg"]
+    if kind == "label-gap":
+        (root / "labels.tsv").write_text("v\t0\t0\nv\t2\t1\n")
+        return runs["labels.tsv"]
+    assert kind == "label-ref-sidecar"  # select reads the class embeddings as --features
+    return [root / "t.skem" if arg == root / "f.skem" else arg for arg in select]
+
+
+@pytest.mark.parametrize(
+    "kind, error",
+    [
+        ("track-line", "TrackParseError"),
+        ("truncated-skem", "FileFormatError"),
+        ("skfl-magic", "FileFormatError"),
+        ("spec-empty-list", "SchemaError"),
+        ("config-range", "SchemaError"),
+        ("label-gap", "SchemaError"),
+        ("label-ref-sidecar", "SchemaError"),
+    ],
+)
+def test_cli_process_reports_malformed_input_in_one_line(tmp_path, kind, error):
+    """The CLI run as its own process: exit 1, one error line, no traceback."""
+    argv = [str(a) for a in malformed_input_argv(tmp_path, kind)]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "skel_sentinel.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith(f"error\t{argv[0]}\t{error}\t"), lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_subcommand_passes(capsys):

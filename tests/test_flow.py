@@ -83,17 +83,17 @@ class TestForwardInverse:
     def test_pure_scaling_logdet_closed_form(self):
         model = init_flow(2, 1, 4, seed=0)
         model.layers[0].norm_log_scale[:] = 1.0  # multiply both dims by e
-        z, logdet = flow_forward(model, np.array([0.5, -2.0]))
-        np.testing.assert_allclose(z, np.array([0.5, -2.0]) * math.e)
-        assert logdet == pytest.approx(2.0)
+        z, logdet = flow_forward(model, np.array([[0.5, -2.0]]))
+        np.testing.assert_allclose(z[0], np.array([0.5, -2.0]) * math.e)
+        assert logdet[0] == pytest.approx(2.0)
 
     def test_logdet_matches_numeric_jacobian_trained(self):
         model = make_perturbed_flow(4, 3, 8, seed=5, scale=0.2)
         rng = np.random.default_rng(6)
         for _ in range(10):
             x = rng.standard_normal(4) * 2
-            _, analytic = flow_forward(model, x)
-            assert abs(analytic - numeric_logdet(model, x)) <= 1e-4
+            _, analytic = flow_forward(model, x[None])
+            assert abs(analytic[0] - numeric_logdet(model, x)) <= 1e-4
 
     def test_roundtrip_x_to_z_to_x(self):
         model = make_perturbed_flow(16, 4, 32, seed=7, scale=0.1)
@@ -106,13 +106,13 @@ class TestForwardInverse:
     def test_identity_inverse(self):
         model = init_flow(6, 2, 8, seed=0)
         z = np.random.default_rng(2).standard_normal(6)
-        np.testing.assert_array_equal(flow_inverse(model, z), z)
+        np.testing.assert_array_equal(flow_inverse(model, z[None]), z[None])
 
 
 class TestLogProb:
     def test_closed_form_at_normal_center(self):
         model = init_flow(2, 2, 8, seed=0)
-        value = log_prob(model, model.mu_normal, "normal")
+        value = log_prob(model, model.mu_normal[None])[0]
         assert value == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
     def test_monotone_in_distance_for_identity_flow(self):
@@ -120,7 +120,7 @@ class TestLogProb:
         rng = np.random.default_rng(3)
         direction = rng.standard_normal(4)
         direction /= np.linalg.norm(direction)
-        values = [log_prob(model, model.mu_normal + r * direction, "normal") for r in (0, 1, 2, 5)]
+        values = log_prob(model, [model.mu_normal + r * direction for r in (0, 1, 2, 5)])
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_scaling_flow_change_of_variables(self):
@@ -130,7 +130,7 @@ class TestLogProb:
         x = np.array([0.3, -0.7])
         z = x * math.e
         base = -math.log(2 * math.pi) - 0.5 * float(((z - model.mu_normal) ** 2).sum())
-        assert log_prob(model, x, "normal") == pytest.approx(base + 2.0, abs=1e-12)
+        assert log_prob(model, x[None])[0] == pytest.approx(base + 2.0, abs=1e-12)
 
     def test_density_normalizes_identity(self):
         model = init_flow(2, 4, 8, seed=0)
@@ -143,14 +143,14 @@ class TestLogProb:
     def test_typicality_score_is_negative_log_prob(self):
         model = make_perturbed_flow(6, 2, 8, seed=11, scale=0.1)
         x = np.random.default_rng(12).standard_normal(6)
-        assert typicality_score(model, x) == -log_prob(model, x, "normal")
+        assert typicality_score(model, x[None])[0] == -log_prob(model, x[None])[0]
 
     def test_typicality_monotone_from_center(self):
         model = init_flow(4, 2, 8, seed=0)
         v = np.array([1.0, -2.0, 0.5, 3.0])
-        assert typicality_score(model, model.mu_normal) < typicality_score(
-            model, model.mu_normal + v
-        )
+        assert typicality_score(model, model.mu_normal[None])[0] < typicality_score(
+            model, (model.mu_normal + v)[None]
+        )[0]
 
     def test_shift_invariance_of_argmax(self):
         model = make_perturbed_flow(6, 2, 8, seed=13, scale=0.1)

@@ -61,7 +61,7 @@ class TestLoadTracks:
         path = tmp_path / "tracks.tsv"
         path.write_text("v0\t0\t0\n")
         with pytest.raises(TrackParseError, match="line 1"):
-            load_tracks(path)
+            load_tracks(path, joints=J)
 
     def test_duplicate_record(self, tmp_path):
         rng = np.random.default_rng(3)

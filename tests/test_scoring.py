@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skel_sentinel.config import RunConfig
 from skel_sentinel.errors import ContractError
 from skel_sentinel.scoring import (
     ScoreSeries,
@@ -18,6 +19,8 @@ from skel_sentinel.scoring import (
     write_frame_scores,
     write_snippet_details,
 )
+
+EPSILON = RunConfig().epsilon
 
 
 def series_from(scored, video="v0"):
@@ -39,13 +42,13 @@ class TestHolistic:
     def test_constant_uniqueness_contributes_nothing(self):
         st_scores = np.array([1.0, 3.0, 2.0, 8.0])
         su_scores = np.full(4, 5.5)
-        fused = holistic_scores(st_scores, su_scores)
-        np.testing.assert_allclose(fused, standardize(st_scores), atol=1e-12)
+        fused = holistic_scores(st_scores, su_scores, EPSILON)
+        np.testing.assert_allclose(fused, standardize(st_scores, EPSILON), atol=1e-12)
 
     def test_standardized_families_have_unit_moments(self):
         rng = np.random.default_rng(0)
         st_scores = rng.standard_normal(100) * 7 + 3
-        z = standardize(st_scores)
+        z = standardize(st_scores, EPSILON)
         assert abs(z.mean()) <= 1e-9
         assert abs(z.std() - 1.0) <= 1e-9
 
@@ -53,13 +56,13 @@ class TestHolistic:
         rng = np.random.default_rng(1)
         st_scores = rng.standard_normal(50)
         su_scores = rng.standard_normal(50)
-        base = holistic_scores(st_scores, su_scores)
-        moved = holistic_scores(3.7 * st_scores + 11.0, su_scores)
+        base = holistic_scores(st_scores, su_scores, EPSILON)
+        moved = holistic_scores(3.7 * st_scores + 11.0, su_scores, EPSILON)
         np.testing.assert_allclose(base, moved, atol=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            holistic_scores(np.zeros(3), np.zeros(4))
+            holistic_scores(np.zeros(3), np.zeros(4), EPSILON)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -71,8 +74,8 @@ class TestHolistic:
         rng = np.random.default_rng(seed)
         st_scores = rng.standard_normal(30)
         su_scores = rng.standard_normal(30)
-        s0 = holistic_scores(st_scores, su_scores)
-        s1 = holistic_scores(a * st_scores + b, su_scores)
+        s0 = holistic_scores(st_scores, su_scores, EPSILON)
+        s1 = holistic_scores(a * st_scores + b, su_scores, EPSILON)
         assert np.argmax(s0) == np.argmax(s1)
 
 
@@ -140,11 +143,11 @@ class TestSeriesAssembly:
         su_scores = np.array([0.5, 0.5, 4.0])
         series = build_score_series(
             "v0", ["v0:0:0", "v0:1:0", "v0:1:32"], [0, 1, 1], [0, 0, 32],
-            st_scores, su_scores, video_length=48, window_length=16,
+            st_scores, su_scores, video_length=48, window_length=16, epsilon=EPSILON,
         )
         assert len(series.frame_scores) == 48
         assert series.holistic[0] == pytest.approx(
-            standardize(st_scores)[0] + standardize(su_scores)[0]
+            standardize(st_scores, EPSILON)[0] + standardize(su_scores, EPSILON)[0]
         )
 
 
@@ -307,7 +310,8 @@ def test_columnar_series_matches_frozen_oracle(columns, tmp_path_factory):
     try:
         if persons:
             series = build_score_series(
-                "v", refs, persons, starts, np.array(typ), np.array(unq), video_length, window
+                "v", refs, persons, starts, np.array(typ), np.array(unq), video_length, window,
+                EPSILON,
             )
         else:
             empty = np.empty(0)
@@ -333,7 +337,7 @@ def test_details_of_several_videos_follow_video_order(tmp_path):
     videos = {
         vid: build_score_series(
             vid, [f"{vid}:{p}:0" for p in range(3)], [2, 0, 1], [0, 0, 0],
-            np.array([0.5, 1.0, -2.0]), np.array([3.0, 1.0, 1.0]), 20, 16,
+            np.array([0.5, 1.0, -2.0]), np.array([3.0, 1.0, 1.0]), 20, 16, EPSILON,
         )
         for vid in ("vb", "va")
     }
