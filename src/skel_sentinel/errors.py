@@ -10,11 +10,7 @@ class SentinelError(Exception):
 
 
 class TrackParseError(SentinelError):
-    """A track file line could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+    """A track file line could not be parsed (fields, joint count, span)."""
 
 
 class SchemaError(SentinelError):

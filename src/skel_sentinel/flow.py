@@ -449,34 +449,22 @@ def nll_loss_and_grad(
     return loss, ws.grads
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.0005
-    batch_size: int = 1024
-    epochs: int = 30
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise SchemaError("learning_rate must be >= 0")
-        if self.batch_size < 1:
-            raise SchemaError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise SchemaError("epochs must be >= 0")
+# perfbench/traced.py (line 326) still builds the training config by this
+# name, passing all four fields train_flow reads.
+TrainConfig = RunConfig
 
 
 def train_flow(
     model: FlowModel,
     data_normal: np.ndarray,
     data_abnormal: np.ndarray | None,
-    cfg: TrainConfig | RunConfig,
+    cfg: RunConfig,
 ) -> tuple[FlowModel, list[float]]:
     """Adam maximum-likelihood training; returns the model and per-epoch loss.
 
-    `cfg` is read for learning_rate, batch_size, epochs and seed, fields a
-    RunConfig has too. Shuffling is driven by cfg.seed, so identical inputs
-    give identical loss histories and parameters. The model is updated in
-    place.
+    Of `cfg` it reads learning_rate, batch_size, epochs and seed. Shuffling
+    is driven by cfg.seed, so identical inputs give identical loss histories
+    and parameters. The model is updated in place.
     """
     data_normal = np.asarray(data_normal, dtype=np.float64)
     if data_normal.size == 0:

@@ -133,62 +133,68 @@ def load_tracks(path: str | Path, joints: int) -> dict[str, list[Track]]:
     """Read a track file into Tracks grouped by video_id.
 
     Every record must hold `joints` x,y,c triples. Tracks come back sorted by
-    (video_id, person_id) with frames sorted by frame_index. A track whose
-    span would exceed MAX_TRACK_SPAN frames is a TrackParseError naming the
-    line that stretches it, before anything is allocated for the span.
+    (video_id, person_id) with frames sorted by frame_index. A malformed line
+    is a TrackParseError, and a repeated record a DuplicateRecordError, whose
+    message starts with `<path>, line N: `. A track whose span would exceed
+    MAX_TRACK_SPAN frames is a TrackParseError naming the line that stretches
+    it, before anything is allocated for the span.
     """
     records: dict[tuple[str, int], dict[int, PoseFrame]] = {}
     spans: dict[tuple[str, int], tuple[int, int]] = {}  # first and last frame index
+
+    def bad(message: str) -> TrackParseError:
+        return TrackParseError(f"{path}, line {lineno}: {message}")  # the line being read
+
     for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 4:
-            raise TrackParseError(lineno, f"expected 4 tab-separated fields, got {len(parts)}")
+            raise bad(f"expected 4 tab-separated fields, got {len(parts)}")
         video_id, person_text, frame_text, pose_text = parts
         try:
             person_id = int(person_text)
             frame_index = int(frame_text)
         except ValueError as exc:
-            raise TrackParseError(lineno, f"bad integer field: {exc}")
+            raise bad(f"bad integer field: {exc}")
         if person_id < 0 or frame_index < 0:
-            raise TrackParseError(lineno, "person_id and frame_index must be >= 0")
+            raise bad("person_id and frame_index must be >= 0")
 
         triples = pose_text.split(";")
         if len(triples) != joints:
-            raise SchemaError(f"line {lineno}: expected {joints} joints, got {len(triples)}")
+            raise bad(f"expected {joints} joints, got {len(triples)}")
         xy = np.empty((joints, 2), dtype=np.float64)
         conf = np.empty(joints, dtype=np.float64)
         for j, triple in enumerate(triples):
             fields = triple.split(",")
             if len(fields) != 3:
-                raise TrackParseError(lineno, f"joint {j}: expected x,y,c")
+                raise bad(f"joint {j}: expected x,y,c")
             try:
                 xy[j, 0] = float(fields[0])
                 xy[j, 1] = float(fields[1])
                 conf[j] = float(fields[2])
             except ValueError as exc:
-                raise TrackParseError(lineno, f"joint {j}: {exc}")
+                raise bad(f"joint {j}: {exc}")
 
         key = (video_id, person_id)
         frames = records.setdefault(key, {})
         if frame_index in frames:
             raise DuplicateRecordError(
-                f"line {lineno}: duplicate record for ({video_id}, {person_id}, {frame_index})"
+                f"{path}, line {lineno}: "
+                f"duplicate record for ({video_id}, {person_id}, {frame_index})"
             )
         first, last = spans.get(key, (frame_index, frame_index))
         first, last = min(first, frame_index), max(last, frame_index)
         if last - first + 1 > MAX_TRACK_SPAN:
-            raise TrackParseError(
-                lineno,
+            raise bad(
                 f"track ({video_id}, {person_id}) would span {last - first + 1} frames, "
-                f"more than {MAX_TRACK_SPAN}",
+                f"more than {MAX_TRACK_SPAN}"
             )
         spans[key] = first, last
         try:
             frames[frame_index] = PoseFrame(frame_index, person_id, xy, conf)
         except SchemaError as exc:
-            raise TrackParseError(lineno, str(exc))
+            raise bad(str(exc))
 
     videos: dict[str, list[Track]] = {}
     for (video_id, person_id) in sorted(records):

@@ -28,7 +28,7 @@ from skel_sentinel.context import (
 )
 from skel_sentinel.evaluation import LabeledVideo, micro_auc, run_benchmark, write_labels
 from skel_sentinel.featurize import FeatureStore, TextEmbedding, class_prototypes
-from skel_sentinel.flow import TrainConfig, init_flow, save_flow, train_flow, typicality_score
+from skel_sentinel.flow import init_flow, save_flow, train_flow, typicality_score
 from skel_sentinel.pipeline import extract_snippets, featurize_snippets
 from skel_sentinel.pose_io import write_tracks
 from skel_sentinel.synth import make_benchmark, make_outlier_scene
@@ -59,7 +59,7 @@ def cluster_flow():
     model = init_flow(dim, 4, 128, seed=7)
     started = time.perf_counter()
     model, history = train_flow(
-        model, train_n, train_a, TrainConfig(epochs=50, seed=7)
+        model, train_n, train_a, RunConfig(epochs=50, seed=7)
     )
     seconds = time.perf_counter() - started
 
@@ -86,13 +86,7 @@ def run_full_pipeline(out_dir, seed=0):
     data_n = np.vstack([store.lookup(r) for r in selection.normal_refs]).astype(np.float64)
     data_a = np.vstack([store.lookup(r) for r in selection.abnormal_refs]).astype(np.float64)
     model = init_flow(cfg.feature_dim, cfg.flow_layers, cfg.hidden_width, cfg.seed)
-    model, _ = train_flow(
-        model, data_n, data_a,
-        TrainConfig(
-            learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-            epochs=cfg.epochs, seed=cfg.seed,
-        ),
-    )
+    model, _ = train_flow(model, data_n, data_a, cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     tracks_path = out_dir / "test_tracks.tsv"

@@ -12,7 +12,7 @@ from skel_sentinel.config import RunConfig, read_lines
 from skel_sentinel.errors import SchemaError, StageError
 from skel_sentinel.evaluation import run_benchmark, write_labels
 from skel_sentinel.featurize import FeatureStore, class_prototypes
-from skel_sentinel.flow import TrainConfig, init_flow, save_flow, train_flow
+from skel_sentinel.flow import init_flow, save_flow, train_flow
 from skel_sentinel.pipeline import extract_snippets, featurize_snippets
 from skel_sentinel.pose_io import write_tracks
 from skel_sentinel.synth import make_benchmark
@@ -35,7 +35,7 @@ def small_run(tmp_path_factory):
     data_n = np.vstack([store.lookup(r) for r in sel.normal_refs]).astype(np.float64)
     data_a = np.vstack([store.lookup(r) for r in sel.abnormal_refs]).astype(np.float64)
     model = init_flow(cfg.feature_dim, cfg.flow_layers, cfg.hidden_width, cfg.seed)
-    train_flow(model, data_n, data_a, TrainConfig(batch_size=256, epochs=4, seed=0))
+    train_flow(model, data_n, data_a, RunConfig(batch_size=256, epochs=4, seed=0))
 
     write_tracks(data.test_videos, root / "tracks.tsv")
     write_labels(data.test_labels, root / "labels.tsv")

@@ -149,14 +149,15 @@ class TestHelpAndUsage:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(
-            "error\tscore\tTrackParseError\tload-tracks: line 3: expected 4 tab-separated"
+            f"error\tscore\tTrackParseError\tload-tracks: {tmp_path / 'tracks.tsv'}, line 3: "
+            "expected 4 tab-separated"
         )
 
     @pytest.mark.parametrize(
         "mutation, message",
         [
-            ("separator", "TrackParseError\tload-tracks: line 1: expected 4 tab-separated"),
-            ("duplicate", "DuplicateRecordError\tload-tracks: line 2: duplicate record for ("),
+            ("separator", "TrackParseError\tload-tracks: {}, line 1: expected 4 tab-separated"),
+            ("duplicate", "DuplicateRecordError\tload-tracks: {}, line 2: duplicate record for ("),
         ],
         ids=["separator", "duplicate"],
     )
@@ -176,7 +177,7 @@ class TestHelpAndUsage:
         assert status == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error\tfeaturize\t{message}")
+        assert err[0].startswith(f"error\tfeaturize\t{message.format(tmp_path / 'tracks.tsv')}")
 
     @pytest.mark.parametrize(
         "bad_file, line, error, stage",
@@ -336,8 +337,8 @@ class TestHelpAndUsage:
         )
         assert status == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error\tfeaturize\tTrackParseError\tload-tracks: line 2: track (v, 0) would span "
-            f"{10**13 + 1} frames, more than {2**20}"
+            f"error\tfeaturize\tTrackParseError\tload-tracks: {tmp_path / 'tracks.tsv'}, line 2: "
+            f"track (v, 0) would span {10**13 + 1} frames, more than {2**20}"
         ]
 
     @pytest.mark.parametrize("case", ["classes-without-text-out", "classes-name-no-video"])

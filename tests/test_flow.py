@@ -29,7 +29,6 @@ from skel_sentinel.flow import (
     ADAM_BETA2,
     ADAM_EPSILON,
     LOG_SCALE_BOUND,
-    TrainConfig,
     _Workspace,
     flow_forward,
     flow_inverse,
@@ -213,7 +212,7 @@ class TestTraining:
         data_n, data_a = two_clusters(rng, 8, 512)
         model = init_flow(8, 2, 16, seed=22)
         _, history = train_flow(
-            model, data_n, data_a, TrainConfig(batch_size=128, epochs=20, seed=23)
+            model, data_n, data_a, RunConfig(batch_size=128, epochs=20, seed=23)
         )
         assert history[-1] < history[0]
 
@@ -224,7 +223,7 @@ class TestTraining:
         before = {name: p.copy() for name, p in model.parameters()}
         train_flow(
             model, data_n, data_a,
-            TrainConfig(learning_rate=0.0, batch_size=32, epochs=3, seed=26),
+            RunConfig(learning_rate=0.0, batch_size=32, epochs=3, seed=26),
         )
         for name, p in model.parameters():
             assert p.tobytes() == before[name].tobytes()
@@ -232,27 +231,17 @@ class TestTraining:
     def test_same_seed_same_history(self):
         rng = np.random.default_rng(27)
         data_n, data_a = two_clusters(rng, 4, 128)
-        cfg = TrainConfig(batch_size=64, epochs=5, seed=28)
+        cfg = RunConfig(batch_size=64, epochs=5, seed=28)
         _, h1 = train_flow(init_flow(4, 2, 8, seed=29), data_n, data_a, cfg)
         _, h2 = train_flow(init_flow(4, 2, 8, seed=29), data_n, data_a, cfg)
         assert h1 == h2
-
-    def test_run_config_trains_as_train_config(self):
-        # `train` passes its RunConfig straight through; the fields read are shared
-        rng = np.random.default_rng(27)
-        data_n, data_a = two_clusters(rng, 4, 128)
-        fields = dict(learning_rate=0.002, batch_size=48, epochs=4, seed=28)
-        a, h1 = train_flow(init_flow(4, 2, 8, seed=29), data_n, data_a, TrainConfig(**fields))
-        b, h2 = train_flow(init_flow(4, 2, 8, seed=29), data_n, data_a, RunConfig(**fields))
-        assert h1 == h2
-        assert a.flat.tobytes() == b.flat.tobytes()
 
     def test_full_shot_mode_trains_without_abnormal(self):
         rng = np.random.default_rng(30)
         data_n, _ = two_clusters(rng, 4, 256)
         model = init_flow(4, 2, 8, seed=31)
         _, history = train_flow(
-            model, data_n, None, TrainConfig(batch_size=64, epochs=10, seed=32)
+            model, data_n, None, RunConfig(batch_size=64, epochs=10, seed=32)
         )
         assert history[-1] < history[0]
 
@@ -266,14 +255,14 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
             train_flow(
                 model, data_n * 1e200, data_a * 1e200,
-                TrainConfig(learning_rate=10.0, batch_size=32, epochs=5, seed=35),
+                RunConfig(learning_rate=10.0, batch_size=32, epochs=5, seed=35),
             )
 
     def test_scores_separate_clusters_after_training(self):
         rng = np.random.default_rng(36)
         data_n, data_a = two_clusters(rng, 8, 1024)
         model = init_flow(8, 4, 32, seed=37)
-        train_flow(model, data_n, data_a, TrainConfig(batch_size=256, epochs=30, seed=38))
+        train_flow(model, data_n, data_a, RunConfig(batch_size=256, epochs=30, seed=38))
         test_n, test_a = two_clusters(np.random.default_rng(39), 8, 200)
         mean_n = float(np.mean(typicality_score(model, data_n)))
         mean_a = float(np.mean(typicality_score(model, data_a)))
@@ -678,7 +667,7 @@ class TestWorkspace:
     def test_train_flow_matches_oracle_train_loop(self, n_abnormal):
         # batch 16 does not divide the 45 normal rows: every epoch ends short
         data_n, data_a = loss_batches(303, 45, n_abnormal, dim=8)
-        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=4, seed=47)
+        cfg = RunConfig(learning_rate=0.01, batch_size=16, epochs=4, seed=47)
         model, history = train_flow(init_flow(8, 3, 12, seed=48), data_n, data_a, cfg)
         ref, ref_history = oracle_train(init_flow(8, 3, 12, seed=48), data_n, data_a, cfg)
         assert history == ref_history

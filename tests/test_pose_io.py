@@ -50,12 +50,13 @@ class TestLoadTracks:
         assert len(videos["v0"]) == 2
         assert all(len(t.frames) == 30 for t in videos["v0"])
 
-    def test_wrong_joint_count_is_schema_error(self, tmp_path):
+    def test_wrong_joint_count_is_track_parse_error(self, tmp_path):
         rng = np.random.default_rng(2)
         path = tmp_path / "tracks.tsv"
         path.write_text(track_line("v0", 0, 0, rng.random((J - 1, 2))) + "\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(TrackParseError) as exc:
             load_tracks(path, joints=J)
+        assert str(exc.value) == f"{path}, line 1: expected {J} joints, got {J - 1}"
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "tracks.tsv"
@@ -209,7 +210,7 @@ class TestMalformedTrackLine:
             path.write_bytes(b"".join(line + ending for line in lines))
             with pytest.raises((TrackParseError, SchemaError, DuplicateRecordError)) as exc:
                 load_tracks(path, joints=J)
-        assert f"line {at + 1}: " in str(exc.value)
+        assert str(exc.value).startswith(f"{path}, line {at + 1}: ")
 
 
 class TestWindowing:
