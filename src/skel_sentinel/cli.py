@@ -12,41 +12,27 @@ directory. Failures print a single machine-parsable line
 
 to stderr and exit 1; usage problems exit 2. When a pipeline stage fails, the
 type is that of the underlying error and the message starts with the stage
-name, e.g. ``load-tracks: line 3: ...``. Every command but ``train`` runs
-with one OpenBLAS thread (`pipeline.one_blas_thread`).
+name, e.g. ``load-tracks: line 3: ...``.
+
+This module loads no NumPy: each handler imports its stages when it runs, so
+``--help``, usage errors and ``eval`` load only what they use. For every
+command but ``train``, ``main`` makes OpenBLAS start at one thread
+(``OPENBLAS_NUM_THREADS=1``), and `command_dispatch` runs it inside
+`blas.one_blas_thread`; ``train`` runs at OpenBLAS's own count.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import nullcontext
 from pathlib import Path
 
-import numpy as np
-
-from . import checks
+from .blas import one_blas_thread
 from .config import RunConfig, read_lines, resolve_threads
-from .errors import DuplicateRecordError, SchemaError, SentinelError, StageError
-from .evaluation import evaluate, read_labels, write_labels, write_report
-from .featurize import (
-    FeatureStore,
-    class_prototypes,
-    load_embeddings,
-    load_text_embeddings,
-    write_embeddings,
-)
-from .flow import init_flow, save_flow, train_flow
-from .pipeline import one_blas_thread, score_tracks, snippet_features, stage
-from .pose_io import make_snippet_ref, parse_snippet_ref, write_tracks
-from .scoring import read_frame_scores, write_frame_scores, write_snippet_details
-from .synth import make_benchmark, read_class_map, write_class_map
-from .typicality import (
-    load_typicality_spec,
-    save_typicality_spec,
-    select_typical,
-)
+from .errors import DuplicateRecordError, SchemaError, SentinelError, StageError, stage
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -124,6 +110,11 @@ def _write_resolved(cfg: RunConfig, out: Path, stage: str) -> None:
 
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    from .evaluation import write_labels
+    from .pose_io import write_tracks
+    from .synth import make_benchmark, write_class_map
+    from .typicality import save_typicality_spec
+
     data = make_benchmark(seed=cfg.seed)
     _write_resolved(cfg, out, "synth")
     write_tracks(data.corpus_videos, out / "corpus_tracks.tsv")
@@ -136,33 +127,29 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _ref_video(ref: str, where: str) -> str:
-    """The video id of a snippet ref written exactly as `video:person:start`;
-    any other ref is a SchemaError naming `where`."""
-    try:
-        video_id, person, start = parse_snippet_ref(ref)
-        if make_snippet_ref(video_id, person, start) == ref:
-            return video_id
-    except ValueError:
-        pass
-    raise SchemaError(f"{where}: bad snippet ref {ref!r}")
-
-
 def _class_labels(refs: list[str], class_map: dict[str, str], features: Path) -> dict[str, str]:
     """snippet_ref -> class of its video, for the videos the class map names.
 
     `refs` are the rows of the `.skem` file `features`; a row's ref that is not
     a snippet ref is a SchemaError naming its sidecar line.
     """
+    from .pose_io import ref_video
+
     labels = {}
     for lineno, ref in enumerate(refs, start=1):
-        video_id = _ref_video(ref, f"{features}.idx, line {lineno}")
+        video_id = ref_video(ref, f"{features}.idx, line {lineno}")
         if video_id in class_map:
             labels[ref] = class_map[video_id]
     return labels
 
 
 def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    import numpy as np
+
+    from .featurize import FeatureStore, class_prototypes, write_embeddings
+    from .pipeline import snippet_features
+    from .synth import read_class_map
+
     for path in (out, args.text_out):
         if path and Path(path).is_dir():
             raise SchemaError(f"{path}: is a directory")
@@ -188,6 +175,10 @@ def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_select(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    from .featurize import load_embeddings, load_text_embeddings
+    from .synth import read_class_map
+    from .typicality import load_typicality_spec, select_typical
+
     store = load_embeddings(args.features)
     texts = load_text_embeddings(args.texts)
     labels = _class_labels(store.refs, read_class_map(args.classes), args.features)
@@ -211,12 +202,14 @@ def _read_selection(path: Path) -> list[str]:
     A ref not of the form `video:person:start`, or a repeated one, is a typed
     error naming the path and line.
     """
+    from .pose_io import ref_video
+
     refs: dict[str, None] = {}
     for lineno, line in read_lines(path):
         if not line:
             continue
         ref = line.split("\t")[0]
-        _ref_video(ref, f"{path}, line {lineno}")
+        ref_video(ref, f"{path}, line {lineno}")
         if ref in refs:
             raise DuplicateRecordError(f"{path}, line {lineno}: repeated ref {ref!r}")
         refs[ref] = None
@@ -224,6 +217,9 @@ def _read_selection(path: Path) -> list[str]:
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    from .featurize import load_embeddings
+    from .flow import init_flow, save_flow, train_flow
+
     store = load_embeddings(args.features)
     selection = Path(args.selection)
     normal_refs = _read_selection(selection / "selected_normal.tsv")
@@ -242,6 +238,9 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_score(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    from .pipeline import score_tracks
+    from .scoring import write_frame_scores, write_snippet_details
+
     run = score_tracks(cfg, args.tracks, args.model, args.features)
     _write_resolved(cfg, out, "score")
     write_frame_scores(run.frame_scores, out / "scores.tsv")
@@ -252,6 +251,9 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    from .evaluation import evaluate, read_labels, write_report
+    from .scoring import read_frame_scores
+
     started = time.perf_counter()
     scores = stage("load-scores", read_frame_scores, args.scores)
     labels = stage("load-labels", read_labels, args.labels)
@@ -266,6 +268,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_check(args: argparse.Namespace, cfg: RunConfig, out: Path | None) -> int:
+    from . import checks
+
     results = checks.run_self_tests(cfg.seed)
     all_ok = True
     for name, ok, detail in results:
@@ -303,6 +307,10 @@ def command_dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # OpenBLAS reads its thread count when NumPy loads it, which no command
+    # has done yet; `train` keeps the count the caller's environment gives
+    if sys.argv[1:2] != ["train"]:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(command_dispatch(sys.argv[1:]))
 
 

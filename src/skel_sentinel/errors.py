@@ -73,3 +73,11 @@ class StageError(SentinelError):
         super().__init__(f"{stage}: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def stage(name: str, fn, *args):
+    """Run one stage; an error the CLI reports is re-raised as a StageError naming it."""
+    try:
+        return fn(*args)
+    except (SentinelError, OSError, ValueError) as exc:
+        raise StageError(name, exc) from exc

@@ -17,9 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import SchemaError, UndefinedMetricError
-from .pipeline import fuse_video, score_tracks, stage
-from .scoring import read_frame_values, write_frame_scores, write_snippet_details
+from .errors import SchemaError, UndefinedMetricError, stage
+from .scoring import (
+    read_frame_scores,
+    read_frame_values,
+    write_frame_scores,
+    write_snippet_details,
+)
 
 
 @dataclass(frozen=True)
@@ -174,15 +178,23 @@ def run_benchmark(
     without scores is a SchemaError. The typicality-only and uniqueness-only
     ablations fuse one family with the other set to zeros and go through the
     same two functions. Writes the CLI's scores.tsv and details.tsv plus
-    report.txt into out_dir and returns the in-memory report, whose frame
-    scores are the series as written, not padded to the labels.
+    report.txt into out_dir. The fused scores are evaluated as `eval` reads
+    them back from scores.tsv, at its 6 decimals, so the report's micro-AUC
+    is the CLI's; the ablations are evaluated in memory. Returns the report,
+    whose frame scores are those read back, not padded to the labels.
     """
+    # imported here, so that the `eval` command loads no scoring stage
+    from .pipeline import fuse_video, score_tracks
+
     started = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     labels = stage("load-labels", read_labels, labels_path)
     run = score_tracks(cfg, tracks_path, model_path, features_path)
+    write_frame_scores(run.frame_scores, out_dir / "scores.tsv")
+    write_snippet_details(run.series, out_dir / "details.tsv")
+    frame_scores = stage("load-scores", read_frame_scores, out_dir / "scores.tsv")
 
     frames_typ = {
         vid: fuse_video(replace(vs, uniqueness=np.zeros_like(vs.uniqueness)), cfg)[1]
@@ -192,13 +204,11 @@ def run_benchmark(
         vid: fuse_video(replace(vs, typicality=np.zeros_like(vs.typicality)), cfg)[1]
         for vid, vs in run.videos.items()
     }
-    result = stage("evaluate", evaluate, labels, run.frame_scores)
+    result = stage("evaluate", evaluate, labels, frame_scores)
     micro_typ = evaluate(labels, frames_typ).micro
     micro_unq = evaluate(labels, frames_unq).micro
     wall = time.perf_counter() - started
 
-    write_frame_scores(run.frame_scores, out_dir / "scores.tsv")
-    write_snippet_details(run.series, out_dir / "details.tsv")
     ablations = (("micro_auc_typicality", micro_typ), ("micro_auc_uniqueness", micro_unq))
     write_report(result.report_entries(wall, ablations), out_dir / "report.txt")
 
@@ -210,7 +220,7 @@ def run_benchmark(
         videos=result.videos,
         frames=result.frames,
         wall_seconds=wall,
-        frame_scores=run.frame_scores,
+        frame_scores=frame_scores,
         frame_scores_typicality=frames_typ,
         frame_scores_uniqueness=frames_unq,
     )

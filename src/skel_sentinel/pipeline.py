@@ -22,18 +22,14 @@ slice. Each scene's typicality and uniqueness are arrays in its row order
 (`VideoScores`), and `scoring.build_score_series` fuses them into a
 column-wise `scoring.ScoreSeries` and its frame scores.
 
-`one_blas_thread` holds OpenBLAS at one thread for a block and restores its
-count after it; the CLI runs every command but `train` inside it.
+Each stage runs through `errors.stage`, which names it in any error. The CLI
+runs all of this at one OpenBLAS thread (`blas`).
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import logging
-from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .context import SceneIndex, video_uniqueness_scores
-from .errors import NonFiniteError, SchemaError, SentinelError, StageError
+from .errors import NonFiniteError, SchemaError, StageError, stage
 from .featurize import kinematic_matrix, load_embeddings
 from .flow import FlowModel, load_flow, typicality_score
 from .pose_io import (
@@ -202,66 +198,6 @@ def score_scenes(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda vid: score_scene(model, indices[vid], cfg), ordered))
     return {vid: res for vid, res in zip(ordered, results)}
-
-
-def stage(name: str, fn, *args):
-    """Run one stage; an error the CLI reports is re-raised as a StageError naming it."""
-    try:
-        return fn(*args)
-    except (SentinelError, OSError, ValueError) as exc:
-        raise StageError(name, exc) from exc
-
-
-# (set, get) symbol pairs of OpenBLAS's thread count: NumPy 2.x's bundled
-# scipy-openblas, the 64-bit-integer builds of older NumPy wheels, plain OpenBLAS
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-@functools.cache
-def blas_thread_control() -> tuple[str, Callable, Callable] | None:
-    """(library path, set, get) of the loaded OpenBLAS's thread count, or None."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _BLAS_THREAD_SYMBOLS:
-            setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return path, setter, getter
-    return None
-
-
-@contextmanager
-def one_blas_thread() -> Iterator[None]:
-    """Run the body with one OpenBLAS thread and restore the count after it.
-
-    Outside training the BLAS calls are small GEMMs, and a second OpenBLAS
-    thread mostly busy-waits between them. No output depends on the count.
-    Without a known OpenBLAS this does nothing.
-    """
-    control = blas_thread_control()
-    if control is None:
-        yield
-        return
-    _, set_threads, get_threads = control
-    previous = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(previous)
 
 
 def fuse_video(vs: VideoScores, cfg: RunConfig) -> tuple[ScoreSeries, np.ndarray]:

@@ -129,6 +129,18 @@ def parse_snippet_ref(ref: str) -> tuple[str, int, int]:
     return video_id, int(person), int(start)
 
 
+def ref_video(ref: str, where: str) -> str:
+    """The video id of a snippet ref written exactly as `video:person:start`;
+    any other ref is a SchemaError naming `where`."""
+    try:
+        video_id, person, start = parse_snippet_ref(ref)
+        if make_snippet_ref(video_id, person, start) == ref:
+            return video_id
+    except ValueError:
+        pass
+    raise SchemaError(f"{where}: bad snippet ref {ref!r}")
+
+
 def load_tracks(path: str | Path, joints: int) -> dict[str, list[Track]]:
     """Read a track file into Tracks grouped by video_id.
 

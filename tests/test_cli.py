@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skel_sentinel import cli, pipeline
+from skel_sentinel import blas, cli, flow, pipeline
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.config import RunConfig
 from skel_sentinel.errors import SchemaError
@@ -761,12 +761,34 @@ def test_threads_env_fallback(small_benchmark, tmp_path, monkeypatch):
     assert cfg.threads == 2
 
 
-BLAS = pipeline.blas_thread_control()
+BLAS = blas.blas_thread_control()
 needs_openblas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread control found")
 
 
 def blas_threads() -> int:
     return BLAS[2]()
+
+
+@pytest.fixture(scope="module")
+def selected(small_benchmark, tmp_path_factory):
+    """The small benchmark's corpus features and selection, for `train`."""
+    root, out = small_benchmark, tmp_path_factory.mktemp("selected")
+    cfg = ["--config", root / "run.cfg"]
+    assert run_cli(
+        "featurize", "--tracks", root / "corpus_tracks.tsv", "--out", out / "c.skem",
+        "--classes", root / "corpus_classes.tsv", "--text-out", out / "t.skem", *cfg,
+    ) == 0
+    assert run_cli(
+        "select", "--features", out / "c.skem", "--texts", out / "t.skem",
+        "--classes", root / "corpus_classes.tsv", "--spec", root / "typicality.spec",
+        "--out", out / "sel", *cfg,
+    ) == 0
+    return out
+
+
+def train_argv(selected, out, small_benchmark):
+    return ["train", "--features", selected / "c.skem", "--selection", selected / "sel",
+            "--out", out, "--config", small_benchmark / "run.cfg"]
 
 
 @pytest.fixture
@@ -782,24 +804,24 @@ def two_blas_threads():
 @needs_openblas
 class TestBlasThreadPolicy:
     def test_one_thread_inside_then_restored(self, two_blas_threads):
-        with pipeline.one_blas_thread():
+        with blas.one_blas_thread():
             assert blas_threads() == 1
         assert blas_threads() == 2
 
     def test_restored_when_the_body_raises(self, two_blas_threads):
         with pytest.raises(SchemaError):
-            with pipeline.one_blas_thread():
+            with blas.one_blas_thread():
                 raise SchemaError("boom")
         assert blas_threads() == 2
 
     def test_does_nothing_without_a_known_library(self, two_blas_threads, monkeypatch):
-        monkeypatch.setattr(pipeline, "blas_thread_control", lambda: None)
-        with pipeline.one_blas_thread():
+        monkeypatch.setattr(blas, "blas_thread_control", lambda: None)
+        with blas.one_blas_thread():
             assert blas_threads() == 2
         assert blas_threads() == 2
 
     def test_score_at_one_thread_and_train_at_the_library_count(
-        self, small_benchmark, tmp_path, monkeypatch, two_blas_threads
+        self, small_benchmark, selected, tmp_path, monkeypatch, two_blas_threads
     ):
         seen = []
 
@@ -810,29 +832,16 @@ class TestBlasThreadPolicy:
             return wrapped
 
         monkeypatch.setattr(pipeline, "score_scenes", recorded("score", pipeline.score_scenes))
-        monkeypatch.setattr(cli, "train_flow", recorded("train", cli.train_flow))
+        monkeypatch.setattr(flow, "train_flow", recorded("train", flow.train_flow))
         root = small_benchmark
-        cfg = ["--config", root / "run.cfg"]
-        assert run_cli(
-            "featurize", "--tracks", root / "corpus_tracks.tsv", "--out", tmp_path / "c.skem",
-            "--classes", root / "corpus_classes.tsv", "--text-out", tmp_path / "t.skem", *cfg,
-        ) == 0
-        assert run_cli(
-            "select", "--features", tmp_path / "c.skem", "--texts", tmp_path / "t.skem",
-            "--classes", root / "corpus_classes.tsv", "--spec", root / "typicality.spec",
-            "--out", tmp_path / "sel", *cfg,
-        ) == 0
 
         def train(out):
-            assert run_cli(
-                "train", "--features", tmp_path / "c.skem", "--selection", tmp_path / "sel",
-                "--out", out, *cfg,
-            ) == 0
+            assert run_cli(*train_argv(selected, out, root)) == 0
 
         def score(out):
             assert run_cli(
-                "score", "--tracks", root / "test_tracks.tsv",
-                "--model", tmp_path / "model" / "model.skfl", "--out", out, *cfg,
+                "score", "--tracks", root / "test_tracks.tsv", "--model",
+                tmp_path / "model" / "model.skfl", "--out", out, "--config", root / "run.cfg",
             ) == 0
             return (out / "scores.tsv").read_bytes()
 
@@ -846,3 +855,95 @@ class TestBlasThreadPolicy:
         assert (tmp_path / "model2" / "model.skfl").read_bytes() == model
         assert seen == [("train", 2), ("score", 1), ("train", 2), ("score", 1)]
         assert blas_threads() == 2
+
+
+# the variables OpenBLAS reads its start count from
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**variables: str) -> dict[str, str]:
+    """A CLI child's environment: this one, with the sources on PYTHONPATH,
+    none of OpenBLAS's thread variables, and then `variables`."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**env, **variables}
+
+
+def run_child(*args, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    done = subprocess.run(
+        [sys.executable, *map(str, args)],
+        capture_output=True, text=True, env=env or child_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+# the modules that `eval`, `--help` and usage errors have no use for
+SCORING_MODULES = {
+    f"skel_sentinel.{name}" for name in ("flow", "context", "featurize", "pipeline", "synth")
+}
+
+
+class TestStartUp:
+    """Each test starts interpreters, about 0.15 s each."""
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        done = run_child(
+            "-c", "import sys, skel_sentinel.cli; print('numpy' in sys.modules)"
+        )
+        assert done.stdout == "False\n"
+
+    @pytest.mark.parametrize("command", ["--help", "eval"])
+    def test_no_scoring_module_is_loaded(self, tmp_path, command):
+        argv = [command]
+        if command == "eval":
+            (tmp_path / "scores.tsv").write_text("v\t0\t0.1\nv\t1\t0.9\n")
+            (tmp_path / "labels.tsv").write_text("v\t0\t0\nv\t1\t1\n")
+            argv += ["--scores", tmp_path / "scores.tsv", "--labels", tmp_path / "labels.tsv",
+                     "--out", tmp_path / "report"]
+        done = run_child("-X", "importtime", "-m", "skel_sentinel.cli", *argv)
+        modules = {
+            line.rsplit("|", 1)[1].strip()
+            for line in done.stderr.splitlines() if line.startswith("import time:")
+        }
+        assert "skel_sentinel.blas" in modules  # the CLI module itself runs as __main__
+        assert not modules & SCORING_MODULES
+        assert ("numpy" in modules) == (command == "eval")
+
+    @needs_openblas
+    def test_score_starts_at_one_thread_and_train_at_the_library_count(
+        self, small_benchmark, selected, tmp_path
+    ):
+        """`python -m skel_sentinel.cli` as a driver that records the BLAS
+        count, and the process's OS threads, on entry to the handler."""
+        driver = (
+            "import os, sys\n"
+            "from skel_sentinel import blas, cli\n"
+            "handler = cli._HANDLERS[sys.argv[1]]\n"
+            "def recorded(*args):\n"
+            "    threads = len(os.listdir('/proc/self/task'))\n"
+            "    print('threads', blas.blas_thread_control()[2](), threads, flush=True)\n"
+            "    return handler(*args)\n"
+            "cli._HANDLERS[sys.argv[1]] = recorded\n"
+            "cli.main()\n"
+        )
+        library_count = (
+            "from skel_sentinel import blas; print(blas.blas_thread_control()[2]())"
+        )
+
+        def handler_threads(*argv, env):
+            return run_child("-c", driver, *argv, env=env).stdout.splitlines()[0].split()[1:]
+
+        root = small_benchmark
+        for env in (child_env(), child_env(OMP_NUM_THREADS="1")):
+            count = run_child("-c", library_count, env=env).stdout.strip()
+            train = handler_threads(*train_argv(selected, tmp_path / "model", root), env=env)
+            assert train[0] == count
+        # one BLAS thread whatever the caller asks for, and no OpenBLAS
+        # worker was ever started
+        assert handler_threads(
+            "score", "--tracks", root / "test_tracks.tsv",
+            "--model", tmp_path / "model" / "model.skfl", "--out", tmp_path / "scores",
+            "--config", root / "run.cfg", env=child_env(OPENBLAS_NUM_THREADS="2"),
+        ) == ["1", "1"]
