@@ -1,14 +1,15 @@
-"""One OpenBLAS thread outside training.
+"""One OpenBLAS thread per process.
 
 NumPy's OpenBLAS starts one worker thread per core, and between calls a
-worker busy-waits. Outside training the BLAS work is small GEMMs, so a second
-thread mostly spins, and it already spins while `import numpy` runs. So
-`cli.main` sets `OPENBLAS_NUM_THREADS=1` before anything loads NumPy, for
-every command but `train`, which starts at OpenBLAS's own count.
+worker busy-waits. The program's BLAS work is small GEMMs, training's
+included, so a second thread mostly spins, and it already spins while
+`import numpy` runs. So `cli.main` sets `OPENBLAS_NUM_THREADS=1` before
+anything loads NumPy, for every command. Training puts a second core to
+other use: `flow.train_flow` runs each coupling's two nets on two threads.
 
 This module does not import NumPy when it is imported. `one_blas_thread`
 serves in-process callers, where NumPy is already loaded at whatever count
-it started with.
+it started with; `command_dispatch` and `flow.train_flow` both hold it.
 """
 
 from __future__ import annotations

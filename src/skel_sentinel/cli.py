@@ -15,10 +15,11 @@ type is that of the underlying error and the message starts with the stage
 name, e.g. ``load-tracks: line 3: ...``.
 
 This module loads no NumPy: each handler imports its stages when it runs, so
-``--help``, usage errors and ``eval`` load only what they use. For every
-command but ``train``, ``main`` makes OpenBLAS start at one thread
-(``OPENBLAS_NUM_THREADS=1``), and `command_dispatch` runs it inside
-`blas.one_blas_thread`; ``train`` runs at OpenBLAS's own count.
+``--help``, usage errors and ``eval`` load only what they use. ``main`` makes
+OpenBLAS start at one thread (``OPENBLAS_NUM_THREADS=1``) for every command,
+and `command_dispatch` runs each inside `blas.one_blas_thread`. ``train``
+uses a second core its own way: `flow.train_flow` runs each coupling's two
+nets on two threads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import argparse
 import os
 import sys
 import time
-from contextlib import nullcontext
 from pathlib import Path
 
 from .blas import one_blas_thread
@@ -112,8 +112,8 @@ def _write_resolved(cfg: RunConfig, out: Path, stage: str) -> None:
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     from .evaluation import write_labels
     from .pose_io import write_tracks
-    from .synth import make_benchmark, write_class_map
-    from .typicality import save_typicality_spec
+    from .synth import make_benchmark
+    from .typicality import save_typicality_spec, write_class_map
 
     data = make_benchmark(seed=cfg.seed)
     _write_resolved(cfg, out, "synth")
@@ -148,7 +148,7 @@ def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
     from .featurize import FeatureStore, class_prototypes, write_embeddings
     from .pipeline import snippet_features
-    from .synth import read_class_map
+    from .typicality import read_class_map
 
     for path in (out, args.text_out):
         if path and Path(path).is_dir():
@@ -176,8 +176,7 @@ def cmd_featurize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 def cmd_select(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     from .featurize import load_embeddings, load_text_embeddings
-    from .synth import read_class_map
-    from .typicality import load_typicality_spec, select_typical
+    from .typicality import load_typicality_spec, read_class_map, select_typical
 
     store = load_embeddings(args.features)
     texts = load_text_embeddings(args.texts)
@@ -294,10 +293,8 @@ def command_dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     out = Path(args.out) if hasattr(args, "out") else None
-    # only training's GEMMs gain from more than one BLAS thread
-    blas_threads = nullcontext() if args.command == "train" else one_blas_thread()
     try:
-        with blas_threads:
+        with one_blas_thread():
             return handler(args, _resolve_config(args), out)
     except (SentinelError, OSError, ValueError) as exc:
         cause = exc.cause if isinstance(exc, StageError) else exc
@@ -308,9 +305,8 @@ def command_dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     # OpenBLAS reads its thread count when NumPy loads it, which no command
-    # has done yet; `train` keeps the count the caller's environment gives
-    if sys.argv[1:2] != ["train"]:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # has done yet
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(command_dispatch(sys.argv[1:]))
 
 

@@ -35,6 +35,15 @@ strides, so losses, gradients and trained parameters are bit-identical to
 it. The gradient dict returned by `nll_loss_and_grad` holds views of the
 workspace's gradient vector and is overwritten by its next call.
 
+A coupling's scale net (s_*, and the log-determinant) and shift net (t_*)
+are independent given the layer's input. In a training workspace they read
+the same inputs and write disjoint buffers and gradient views, so
+`train_flow` runs them on two threads, forward and backward, at one BLAS
+thread each; the shift net's input gradient is added after the scale net's,
+as a serial pass adds it. Each operation is the one a serial pass does, so
+the bits are too. Inference runs serially: its workspace shares the two
+nets' hidden buffers.
+
 Checkpoint format: magic ``SKFL``, u16 version (=1), u32 dimension, u32
 layer count, u32 hidden width, then the model's flat vector as float32
 little-endian: for each layer ``norm_log_scale, norm_bias, s_w1, s_b1,
@@ -45,12 +54,17 @@ centers.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from collections.abc import Callable
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .config import RunConfig
 from .errors import (
     ContractError,
@@ -217,14 +231,19 @@ class _Workspace:
     A batch of n <= rows rows uses the row views [:n]. With `training`, each
     layer has its own forward cache, and the backward scratch and the
     gradient exist too: `grad`, laid out like `model.trained`, with FlowLayer
-    views `grad_layers` and the same views by name in `grads`. Without it,
-    every layer shares one set of forward buffers (and hs/ht,
+    views `grad_layers` and the same views by name in `grads`. The scale and
+    shift nets each have their own backward scratch, so a training
+    workspace given an `executor` runs them concurrently (`pair`). Without
+    `training`, every layer shares one set of forward buffers (and hs/ht,
     tanh_u/log_scale/exp_ls share storage), so inference memory is
-    O(rows x hidden_width) whatever the depth. Nothing derived from the
-    parameters is kept from one call to the next.
+    O(rows x hidden_width) whatever the depth, and the nets run serially.
+    Nothing derived from the parameters is kept from one call to the next.
     """
 
-    def __init__(self, model: FlowModel, rows: int, training: bool = True):
+    def __init__(
+        self, model: FlowModel, rows: int, training: bool = True,
+        executor: Executor | None = None,
+    ):
         dim, width, half = model.dimension, model.hidden_width, model.dimension // 2
 
         def buf(cols: int) -> np.ndarray:
@@ -247,6 +266,10 @@ class _Workspace:
             self.g_mm = buf(half)
             self.g_hidden = buf(width)
             self.hidden_gate = buf(width)
+            # the shift net's own backward scratch
+            self.t_g_mm = buf(half)
+            self.t_g_hidden = buf(width)
+            self.t_hidden_gate = buf(width)
             self.grad = np.zeros(model.trained.size)
             self.grad_layers, self.grads = _layer_views(self.grad, len(model.layers), dim, width)
         else:
@@ -255,6 +278,20 @@ class _Workspace:
             self.layers = [shared] * len(model.layers)
             self.log_scale = gate
         self.shift = buf(half)
+        self.executor = executor if training else None
+
+    def pair(self, first: Callable[[], None], second: Callable[[], None]) -> None:
+        """Run `first` here and `second` on the executor, and return when both
+        are done; with no executor, run them in that order."""
+        if self.executor is None:
+            first()
+            second()
+            return
+        future = self.executor.submit(second)
+        try:
+            first()
+        finally:
+            future.result()
 
 
 def _dense_tanh(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -273,7 +310,8 @@ def _one_minus_square(x: np.ndarray, out: np.ndarray) -> None:
 def _forward(model: FlowModel, x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Map the batch through every layer; z is a view of the last output buffer.
 
-    The op order matters for an inference workspace, where hs and ht share
+    The scale net runs before the shift net, or beside it (`ws.pair`). The
+    order matters for an inference workspace, where hs and ht share
     storage, and so do tanh_u, log_scale and exp_ls: hs is consumed before
     ht is written, and log_scale is summed before exp() overwrites it.
     """
@@ -288,14 +326,20 @@ def _forward(model: FlowModel, x: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
         np.add(a, layer.norm_bias, out=a)
         cond, trans = _split(a, layer.parity)
         out_cond, scaled = _split(out, layer.parity)
-        _dense_tanh(cond, layer.s_w1, layer.s_b1, hs)
-        _dense_tanh(hs, layer.s_w2, layer.s_b2, tanh_u)
-        np.multiply(LOG_SCALE_BOUND, tanh_u, out=log_scale)
-        logdet += layer.norm_log_scale.sum() + log_scale.sum(axis=1)
-        np.exp(log_scale, out=exp_ls)
-        _dense_tanh(cond, layer.t_w1, layer.t_b1, ht)
-        np.matmul(ht, layer.t_w2, out=shift)
-        np.add(shift, layer.t_b2, out=shift)
+
+        def scale_net() -> None:
+            _dense_tanh(cond, layer.s_w1, layer.s_b1, hs)
+            _dense_tanh(hs, layer.s_w2, layer.s_b2, tanh_u)
+            np.multiply(LOG_SCALE_BOUND, tanh_u, out=log_scale)
+            np.add(logdet, layer.norm_log_scale.sum() + log_scale.sum(axis=1), out=logdet)
+            np.exp(log_scale, out=exp_ls)
+
+        def shift_net() -> None:
+            _dense_tanh(cond, layer.t_w1, layer.t_b1, ht)
+            np.matmul(ht, layer.t_w2, out=shift)
+            np.add(shift, layer.t_b2, out=shift)
+
+        ws.pair(scale_net, shift_net)
         np.multiply(trans, exp_ls, out=scaled)
         np.add(scaled, shift, out=scaled)
         out_cond[...] = cond
@@ -364,6 +408,7 @@ def _backward(model: FlowModel, ws: _Workspace, x: np.ndarray, g_logdet: np.ndar
     g_out, g_a, prod = ws.g_out[:n], ws.g_a[:n], ws.prod[:n]
     g_u, gate, g_mm = ws.g_u[:n], ws.gate[:n], ws.g_mm[:n]
     g_hidden, hidden_gate = ws.g_hidden[:n], ws.hidden_gate[:n]
+    t_g_mm, t_g_hidden, t_hidden_gate = ws.t_g_mm[:n], ws.t_g_hidden[:n], ws.t_hidden_gate[:n]
     g_ld_total = g_logdet.sum()
     for i in range(len(model.layers) - 1, -1, -1):
         layer, cache, grad = model.layers[i], ws.layers[i], ws.grad_layers[i]
@@ -373,41 +418,46 @@ def _backward(model: FlowModel, ws: _Workspace, x: np.ndarray, g_logdet: np.ndar
         g_cond_out, g_scaled = _split(g_out, layer.parity)
         g_cond, g_trans = _split(g_a, layer.parity)
 
-        np.multiply(g_scaled, exp_ls, out=g_trans)
-        # g_log_scale = g_scaled * trans * exp_ls + g_logdet
-        np.multiply(g_scaled, trans, out=g_u)
-        np.multiply(g_u, exp_ls, out=g_u)
-        np.add(g_u, g_logdet[:, None], out=g_u)
-        # g_u = g_log_scale * (LOG_SCALE_BOUND * (1 - tanh_u^2))
-        _one_minus_square(tanh_u, gate)
-        np.multiply(LOG_SCALE_BOUND, gate, out=gate)
-        np.multiply(g_u, gate, out=g_u)
+        def scale_net() -> None:
+            np.multiply(g_scaled, exp_ls, out=g_trans)
+            # g_log_scale = g_scaled * trans * exp_ls + g_logdet
+            np.multiply(g_scaled, trans, out=g_u)
+            np.multiply(g_u, exp_ls, out=g_u)
+            np.add(g_u, g_logdet[:, None], out=g_u)
+            # g_u = g_log_scale * (LOG_SCALE_BOUND * (1 - tanh_u^2))
+            _one_minus_square(tanh_u, gate)
+            np.multiply(LOG_SCALE_BOUND, gate, out=gate)
+            np.multiply(g_u, gate, out=g_u)
 
-        grad.s_w2 += hs.T @ g_u
-        grad.s_b2 += g_u.sum(axis=0)
-        np.matmul(g_u, layer.s_w2.T, out=g_hidden)
-        _one_minus_square(hs, hidden_gate)
-        np.multiply(g_hidden, hidden_gate, out=g_hidden)
-        grad.s_w1 += cond.T @ g_hidden
-        grad.s_b1 += g_hidden.sum(axis=0)
-        np.matmul(g_hidden, layer.s_w1.T, out=g_mm)
-        np.add(g_cond_out, g_mm, out=g_cond)
+            grad.s_w2 += hs.T @ g_u
+            grad.s_b2 += g_u.sum(axis=0)
+            np.matmul(g_u, layer.s_w2.T, out=g_hidden)
+            _one_minus_square(hs, hidden_gate)
+            np.multiply(g_hidden, hidden_gate, out=g_hidden)
+            grad.s_w1 += cond.T @ g_hidden
+            grad.s_b1 += g_hidden.sum(axis=0)
+            np.matmul(g_hidden, layer.s_w1.T, out=g_mm)
+            np.add(g_cond_out, g_mm, out=g_cond)
 
-        grad.t_w2 += ht.T @ g_scaled
-        grad.t_b2 += g_scaled.sum(axis=0)
-        np.matmul(g_scaled, layer.t_w2.T, out=g_hidden)
-        _one_minus_square(ht, hidden_gate)
-        np.multiply(g_hidden, hidden_gate, out=g_hidden)
-        grad.t_w1 += cond.T @ g_hidden
-        grad.t_b1 += g_hidden.sum(axis=0)
-        np.matmul(g_hidden, layer.t_w1.T, out=g_mm)
-        np.add(g_cond, g_mm, out=g_cond)
+        def shift_net() -> None:
+            grad.t_w2 += ht.T @ g_scaled
+            grad.t_b2 += g_scaled.sum(axis=0)
+            np.matmul(g_scaled, layer.t_w2.T, out=t_g_hidden)
+            _one_minus_square(ht, t_hidden_gate)
+            np.multiply(t_g_hidden, t_hidden_gate, out=t_g_hidden)
+            grad.t_w1 += cond.T @ t_g_hidden
+            grad.t_b1 += t_g_hidden.sum(axis=0)
+            np.matmul(t_g_hidden, layer.t_w1.T, out=t_g_mm)
+
+        ws.pair(scale_net, shift_net)
+        np.add(g_cond, t_g_mm, out=g_cond)
 
         exp_nls = np.exp(layer.norm_log_scale)
         np.multiply(g_a, x_in, out=prod)
         grad.norm_log_scale += prod.sum(axis=0) * exp_nls + g_ld_total
         grad.norm_bias += g_a.sum(axis=0)
-        np.multiply(g_a, exp_nls, out=g_out)
+        if i > 0:  # layer 0's input gradient, dLoss/dx, is never read
+            np.multiply(g_a, exp_nls, out=g_out)
 
 
 def nll_loss_and_grad(
@@ -454,6 +504,13 @@ def nll_loss_and_grad(
 TrainConfig = RunConfig
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def train_flow(
     model: FlowModel,
     data_normal: np.ndarray,
@@ -465,6 +522,10 @@ def train_flow(
     Of `cfg` it reads learning_rate, batch_size, epochs and seed. Shuffling
     is driven by cfg.seed, so identical inputs give identical loss histories
     and parameters. The model is updated in place.
+
+    Training runs at one BLAS thread. Where the process may use more than
+    one CPU, each coupling's scale and shift nets run on two threads; the
+    second one lives only as long as this call.
     """
     data_normal = np.asarray(data_normal, dtype=np.float64)
     if data_normal.size == 0:
@@ -482,58 +543,62 @@ def train_flow(
     batch = cfg.batch_size
     rows_n = np.empty((min(batch, n_normal), model.dimension))
     rows_a = np.empty((min(batch, n_abnormal), model.dimension))
-    workspace = _Workspace(model, max(rows_n.shape[0], rows_a.shape[0]))
-    params, grad = model.trained, workspace.grad
-    # Adam moments m and v, then two scratch vectors
-    m, v = np.zeros_like(params), np.zeros_like(params)
-    update, denom = np.empty_like(params), np.empty_like(params)
-    step = 0
-    history: list[float] = []
+    branches = ThreadPoolExecutor(1) if _usable_cpus() > 1 else nullcontext()
+    with one_blas_thread(), branches as executor:
+        workspace = _Workspace(model, max(rows_n.shape[0], rows_a.shape[0]), executor=executor)
+        params, grad = model.trained, workspace.grad
+        # Adam moments m and v, then two scratch vectors
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        update, denom = np.empty_like(params), np.empty_like(params)
+        step = 0
+        history: list[float] = []
 
-    steps_per_epoch = max(1, math.ceil(n_normal / batch))
-    for epoch in range(cfg.epochs):
-        order_n = rng.permutation(n_normal)
-        order_a = rng.permutation(n_abnormal) if n_abnormal else None
-        epoch_losses = []
-        for s in range(steps_per_epoch):
-            # mode="clip" gathers straight into `out` ("raise" would buffer);
-            # permutation indices are always in range
-            idx_n = order_n[s * batch : (s + 1) * batch]
-            batch_n = np.take(data_normal, idx_n, axis=0, out=rows_n[: len(idx_n)], mode="clip")
-            batch_a = None
-            if n_abnormal:
-                take = rows_a.shape[0]
-                idx = (s * take + np.arange(take)) % n_abnormal
-                batch_a = np.take(data_abnormal, order_a[idx], axis=0, out=rows_a, mode="clip")
-            try:
-                loss, _ = nll_loss_and_grad(model, batch_n, batch_a, workspace)
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(epoch, str(exc))
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            epoch_losses.append(loss)
+        steps_per_epoch = max(1, math.ceil(n_normal / batch))
+        for epoch in range(cfg.epochs):
+            order_n = rng.permutation(n_normal)
+            order_a = rng.permutation(n_abnormal) if n_abnormal else None
+            epoch_losses = []
+            for s in range(steps_per_epoch):
+                # mode="clip" gathers straight into `out` ("raise" would
+                # buffer); permutation indices are always in range
+                idx_n = order_n[s * batch : (s + 1) * batch]
+                batch_n = np.take(
+                    data_normal, idx_n, axis=0, out=rows_n[: len(idx_n)], mode="clip"
+                )
+                batch_a = None
+                if n_abnormal:
+                    take = rows_a.shape[0]
+                    idx = (s * take + np.arange(take)) % n_abnormal
+                    batch_a = np.take(data_abnormal, order_a[idx], axis=0, out=rows_a, mode="clip")
+                try:
+                    loss, _ = nll_loss_and_grad(model, batch_n, batch_a, workspace)
+                except NonFiniteError as exc:
+                    raise TrainingDivergedError(epoch, str(exc))
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(epoch)
+                epoch_losses.append(loss)
 
-            step += 1
-            bias1 = 1.0 - ADAM_BETA1**step
-            bias2 = 1.0 - ADAM_BETA2**step
-            # m = BETA1 * m + (1 - BETA1) * grad; v likewise with grad * grad
-            m *= ADAM_BETA1
-            np.multiply(1.0 - ADAM_BETA1, grad, out=update)
-            m += update
-            v *= ADAM_BETA2
-            np.multiply(grad, grad, out=denom)
-            denom *= 1.0 - ADAM_BETA2
-            v += denom
-            if cfg.learning_rate != 0.0:
-                # params -= lr * (m / bias1) / (sqrt(v / bias2) + EPSILON)
-                np.divide(m, bias1, out=update)
-                update *= cfg.learning_rate
-                np.divide(v, bias2, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += ADAM_EPSILON
-                update /= denom
-                params -= update
-        history.append(float(np.mean(epoch_losses)))
+                step += 1
+                bias1 = 1.0 - ADAM_BETA1**step
+                bias2 = 1.0 - ADAM_BETA2**step
+                # m = BETA1 * m + (1 - BETA1) * grad; v likewise with grad * grad
+                m *= ADAM_BETA1
+                np.multiply(1.0 - ADAM_BETA1, grad, out=update)
+                m += update
+                v *= ADAM_BETA2
+                np.multiply(grad, grad, out=denom)
+                denom *= 1.0 - ADAM_BETA2
+                v += denom
+                if cfg.learning_rate != 0.0:
+                    # params -= lr * (m / bias1) / (sqrt(v / bias2) + EPSILON)
+                    np.divide(m, bias1, out=update)
+                    update *= cfg.learning_rate
+                    np.divide(v, bias2, out=denom)
+                    np.sqrt(denom, out=denom)
+                    denom += ADAM_EPSILON
+                    update /= denom
+                    params -= update
+            history.append(float(np.mean(epoch_losses)))
     return model, history
 
 

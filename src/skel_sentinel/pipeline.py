@@ -23,7 +23,7 @@ slice. Each scene's typicality and uniqueness are arrays in its row order
 column-wise `scoring.ScoreSeries` and its frame scores.
 
 Each stage runs through `errors.stage`, which names it in any error. The CLI
-runs all of this at one OpenBLAS thread (`blas`).
+runs every command, `train` included, at one OpenBLAS thread (`blas`).
 """
 
 from __future__ import annotations

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_lines
-from .errors import DuplicateRecordError, SchemaError
+from .errors import SchemaError
 from .pose_io import PoseFrame, Track
-from .typicality import TypicalitySpec
+# the class-map reader and writer live with select's other inputs; the
+# benchmark harness and the tests still import them from here
+from .typicality import TypicalitySpec, read_class_map, write_class_map  # noqa: F401
 
 # Fixed 17-joint humanoid layout (x right, y down, pixel units): nose, eyes,
 # ears, shoulders, elbows, wrists, hips, knees, ankles.
@@ -374,23 +375,3 @@ def make_benchmark(
         manifest=manifest,
         typicality=spec,
     )
-
-
-def write_class_map(classes: dict[str, str], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for video_id in sorted(classes):
-            fh.write(f"{video_id}\t{classes[video_id]}\n")
-
-
-def read_class_map(path: str | Path) -> dict[str, str]:
-    classes = {}
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not all(parts):
-            raise SchemaError(f"{path}, line {lineno}: expected video_id<TAB>class")
-        if parts[0] in classes:
-            raise DuplicateRecordError(f"{path}, line {lineno}: repeated video_id {parts[0]!r}")
-        classes[parts[0]] = parts[1]
-    return classes

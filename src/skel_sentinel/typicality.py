@@ -1,4 +1,5 @@
-"""Typicality label lists and similarity-ranked snippet selection.
+"""Typicality label lists, video class maps and similarity-ranked snippet
+selection.
 
 The label lists arrive as a plain config file (produced offline, e.g. by
 querying a language model once and pasting its answer):
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import read_lines
-from .errors import LabelConflictError, MissingEmbeddingError, SchemaError
+from .errors import DuplicateRecordError, LabelConflictError, MissingEmbeddingError, SchemaError
 from .featurize import FeatureStore, TextEmbedding, cosine_similarity
 
 # Guards math.ceil against float dust in beta * n (e.g. 0.07 * 100).
@@ -100,6 +101,27 @@ def save_typicality_spec(spec: TypicalitySpec, path: str | Path) -> None:
     lines.append("[abnormal]")
     lines.extend(spec.abnormal_actions)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_class_map(classes: dict[str, str], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for video_id in sorted(classes):
+            fh.write(f"{video_id}\t{classes[video_id]}\n")
+
+
+def read_class_map(path: str | Path) -> dict[str, str]:
+    """video_id -> class, from `video_id<TAB>class` lines."""
+    classes = {}
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not all(parts):
+            raise SchemaError(f"{path}, line {lineno}: expected video_id<TAB>class")
+        if parts[0] in classes:
+            raise DuplicateRecordError(f"{path}, line {lineno}: repeated video_id {parts[0]!r}")
+        classes[parts[0]] = parts[1]
+    return classes
 
 
 def top_count(beta: float, n_candidates: int) -> int:

@@ -820,7 +820,7 @@ class TestBlasThreadPolicy:
             assert blas_threads() == 2
         assert blas_threads() == 2
 
-    def test_score_at_one_thread_and_train_at_the_library_count(
+    def test_score_and_train_at_one_thread(
         self, small_benchmark, selected, tmp_path, monkeypatch, two_blas_threads
     ):
         seen = []
@@ -833,6 +833,9 @@ class TestBlasThreadPolicy:
 
         monkeypatch.setattr(pipeline, "score_scenes", recorded("score", pipeline.score_scenes))
         monkeypatch.setattr(flow, "train_flow", recorded("train", flow.train_flow))
+        monkeypatch.setattr(
+            flow, "nll_loss_and_grad", recorded("train step", flow.nll_loss_and_grad)
+        )
         root = small_benchmark
 
         def train(out):
@@ -845,15 +848,36 @@ class TestBlasThreadPolicy:
             ) == 0
             return (out / "scores.tsv").read_bytes()
 
-        # score, train, score in one process: switching the count back and
-        # forth changes no byte
+        # score, train, score in one process: every command and every
+        # training step runs at one thread, and the caller's count is back
+        # after each
         train(tmp_path / "model")
         first = score(tmp_path / "s1")
         train(tmp_path / "model2")
         assert score(tmp_path / "s2") == first
         model = (tmp_path / "model" / "model.skfl").read_bytes()
         assert (tmp_path / "model2" / "model.skfl").read_bytes() == model
-        assert seen == [("train", 2), ("score", 1), ("train", 2), ("score", 1)]
+        assert set(seen) == {("train", 1), ("train step", 1), ("score", 1)}
+        assert [name for name, _ in seen if name != "train step"] == [
+            "train", "score", "train", "score"
+        ]
+        assert blas_threads() == 2
+
+    def test_train_flow_steps_at_one_thread(self, monkeypatch, two_blas_threads):
+        """A library caller of `train_flow` gets the CLI's policy too."""
+        seen, step = [], flow.nll_loss_and_grad
+
+        def recorded(*args):
+            seen.append(blas_threads())
+            return step(*args)
+
+        monkeypatch.setattr(flow, "nll_loss_and_grad", recorded)
+        rng = np.random.default_rng(0)
+        flow.train_flow(
+            flow.init_flow(4, 2, 8, seed=1), rng.standard_normal((20, 4)), None,
+            RunConfig(batch_size=8, epochs=2),
+        )
+        assert seen == [1] * 6
         assert blas_threads() == 2
 
 
@@ -912,9 +936,7 @@ class TestStartUp:
         assert ("numpy" in modules) == (command == "eval")
 
     @needs_openblas
-    def test_score_starts_at_one_thread_and_train_at_the_library_count(
-        self, small_benchmark, selected, tmp_path
-    ):
+    def test_score_and_train_start_at_one_thread(self, small_benchmark, selected, tmp_path):
         """`python -m skel_sentinel.cli` as a driver that records the BLAS
         count, and the process's OS threads, on entry to the handler."""
         driver = (
@@ -928,22 +950,34 @@ class TestStartUp:
             "cli._HANDLERS[sys.argv[1]] = recorded\n"
             "cli.main()\n"
         )
-        library_count = (
-            "from skel_sentinel import blas; print(blas.blas_thread_control()[2]())"
-        )
 
         def handler_threads(*argv, env):
             return run_child("-c", driver, *argv, env=env).stdout.splitlines()[0].split()[1:]
 
-        root = small_benchmark
-        for env in (child_env(), child_env(OMP_NUM_THREADS="1")):
-            count = run_child("-c", library_count, env=env).stdout.strip()
-            train = handler_threads(*train_argv(selected, tmp_path / "model", root), env=env)
-            assert train[0] == count
         # one BLAS thread whatever the caller asks for, and no OpenBLAS
         # worker was ever started
+        root = small_benchmark
+        for env in (
+            child_env(), child_env(OPENBLAS_NUM_THREADS="2"), child_env(OMP_NUM_THREADS="2")
+        ):
+            train = handler_threads(*train_argv(selected, tmp_path / "model", root), env=env)
+            assert train == ["1", "1"]
         assert handler_threads(
             "score", "--tracks", root / "test_tracks.tsv",
             "--model", tmp_path / "model" / "model.skfl", "--out", tmp_path / "scores",
             "--config", root / "run.cfg", env=child_env(OPENBLAS_NUM_THREADS="2"),
         ) == ["1", "1"]
+
+    def test_featurize_and_select_load_no_synth(self, small_benchmark, selected, tmp_path):
+        root = small_benchmark
+        classes = ["--classes", root / "corpus_classes.tsv"]
+        for argv in (
+            ["featurize", "--tracks", root / "corpus_tracks.tsv", "--out", tmp_path / "c.skem",
+             *classes, "--text-out", tmp_path / "t.skem"],
+            ["select", "--features", selected / "c.skem", "--texts", selected / "t.skem",
+             *classes, "--spec", root / "typicality.spec", "--out", tmp_path / "sel"],
+        ):
+            done = run_child("-X", "importtime", "-m", "skel_sentinel.cli", *argv,
+                             "--config", root / "run.cfg")
+            assert "skel_sentinel.featurize" in done.stderr
+            assert "skel_sentinel.synth" not in done.stderr

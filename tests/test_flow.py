@@ -1,6 +1,9 @@
 import math
 import struct
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from skel_sentinel.errors import (
     NonFiniteError,
     TrainingDivergedError,
 )
+from skel_sentinel import flow
 from skel_sentinel.flow import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -673,3 +677,102 @@ class TestWorkspace:
         assert history == ref_history
         for (name, p), (_, p_ref) in zip(model.parameters(), ref.parameters()):
             np.testing.assert_array_equal(p.view(np.int64), p_ref.view(np.int64), name)
+
+
+def train_with_cpus(cpus, data_n, data_a, cfg, dim=16, layers=3, width=48):
+    """train_flow as on a host with `cpus` usable CPUs; also returns whether
+    each of its `nll_loss_and_grad` calls had a branch executor."""
+    threaded = []
+
+    def recorded(model, batch_n, batch_a, workspace):
+        threaded.append(workspace.executor is not None)
+        return nll_loss_and_grad(model, batch_n, batch_a, workspace)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_usable_cpus", lambda: cpus)
+        mp.setattr(flow, "nll_loss_and_grad", recorded)
+        model, history = train_flow(init_flow(dim, layers, width, seed=50), data_n, data_a, cfg)
+    return model, history, threaded
+
+
+class TestBranchThreads:
+    """The scale and shift nets on two threads give the serial pass's bits."""
+
+    # wide enough that NumPy releases the GIL and the two nets overlap
+    @pytest.fixture(scope="class")
+    def model(self):
+        return make_perturbed_flow(16, 3, 48, seed=49, scale=0.3)
+
+    @pytest.fixture(scope="class")
+    def executor(self):
+        with ThreadPoolExecutor(1) as pool:
+            yield pool
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_normal=st.integers(1, 130),
+        n_abnormal=st.one_of(st.none(), st.integers(0, 130)),
+        spare_rows=st.integers(0, 9),
+    )
+    def test_loss_and_grad_match_serial(self, model, executor, seed, n_normal, n_abnormal,
+                                        spare_rows):
+        bn, ba = loss_batches(seed, n_normal, n_abnormal, dim=16)
+        rows = max(n_normal, n_abnormal or 0) + spare_rows
+        threaded = _Workspace(model, rows, executor=executor)
+        loss, grads = nll_loss_and_grad(model, bn, ba, threaded)
+        assert_same_bits((loss, grads), nll_loss_and_grad(model, bn, ba))
+
+    def test_bits_hold_when_threads_switch_often(self, model, executor):
+        """A lost update or a read of a half-written buffer would change a bit."""
+        bn, ba = loss_batches(53, 130, 70, dim=16)
+        expected = nll_loss_and_grad(model, bn, ba)
+        expected = expected[0], {name: g.copy() for name, g in expected[1].items()}
+        threaded = _Workspace(model, 130, executor=executor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                assert_same_bits(nll_loss_and_grad(model, bn, ba, threaded), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_inference_workspace_stays_serial(self, model, executor):
+        assert _Workspace(model, 4, training=False, executor=executor).executor is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_normal=st.integers(1, 161),
+        n_abnormal=st.one_of(st.none(), st.integers(0, 171)),
+        batch_size=st.integers(1, 96),
+        epochs=st.integers(1, 3),
+    )
+    @example(seed=0, n_normal=33, n_abnormal=0, batch_size=48, epochs=2)  # empty abnormal set
+    @example(seed=1, n_normal=7, n_abnormal=45, batch_size=40, epochs=1)  # batch > normal rows
+    def test_training_matches_serial(self, seed, n_normal, n_abnormal, batch_size, epochs):
+        data_n, data_a = loss_batches(seed, n_normal, n_abnormal, dim=16)
+        cfg = RunConfig(learning_rate=0.01, batch_size=batch_size, epochs=epochs, seed=seed)
+        model, history, threaded = train_with_cpus(2, data_n, data_a, cfg)
+        ref, ref_history, serial = train_with_cpus(1, data_n, data_a, cfg)
+        assert threaded and all(threaded) and not any(serial)
+        assert history == ref_history
+        np.testing.assert_array_equal(model.flat.view(np.int64), ref.flat.view(np.int64))
+
+    def test_no_thread_outlives_training(self):
+        data_n, data_a = loss_batches(51, 20, 5, dim=16)
+        before = threading.active_count()
+        _, _, threaded = train_with_cpus(2, data_n, data_a, RunConfig(batch_size=8, epochs=2))
+        assert all(threaded) and threading.active_count() == before
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_no_thread_outlives_divergence(self):
+        data_n, data_a = loss_batches(52, 20, 5, dim=16)
+        before = threading.active_count()
+        with pytest.raises(TrainingDivergedError):
+            train_with_cpus(
+                2, data_n * 1e200, data_a * 1e200,
+                RunConfig(learning_rate=10.0, batch_size=8, epochs=2),
+            )
+        assert threading.active_count() == before
