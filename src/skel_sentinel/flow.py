@@ -54,11 +54,9 @@ centers.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from collections.abc import Callable
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -504,13 +502,6 @@ def nll_loss_and_grad(
 TrainConfig = RunConfig
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def train_flow(
     model: FlowModel,
     data_normal: np.ndarray,
@@ -523,9 +514,8 @@ def train_flow(
     is driven by cfg.seed, so identical inputs give identical loss histories
     and parameters. The model is updated in place.
 
-    Training runs at one BLAS thread. Where the process may use more than
-    one CPU, each coupling's scale and shift nets run on two threads; the
-    second one lives only as long as this call.
+    Training runs at one BLAS thread, and each coupling's scale and shift
+    nets run on two threads; the second one lives only as long as this call.
     """
     data_normal = np.asarray(data_normal, dtype=np.float64)
     if data_normal.size == 0:
@@ -543,8 +533,7 @@ def train_flow(
     batch = cfg.batch_size
     rows_n = np.empty((min(batch, n_normal), model.dimension))
     rows_a = np.empty((min(batch, n_abnormal), model.dimension))
-    branches = ThreadPoolExecutor(1) if _usable_cpus() > 1 else nullcontext()
-    with one_blas_thread(), branches as executor:
+    with one_blas_thread(), ThreadPoolExecutor(1) as executor:
         workspace = _Workspace(model, max(rows_n.shape[0], rows_a.shape[0]), executor=executor)
         params, grad = model.trained, workspace.grad
         # Adam moments m and v, then two scratch vectors

@@ -679,17 +679,19 @@ class TestWorkspace:
             np.testing.assert_array_equal(p.view(np.int64), p_ref.view(np.int64), name)
 
 
-def train_with_cpus(cpus, data_n, data_a, cfg, dim=16, layers=3, width=48):
-    """train_flow as on a host with `cpus` usable CPUs; also returns whether
-    each of its `nll_loss_and_grad` calls had a branch executor."""
+def train_with(branch_threads, data_n, data_a, cfg, dim=16, layers=3, width=48):
+    """train_flow, with the nets on two threads or, with its workspace's
+    executor taken away, serially; also returns whether each of its
+    `nll_loss_and_grad` calls had a branch executor."""
     threaded = []
 
     def recorded(model, batch_n, batch_a, workspace):
+        if not branch_threads:
+            workspace.executor = None
         threaded.append(workspace.executor is not None)
         return nll_loss_and_grad(model, batch_n, batch_a, workspace)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "_usable_cpus", lambda: cpus)
         mp.setattr(flow, "nll_loss_and_grad", recorded)
         model, history = train_flow(init_flow(dim, layers, width, seed=50), data_n, data_a, cfg)
     return model, history, threaded
@@ -753,8 +755,8 @@ class TestBranchThreads:
     def test_training_matches_serial(self, seed, n_normal, n_abnormal, batch_size, epochs):
         data_n, data_a = loss_batches(seed, n_normal, n_abnormal, dim=16)
         cfg = RunConfig(learning_rate=0.01, batch_size=batch_size, epochs=epochs, seed=seed)
-        model, history, threaded = train_with_cpus(2, data_n, data_a, cfg)
-        ref, ref_history, serial = train_with_cpus(1, data_n, data_a, cfg)
+        model, history, threaded = train_with(True, data_n, data_a, cfg)
+        ref, ref_history, serial = train_with(False, data_n, data_a, cfg)
         assert threaded and all(threaded) and not any(serial)
         assert history == ref_history
         np.testing.assert_array_equal(model.flat.view(np.int64), ref.flat.view(np.int64))
@@ -762,7 +764,7 @@ class TestBranchThreads:
     def test_no_thread_outlives_training(self):
         data_n, data_a = loss_batches(51, 20, 5, dim=16)
         before = threading.active_count()
-        _, _, threaded = train_with_cpus(2, data_n, data_a, RunConfig(batch_size=8, epochs=2))
+        _, _, threaded = train_with(True, data_n, data_a, RunConfig(batch_size=8, epochs=2))
         assert all(threaded) and threading.active_count() == before
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -771,8 +773,8 @@ class TestBranchThreads:
         data_n, data_a = loss_batches(52, 20, 5, dim=16)
         before = threading.active_count()
         with pytest.raises(TrainingDivergedError):
-            train_with_cpus(
-                2, data_n * 1e200, data_a * 1e200,
+            train_with(
+                True, data_n * 1e200, data_a * 1e200,
                 RunConfig(learning_rate=10.0, batch_size=8, epochs=2),
             )
         assert threading.active_count() == before
