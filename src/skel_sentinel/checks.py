@@ -12,6 +12,13 @@ from .flow import FlowModel, flow_forward, flow_inverse, init_flow, log_prob, nl
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
+ROUNDTRIP_SPREAD = 3.0  # std of the random inputs of both round trips
+LOGDET_SPREAD = 2.0  # std of the points the log-det is checked at
+LOGDET_STEP = 1e-5  # central-difference step of the numeric Jacobian
+GRADIENT_STEP = 1e-4  # central-difference step of the numeric gradient
+DENSITY_HALF_WIDTH = 8.0  # the density grid spans the centre +- this
+DENSITY_POINTS = 481  # grid points per axis
+
 
 def make_perturbed_flow(
     dimension: int, n_layers: int, hidden_width: int, seed: int, scale: float = 0.1
@@ -23,46 +30,46 @@ def make_perturbed_flow(
     return model
 
 
-def invertibility_error(model: FlowModel, n_vectors: int, seed: int, spread: float = 3.0) -> float:
+def invertibility_error(model: FlowModel, n_vectors: int, seed: int) -> float:
     """Worst infinity-norm reconstruction error over x -> z -> x."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_vectors, model.dimension)) * spread
+    x = rng.standard_normal((n_vectors, model.dimension)) * ROUNDTRIP_SPREAD
     z, _ = flow_forward(model, x)
     back = flow_inverse(model, z)
     return float(np.abs(back - x).max())
 
 
-def roundtrip_error_z(model: FlowModel, n_vectors: int, seed: int, spread: float = 3.0) -> float:
+def roundtrip_error_z(model: FlowModel, n_vectors: int, seed: int) -> float:
     """Worst infinity-norm error over z -> x -> z."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_vectors, model.dimension)) * spread
+    z = rng.standard_normal((n_vectors, model.dimension)) * ROUNDTRIP_SPREAD
     x = flow_inverse(model, z)
     forward, _ = flow_forward(model, x)
     return float(np.abs(forward - z).max())
 
 
-def numeric_logdet(model: FlowModel, x: np.ndarray, step: float = 1e-5) -> float:
+def numeric_logdet(model: FlowModel, x: np.ndarray) -> float:
     """ln|det J| at the vector x from a central-difference Jacobian of the
     forward map, one perturbed one-row batch per side and column."""
     d = model.dimension
     jac = np.empty((d, d))
     for j in range(d):
         delta = np.zeros(d)
-        delta[j] = step
+        delta[j] = LOGDET_STEP
         z_plus, _ = flow_forward(model, (x + delta)[None])
         z_minus, _ = flow_forward(model, (x - delta)[None])
-        jac[:, j] = (z_plus[0] - z_minus[0]) / (2.0 * step)
+        jac[:, j] = (z_plus[0] - z_minus[0]) / (2.0 * LOGDET_STEP)
     sign, logabsdet = np.linalg.slogdet(jac)
     if sign == 0:
         raise ArithmeticError("numeric Jacobian is singular")
     return float(logabsdet)
 
 
-def logdet_max_error(model: FlowModel, n_inputs: int, seed: int, spread: float = 2.0) -> float:
+def logdet_max_error(model: FlowModel, n_inputs: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_inputs):
-        x = rng.standard_normal(model.dimension) * spread
+        x = rng.standard_normal(model.dimension) * LOGDET_SPREAD
         _, analytic = flow_forward(model, x[None])
         worst = max(worst, abs(analytic[0] - numeric_logdet(model, x)))
     return worst
@@ -72,7 +79,6 @@ def gradient_max_rel_error(
     model: FlowModel,
     batch_normal: np.ndarray,
     batch_abnormal: np.ndarray | None,
-    step: float = 1e-4,
 ) -> float:
     """Compare analytic loss gradients against central finite differences."""
     _, grads = nll_loss_and_grad(model, batch_normal, batch_abnormal)
@@ -82,27 +88,27 @@ def gradient_max_rel_error(
     worst = 0.0
     for idx, a in enumerate(analytic):
         orig = params[idx]
-        params[idx] = orig + step
+        params[idx] = orig + GRADIENT_STEP
         loss_plus, _ = nll_loss_and_grad(model, batch_normal, batch_abnormal)
-        params[idx] = orig - step
+        params[idx] = orig - GRADIENT_STEP
         loss_minus, _ = nll_loss_and_grad(model, batch_normal, batch_abnormal)
         params[idx] = orig
-        numeric = (loss_plus - loss_minus) / (2.0 * step)
+        numeric = (loss_plus - loss_minus) / (2.0 * GRADIENT_STEP)
         denom = max(abs(a), abs(numeric), 1e-6)
         worst = max(worst, abs(a - numeric) / denom)
     return worst
 
 
-def density_integral(model: FlowModel, half_width: float = 8.0, points: int = 481) -> float:
+def density_integral(model: FlowModel) -> float:
     """Trapezoid integration of exp(log_prob(x)) on a square grid
     centered at the normal base center; requires dimension 2."""
     if model.dimension != 2:
         raise ValueError("density grid check is defined for dimension 2")
     center = model.mu_normal
-    axis = np.linspace(-half_width, half_width, points)
+    axis = np.linspace(-DENSITY_HALF_WIDTH, DENSITY_HALF_WIDTH, DENSITY_POINTS)
     xs, ys = np.meshgrid(axis + center[0], axis + center[1])
     grid = np.column_stack([xs.ravel(), ys.ravel()])
-    density = np.exp(log_prob(model, grid)).reshape(points, points)
+    density = np.exp(log_prob(model, grid)).reshape(DENSITY_POINTS, DENSITY_POINTS)
     return float(_trapezoid(_trapezoid(density, axis, axis=1), axis))
 
 

@@ -31,17 +31,13 @@ import time
 from pathlib import Path
 
 from .blas import one_blas_thread
-from .config import RunConfig, read_lines, resolve_threads
+from .config import RunConfig, read_lines
 from .errors import DuplicateRecordError, SchemaError, SentinelError, StageError, stage
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run config file (key = value lines)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker cap; falls back to $SKEL_SENTINEL_THREADS, then 1",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +96,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
-    cfg = cfg.replace(threads=resolve_threads(args.threads))
     return cfg
 
 
@@ -244,7 +239,7 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     _write_resolved(cfg, out, "score")
     write_frame_scores(run.frame_scores, out / "scores.tsv")
     write_snippet_details(run.series, out / "details.tsv")
-    snippets = sum(len(vs.refs) for vs in run.videos.values())
+    snippets = sum(len(series.refs) for series in run.series.values())
     print(f"scored {len(run.frame_scores)} videos ({snippets} snippets)")
     return 0
 

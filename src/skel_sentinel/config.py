@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SchemaError
-
-THREADS_ENV_VAR = "SKEL_SENTINEL_THREADS"
 
 
 @dataclass
@@ -37,6 +34,8 @@ class RunConfig:
     epsilon: float = 1e-8
     smoothing_window: int = 0
     seed: int = 0
+    # perfbench/traced.py (line 109) still sets this key; it must be 1, the
+    # line every resolved config written so far carries.
     threads: int = 1
 
     def __post_init__(self):
@@ -93,6 +92,8 @@ def _range_problem(name: str, value) -> str | None:
     # the flow splits each feature vector into two halves
     if name == "feature_dim" and (value < 4 or value % 2):
         return f"feature_dim must be even and >= 4, got {value!r}"
+    if name == "threads" and value != 1:
+        return f"threads must be 1, got {value!r}"
     if name == "window_length" and value < 2:
         return f"window_length must be >= 2, got {value!r}"
     if name in _AT_LEAST_ONE and value < 1:
@@ -136,14 +137,6 @@ def parse_value(text: str, field_type: str, where: str):
         raise SchemaError(f"{where}: expected {field_type}, got {text!r}") from None
 
 
+# perfbench/traced.py (line 109) still resolves the thread count by this name.
 def resolve_threads(cli_value: int | None) -> int:
-    """CLI flag wins; SKEL_SENTINEL_THREADS is the fallback; default 1."""
-    if cli_value is not None:
-        return max(1, cli_value)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SchemaError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
     return 1

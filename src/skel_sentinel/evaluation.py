@@ -197,12 +197,12 @@ def run_benchmark(
     frame_scores = stage("load-scores", read_frame_scores, out_dir / "scores.tsv")
 
     frames_typ = {
-        vid: fuse_video(replace(vs, uniqueness=np.zeros_like(vs.uniqueness)), cfg)[1]
-        for vid, vs in run.videos.items()
+        vid: fuse_video(replace(series, uniqueness=np.zeros_like(series.uniqueness)), cfg)[1]
+        for vid, series in run.series.items()
     }
     frames_unq = {
-        vid: fuse_video(replace(vs, typicality=np.zeros_like(vs.typicality)), cfg)[1]
-        for vid, vs in run.videos.items()
+        vid: fuse_video(replace(series, typicality=np.zeros_like(series.typicality)), cfg)[1]
+        for vid, series in run.series.items()
     }
     result = stage("evaluate", evaluate, labels, frame_scores)
     micro_typ = evaluate(labels, frames_typ).micro

@@ -84,6 +84,7 @@ class FeatureStore:
         except KeyError as exc:
             raise MissingEmbeddingError(f"no feature stored for {exc.args[0]!r}") from None
 
+    # perfbench/traced.py (lines 316-318) still gathers training rows by this.
     def lookup(self, ref: str) -> np.ndarray:
         """The stored float32 row of `ref`."""
         return self.matrix[self._positions([ref])[0]]
@@ -130,6 +131,7 @@ def descriptors(joints: np.ndarray) -> np.ndarray:
     return out
 
 
+# perfbench/traced.py (line 128) still counts the descriptor width by this.
 def snippet_descriptor(snippet: NormalizedSnippet) -> np.ndarray:
     """Raw kinematic descriptor: coordinates, velocities, joint-pair distances."""
     return descriptors(snippet.joints[None])[0]

@@ -29,7 +29,6 @@ runs every command, `train` included, at one OpenBLAS thread (`blas`).
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -191,17 +190,19 @@ def score_scenes(
     cfg: RunConfig,
     threads: int = 1,
 ) -> dict[str, VideoScores]:
-    """Score each video independently; results keyed and ordered by video_id."""
-    ordered = sorted(indices)
-    if threads <= 1 or len(ordered) <= 1:
-        return {vid: score_scene(model, indices[vid], cfg) for vid in ordered}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda vid: score_scene(model, indices[vid], cfg), ordered))
-    return {vid: res for vid, res in zip(ordered, results)}
+    """Score each video independently; results keyed and ordered by video_id.
+
+    `threads` is unused: perfbench/traced.py (line 176) still passes it.
+    """
+    return {vid: score_scene(model, indices[vid], cfg) for vid in sorted(indices)}
 
 
-def fuse_video(vs: VideoScores, cfg: RunConfig) -> tuple[ScoreSeries, np.ndarray]:
+def fuse_video(vs: VideoScores | ScoreSeries, cfg: RunConfig) -> tuple[ScoreSeries, np.ndarray]:
     """Fused series and smoothed frame scores of one video.
+
+    Only the snippet columns of `vs` are read, so a `ScoreSeries` with one
+    family replaced is fused afresh, as `evaluation.run_benchmark`'s
+    ablations do.
 
     The series ends at max(start) + T; a tail no window covers is left to
     `evaluation.evaluate` to pad.
@@ -241,7 +242,6 @@ def snippet_features(
 
 @dataclass(frozen=True)
 class ScoredRun:
-    videos: dict[str, VideoScores]
     series: dict[str, ScoreSeries]
     frame_scores: dict[str, np.ndarray]
 
@@ -260,10 +260,9 @@ def score_tracks(
     model = stage("load-model", load_flow, model_path)
     refs, matrix, meta = snippet_features(cfg, tracks_path, features_path)
     indices = stage("index", build_scene_indices, refs, matrix, meta)
-    scored = stage("score", score_scenes, model, indices, cfg, cfg.threads)
+    scored = stage("score", score_scenes, model, indices, cfg)
     fused = stage("series", lambda: {vid: fuse_video(vs, cfg) for vid, vs in scored.items()})
     return ScoredRun(
-        videos=scored,
         series={vid: series for vid, (series, _) in fused.items()},
         frame_scores={vid: frames for vid, (_, frames) in fused.items()},
     )

@@ -76,6 +76,7 @@ class Track:
         return self.frames[-1].frame_index - self.frames[0].frame_index + 1
 
 
+# perfbench/traced.py (line 128) still reads one row of a table as this.
 @dataclass(frozen=True, eq=False)
 class NormalizedSnippet:
     """One table row: a window's coordinates after centroid removal and RMS rescaling."""
@@ -92,10 +93,9 @@ class NormalizedSnippet:
 
 @dataclass(frozen=True, eq=False)
 class SnippetTable:
-    """Normalized snippets as columns; row i is one NormalizedSnippet.
+    """Normalized snippets as columns, one row per snippet.
 
-    `table[i]` is a NormalizedSnippet view of row i. The drop counts record
-    the windows that did not become rows.
+    The drop counts record the windows that did not become rows.
     """
 
     video_ids: np.ndarray  # (N,) str
@@ -108,6 +108,7 @@ class SnippetTable:
     def __len__(self) -> int:
         return len(self.starts)
 
+    # perfbench/traced.py (line 128) still takes row 0 by this.
     def __getitem__(self, row: int) -> NormalizedSnippet:
         return NormalizedSnippet(
             str(self.video_ids[row]), int(self.person_ids[row]), int(self.starts[row]),

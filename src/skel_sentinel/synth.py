@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import SchemaError
 from .pose_io import PoseFrame, Track
-# the class-map reader and writer live with select's other inputs; the
-# benchmark harness and the tests still import them from here
+# the class-map reader and writer live with select's other inputs;
+# perfbench/traced.py (lines 278, 296) and perfbench/inputs.py (line 30)
+# still import them from here
 from .typicality import TypicalitySpec, read_class_map, write_class_map  # noqa: F401
 
 # Fixed 17-joint humanoid layout (x right, y down, pixel units): nose, eyes,

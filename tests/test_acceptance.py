@@ -83,8 +83,7 @@ def run_full_pipeline(out_dir, seed=0):
     selection = select_typical(
         store, prototypes, labels_map, data.typicality, cfg.beta_normal, cfg.beta_abnormal
     )
-    data_n = np.vstack([store.lookup(r) for r in selection.normal_refs]).astype(np.float64)
-    data_a = np.vstack([store.lookup(r) for r in selection.abnormal_refs]).astype(np.float64)
+    data_n, data_a = store.rows(selection.normal_refs), store.rows(selection.abnormal_refs)
     model = init_flow(cfg.feature_dim, cfg.flow_layers, cfg.hidden_width, cfg.seed)
     model, _ = train_flow(model, data_n, data_a, cfg)
 
@@ -131,7 +130,7 @@ def test_criterion_3_gradients():
     model = make_perturbed_flow(4, 2, 8, seed=400, scale=0.1)
     rng = np.random.default_rng(401)
     rel = gradient_max_rel_error(
-        model, rng.standard_normal((6, 4)), rng.standard_normal((5, 4)) + 2.0, step=1e-4
+        model, rng.standard_normal((6, 4)), rng.standard_normal((5, 4)) + 2.0
     )
     report(3, rel <= 1e-4, f"max relative gradient error {rel:.2e} (tol 1e-4)")
 

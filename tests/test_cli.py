@@ -14,8 +14,8 @@ from skel_sentinel.evaluation import write_labels
 from skel_sentinel.featurize import load_embeddings, load_text_embeddings, write_embeddings
 from skel_sentinel.flow import init_flow, save_flow
 from skel_sentinel.pose_io import write_tracks
-from skel_sentinel.synth import make_benchmark, write_class_map
-from skel_sentinel.typicality import save_typicality_spec
+from skel_sentinel.synth import make_benchmark
+from skel_sentinel.typicality import save_typicality_spec, write_class_map
 
 SMALL_CONFIG = """\
 joints = 17
@@ -113,7 +113,7 @@ class TestHelpAndUsage:
             run_cli(command, "--help")
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--seed" in out and "--config" in out and "--threads" in out
+        assert "--seed" in out and "--config" in out and "--threads" not in out
 
     def test_score_without_model_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -321,6 +321,7 @@ class TestHelpAndUsage:
             ("joints = 0", "joints must be >= 1, got 0"),
             ("smoothing_window = -5", "smoothing_window must be >= 0, got -5"),
             ("seed = -3", "seed must be >= 0, got -3"),
+            ("threads = 4", "threads must be 1, got 4"),
         ],
     )
     def test_out_of_range_config_value_is_typed_error(
@@ -640,6 +641,60 @@ class TestPipeline:
         ]
 
 
+def test_every_resolved_config_reproduces_its_run(small_benchmark, tmp_path):
+    """Each command, re-run with `--config` at its own config.<stage>.resolved,
+    writes the same resolved config and the same outputs (report.txt up to
+    its wall time)."""
+    root = small_benchmark
+
+    def chain(out, config):
+        argvs = {
+            "synth": ["--out", out / "data"],
+            "featurize": [
+                "--tracks", root / "corpus_tracks.tsv", "--out", out / "f" / "c.skem",
+                "--classes", root / "corpus_classes.tsv", "--text-out", out / "f" / "t.skem",
+            ],
+            "select": [
+                "--features", out / "f" / "c.skem", "--texts", out / "f" / "t.skem",
+                "--classes", root / "corpus_classes.tsv", "--spec", root / "typicality.spec",
+                "--out", out / "sel",
+            ],
+            "train": [
+                "--features", out / "f" / "c.skem", "--selection", out / "sel",
+                "--out", out / "model",
+            ],
+            "score": [
+                "--tracks", root / "test_tracks.tsv", "--model", out / "model" / "model.skfl",
+                "--out", out / "scores",
+            ],
+            "eval": [
+                "--scores", out / "scores" / "scores.tsv", "--labels", root / "test_labels.tsv",
+                "--out", out / "report",
+            ],
+        }
+        for command, argv in argvs.items():
+            assert run_cli(command, *argv, *config(command)) == 0, command
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    chain(first, lambda command: ["--config", root / "run.cfg", "--seed", "3"])
+    # the directory each command writes its resolved config to
+    dirs = {"synth": "data", "featurize": "f", "select": "sel", "train": "model",
+            "score": "scores", "eval": "report"}
+    chain(second, lambda command: [
+        "--config", first / dirs[command] / f"config.{command}.resolved"
+    ])
+    written = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+    assert len(written) == 23
+    assert "seed = 3\n" in (first / "model" / "config.train.resolved").read_text()
+    for path in written:
+        a, b = (first / path).read_bytes(), (second / path).read_bytes()
+        if path.name == "report.txt":
+            a, b = ([line for line in x.splitlines() if not line.startswith(b"wall_seconds")]
+                    for x in (a, b))
+        assert a == b, path
+
+
 class TestFullScalePipeline:
     """The complete subcommand chain on the default benchmark (slow)."""
 
@@ -748,17 +803,6 @@ def test_check_subcommand_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "FAIL" not in out
-
-
-def test_threads_env_fallback(small_benchmark, tmp_path, monkeypatch):
-    monkeypatch.setenv("SKEL_SENTINEL_THREADS", "2")
-    root = small_benchmark
-    assert run_cli(
-        "featurize", "--tracks", root / "corpus_tracks.tsv",
-        "--out", tmp_path / "f.skem", "--config", root / "run.cfg",
-    ) == 0
-    cfg = RunConfig.from_file(tmp_path / "config.featurize.resolved")
-    assert cfg.threads == 2
 
 
 BLAS = blas.blas_thread_control()

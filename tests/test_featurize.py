@@ -26,10 +26,10 @@ from skel_sentinel.featurize import (
     FeatureStore,
     class_prototypes,
     cosine_similarity,
+    descriptors,
     kinematic_matrix,
     load_embeddings,
     load_text_embeddings,
-    snippet_descriptor,
     write_embeddings,
 )
 from skel_sentinel.pipeline import extract_snippets
@@ -57,7 +57,7 @@ class TestKinematicFeatures:
 
     def test_constant_pose_has_zero_velocities(self):
         table = make_table(constant=True)
-        raw = snippet_descriptor(table[0])
+        raw = descriptors(table.joints[0:1])[0]
         coords = 2 * J * 16
         velocities = raw[coords : coords + 2 * J * 15]
         np.testing.assert_array_equal(velocities, 0.0)
@@ -282,7 +282,7 @@ class TestFeatureStore:
     def test_missing_ref(self):
         store = FeatureStore(["a"], np.zeros((1, 4), dtype=np.float32))
         with pytest.raises(MissingEmbeddingError):
-            store.lookup("b")
+            store.rows(["b"])
 
     def test_rows_are_float64_copies_in_ref_order(self):
         matrix = np.random.default_rng(3).standard_normal((4, 3)).astype(np.float32)
@@ -313,9 +313,10 @@ class TestFeatureStore:
         protos = class_prototypes(store, labels)
         for label in ("jump", "run", "walk"):
             members = [ref for ref, name in labels.items() if name == label]
-            total = store.lookup(members[0]).astype(np.float64)
-            for ref in members[1:]:
-                total = total + store.lookup(ref)
+            rows = store.rows(members)
+            total = rows[0]
+            for row in rows[1:]:
+                total = total + row
             mean = total / len(members)
             expected = mean / float(np.linalg.norm(mean))
             assert protos[label].values.tobytes() == expected.tobytes()

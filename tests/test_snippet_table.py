@@ -23,7 +23,6 @@ from skel_sentinel.featurize import (
     descriptors,
     kinematic_matrix,
     load_embeddings,
-    snippet_descriptor,
 )
 from skel_sentinel.pipeline import extract_snippets, featurize_snippets
 from skel_sentinel.pose_io import (
@@ -240,18 +239,17 @@ class TestTableViews:
         table = extract_snippets(videos, 8, 3)
         ref_refs, ref_raw, ref_matrix, _, _ = reference_front_end(videos, 8, 3, 16, 5)
         assert len(table) == len(ref_refs)
-        for i, ref in enumerate(ref_refs):
-            row = table[i]
-            assert row.ref == ref
+        assert table.refs == ref_refs
+        for i, joints in enumerate(table.joints):
             # the row's joints give the reference's features bit for bit
-            features = reference_descriptor(row.joints) @ reference_projection(row.joints, 16, 5)
+            features = reference_descriptor(joints) @ reference_projection(joints, 16, 5)
             np.testing.assert_array_equal(features.view(np.int64), ref_matrix[i].view(np.int64))
         refs, matrix, _ = featurize_snippets(table, 16, 5)
         assert_within_projection_bound(matrix, ref_matrix, ref_raw, 16, 5)
         np.testing.assert_array_equal(
-            snippet_descriptor(table[0]), reference_descriptor(table[0].joints)
+            descriptors(table.joints[0:1])[0], reference_descriptor(table.joints[0])
         )
-        assert table[-1].ref == refs[-1] == ref_refs[-1]
+        assert refs == ref_refs
 
     def test_drop_counts_are_logged(self, caplog):
         zeros = make_track("v", 0, 20, zero=set(range(8)))

@@ -12,9 +12,8 @@ from skel_sentinel.synth import (
     generate_scene,
     make_benchmark,
     make_outlier_scene,
-    read_class_map,
-    write_class_map,
 )
+from skel_sentinel.typicality import read_class_map, write_class_map
 
 
 def simple_cfg(video_id="v0", agents=None, length=64, seed=0, **kw):

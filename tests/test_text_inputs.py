@@ -17,8 +17,7 @@ from skel_sentinel.cli import _read_selection
 from skel_sentinel.config import RunConfig
 from skel_sentinel.errors import LabelConflictError, SchemaError, SentinelError
 from skel_sentinel.evaluation import read_labels
-from skel_sentinel.synth import read_class_map
-from skel_sentinel.typicality import load_typicality_spec
+from skel_sentinel.typicality import load_typicality_spec, read_class_map
 
 READERS = {
     "config": RunConfig.from_file,
