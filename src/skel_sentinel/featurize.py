@@ -9,6 +9,7 @@ in row-major order. A UTF-8 sidecar at ``<path>.idx`` lists one snippet_ref
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,40 +151,66 @@ def _projection(raw_dim: int, target_dim: int, seed: int) -> np.ndarray:
     return q
 
 
-def kinematic_matrix(joints: np.ndarray, dim: int, seed: int) -> np.ndarray:
-    """(N, dim) features of an (N, 2, J, T) stack of normalized snippets.
+def kinematic_matrix(blocks: Iterable[np.ndarray] | np.ndarray, dim: int, seed: int) -> np.ndarray:
+    """(N, dim) features of normalized snippets, in the order they arrive.
 
-    Descriptors are built and projected BLOCK_ROWS rows at a time, so the
-    descriptor block never outgrows BLOCK_ROWS rows. Each block is projected
-    by GEMMs over fixed chunks of PROJECTION_CHUNK descriptor columns, summed
-    into the block's output in chunk order. A single full-K GEMM is as fast,
-    but the order in which OpenBLAS sums its K terms depends on the BLAS
-    thread count, so its bits do too; with chunks this short the features are
-    the same bytes at any thread count (checked by a test).
+    `blocks` is an iterable of (B, 2, J, T) blocks of any sizes, or one
+    (N, 2, J, T) array. Whatever the blocks, the rows are regrouped into GEMM
+    blocks of exactly BLOCK_ROWS rows, only the last one shorter, so a row's
+    bits depend on its position in the whole sequence, not on how the rows
+    arrived. That matters: on OpenBLAS 0.3.31, a row of an (M, 256) @
+    (256, 64) product had the bits of the same row in the 256-row product
+    for every M from 2 to 255, but not for M = 1, which goes through gemv;
+    so a stream that dropped a row and then passed on a one-row remainder
+    would change that row's features. Each GEMM block's descriptors are
+    built, then projected by GEMMs over fixed chunks of PROJECTION_CHUNK
+    descriptor columns, summed into the block's output in chunk order. A
+    single full-K GEMM is as fast, but the order in which OpenBLAS sums its K
+    terms depends on the BLAS thread count, so its bits do too; with chunks
+    this short the features are the same bytes at any thread count (checked
+    by a test). Memory is one GEMM block of descriptors plus the output.
 
     The features are not bit-identical to a one-row-at-a-time product (nor is
-    a one-row block to the same row in a larger one, which goes through gemv):
-    every order of a K-term sum lies within gamma_K * sum_i |d_i p_i| of the
-    exact dot product (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1), gamma_K = K u / (1 - K u), u = 2**-53, so any two
-    orders differ by at most 2 gamma_K * (|raw| @ |P|) per feature.
+    a one-row block to the same row in a larger one): every order of a K-term
+    sum lies within gamma_K * sum_i |d_i p_i| of the exact dot product
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
+    gamma_K = K u / (1 - K u), u = 2**-53, so any two orders differ by at
+    most 2 gamma_K * (|raw| @ |P|) per feature.
     """
     if dim < 4:
         raise DimensionError(f"feature dimension must be >= 4, got {dim}")
-    n, _, n_joints, length = joints.shape
-    raw_dim = descriptor_width(n_joints, length)
-    # checked before `out` is allocated; J is 0 only for a table of no tracks
-    if n_joints and dim > raw_dim:
-        raise DimensionError(f"cannot project {raw_dim} dims up to {dim}")
-    out = np.empty((n, dim), dtype=np.float64)
-    for b0 in range(0, n, BLOCK_ROWS):
-        raw = descriptors(joints[b0 : b0 + BLOCK_ROWS])
-        projection = _projection(raw.shape[1], dim, seed)
-        block = out[b0 : b0 + BLOCK_ROWS]
-        np.matmul(raw[:, :PROJECTION_CHUNK], projection[:PROJECTION_CHUNK], out=block)
-        for k in range(PROJECTION_CHUNK, raw.shape[1], PROJECTION_CHUNK):
-            block += raw[:, k : k + PROJECTION_CHUNK] @ projection[k : k + PROJECTION_CHUNK]
-    return out
+    if isinstance(blocks, np.ndarray):
+        blocks = (blocks,)
+    out: list[np.ndarray] = []
+    held: list[np.ndarray] = []  # rows waiting for a full GEMM block
+    n_held = 0
+    for block in blocks:
+        _, _, n_joints, length = block.shape
+        # checked before the block's rows are held or projected; J is 0 only
+        # for a table of no tracks
+        raw_dim = descriptor_width(n_joints, length)
+        if n_joints and dim > raw_dim:
+            raise DimensionError(f"cannot project {raw_dim} dims up to {dim}")
+        while len(block):
+            held.append(block[: BLOCK_ROWS - n_held])
+            block = block[len(held[-1]) :]
+            n_held += len(held[-1])
+            if n_held == BLOCK_ROWS:
+                out.append(_project(held, dim, seed))
+                held, n_held = [], 0
+    if held:
+        out.append(_project(held, dim, seed))
+    return np.concatenate(out) if out else np.empty((0, dim), dtype=np.float64)
+
+
+def _project(held: list[np.ndarray], dim: int, seed: int) -> np.ndarray:
+    """Features of one GEMM block, given as the row runs that make it up."""
+    raw = descriptors(held[0] if len(held) == 1 else np.concatenate(held))
+    projection = _projection(raw.shape[1], dim, seed)
+    block = raw[:, :PROJECTION_CHUNK] @ projection[:PROJECTION_CHUNK]
+    for k in range(PROJECTION_CHUNK, raw.shape[1], PROJECTION_CHUNK):
+        block += raw[:, k : k + PROJECTION_CHUNK] @ projection[k : k + PROJECTION_CHUNK]
+    return block
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -231,7 +258,7 @@ def write_embeddings(refs: list[str], matrix: np.ndarray, path: str | Path) -> N
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, *store.matrix.shape))
-        fh.write(store.matrix.astype("<f4", copy=False).tobytes())
+        fh.write(store.matrix.astype("<f4", copy=False).data)
     Path(f"{path}.idx").write_bytes(sidecar)
 
 

@@ -7,16 +7,28 @@ and `evaluation.run_benchmark` call it, so they share every option and write
 the same bytes. Stage functions are looked up as module attributes at call
 time, so a tracer can wrap them by name.
 
-The path is columnar from windows to frame scores. `extract_snippets` turns
-all tracks into one `pose_io.SnippetTable` (N rows, joints as an (N, 2, J, T)
-tensor), normalized in blocks of `pose_io.BLOCK_ROWS`, and
-`featurize_snippets` projects it block by block. The normalized joints and
-raw descriptors are the bits of the frozen one-snippet-at-a-time reference
-in `tests/test_snippet_table.py`; the projected features lie within the
+The front end streams. A `SnippetStream` stacks every track along time
+and finds the windows that are not zero-dominated (the `window` stage).
+Featurizing reads the stream: it cuts `pose_io.BLOCK_ROWS` windows at a
+time, normalizes them, drops the degenerate rows and passes the rest to
+`featurize.kinematic_matrix`, which builds their descriptors and projects
+them. Only the (N, D) features and their id columns (`SnippetMeta`) outlive a
+block, so the front end holds O(BLOCK_ROWS) windows, never the
+(N, 2, J, T) joints tensor. The rows reach `kinematic_matrix` in blocks of
+any size, and it regroups them into GEMM blocks of exactly BLOCK_ROWS rows,
+only the last one shorter. So a dropped row moves no GEMM block edge, and a
+one-row block, whose bits differ because OpenBLAS computes it with gemv,
+occurs only where the whole table has one: the features have the bits of
+`featurize_snippets(extract_snippets(...))`, which builds the whole
+`pose_io.SnippetTable` first. `score --features` reads the stream only to
+learn which windows are degenerate.
+
+`extract_snippets` (the table) and `featurize_snippets` run on the same
+stream; the CLI does not call them. The normalized joints and raw
+descriptors are the bits of the frozen one-snippet-at-a-time reference in
+`tests/test_snippet_table.py`; the projected features lie within the
 forward-error bound stated in `featurize.kinematic_matrix`, which also says
-why the projection is summed in fixed K-chunks and not one GEMM. The
-features come back with a `SnippetMeta`, the table's id columns without the
-joints.
+why the projection is summed in fixed K-chunks and not one GEMM.
 `build_scene_indices` sorts the rows by video once and cuts each scene as a
 slice. Each scene's typicality and uniqueness are arrays in its row order
 (`VideoScores`), and `scoring.build_score_series` fuses them into a
@@ -29,6 +41,7 @@ runs every command, `train` included, at one OpenBLAS thread (`blas`).
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +61,7 @@ from .pose_io import (
     kept_offsets,
     load_tracks,
     normalize_block,
+    snippet_refs,
     track_arrays,
 )
 from .scoring import ScoreSeries, build_score_series, smooth_scores
@@ -63,75 +77,128 @@ class SnippetMeta:
     person_ids: np.ndarray  # (N,) int64
     starts: np.ndarray  # (N,) int64
 
+    @property
+    def refs(self) -> list[str]:
+        return snippet_refs(self.video_ids, self.person_ids, self.starts)
+
+
+class SnippetStream:
+    """Every track's windows, normalized BLOCK_ROWS windows at a time.
+
+    Building the stream stacks every track along time and finds the windows
+    that are not zero-dominated, in video_id order, then track order, then
+    start time; nothing is normalized yet. Iterating normalizes one block of
+    windows at a time and yields the block's non-degenerate rows, as a
+    (B, 2, J, T) array with B >= 1; a block with none is skipped. Once the
+    stream has been read, `kept()` gives the kept rows' id columns and the
+    degenerate count, and logs both drop counts.
+    """
+
+    def __init__(self, videos: dict[str, list[Track]], window_length: int, stride: int):
+        owners = [video_id for video_id in sorted(videos) for _ in videos[video_id]]
+        tracks = [track for video_id in sorted(videos) for track in videos[video_id]]
+        n_joints = tracks[0].frames[0].xy.shape[0] if tracks else 0
+        ends = np.cumsum([track.length for track in tracks], dtype=np.int64).tolist()
+        self._coords = np.empty((ends[-1] if ends else 0, 2, n_joints), dtype=np.float64)
+        self._conf = np.empty((len(self._coords), n_joints), dtype=np.float64)
+        rows, starts, counts = [], [], []
+        self.dropped_zero = 0
+        for track, end in zip(tracks, ends):
+            track_coords, track_conf = track_arrays(track)
+            first = end - len(track_coords)
+            self._coords[first:end], self._conf[first:end] = track_coords, track_conf
+            kept, dropped = kept_offsets(track_coords, window_length, stride)
+            self.dropped_zero += dropped
+            # A kept window never crosses the end of its track, so each window
+            # is one slice of the stacked arrays, from its first row on.
+            rows.append(first + kept)
+            starts.append(track.frames[0].frame_index + kept)
+            counts.append(len(kept))
+        self._rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        self._windows = SnippetMeta(
+            np.repeat(np.array(owners, dtype=object), counts),
+            np.repeat(np.array([track.person_id for track in tracks], dtype=np.int64), counts),
+            np.concatenate(starts) if starts else np.empty(0, dtype=np.int64),
+        )
+        self._window_length = window_length
+        self._keep: list[np.ndarray] = []  # each block's non-degenerate-row mask
+
+    def __len__(self) -> int:
+        """Windows that are not zero-dominated: an upper bound on the kept rows."""
+        return len(self._rows)
+
+    @property
+    def n_joints(self) -> int:
+        return self._coords.shape[2]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        self._keep = []
+        if len(self._rows):
+            coord_windows = sliding_window_view(self._coords, self._window_length, axis=0)
+            conf_windows = sliding_window_view(self._conf, self._window_length, axis=0)
+            for b0 in range(0, len(self._rows), BLOCK_ROWS):
+                block = self._rows[b0 : b0 + BLOCK_ROWS]
+                normalized, n_valid, scale = normalize_block(
+                    np.ascontiguousarray(coord_windows[block]), conf_windows[block]
+                )
+                keep = (n_valid > 0) & ~(scale < SCALE_FLOOR)
+                self._keep.append(keep)
+                if keep.all():
+                    yield normalized
+                elif keep.any():
+                    yield normalized[keep]
+
+    def kept(self) -> tuple[SnippetMeta, int]:
+        """The kept rows' id columns and the number of degenerate windows."""
+        keep = np.concatenate(self._keep) if self._keep else np.ones(0, dtype=bool)
+        windows = self._windows
+        meta = SnippetMeta(windows.video_ids[keep], windows.person_ids[keep], windows.starts[keep])
+        dropped_degenerate = len(keep) - int(keep.sum())
+        logger.info(
+            "kept %d snippet(s); dropped %d zero-dominated and %d degenerate window(s)",
+            len(meta.starts), self.dropped_zero, dropped_degenerate,
+        )
+        return meta, dropped_degenerate
+
 
 def extract_snippets(
     videos: dict[str, list[Track]], window_length: int, stride: int
 ) -> SnippetTable:
     """Window and normalize every track into one SnippetTable.
 
-    Rows come in video_id order, then track order, then start time.
-    Zero-dominated windows are never cut out. The rest are gathered and
-    normalized BLOCK_ROWS at a time, and degenerate ones are dropped. The
-    table keeps both drop counts, and both are logged.
+    The table holds the rows of a `SnippetStream` and both drop counts, and
+    the counts are logged.
     """
-    coords, conf, offsets, owners = [], [], [], []
-    dropped_zero = 0
-    for video_id in sorted(videos):
-        for track in videos[video_id]:
-            track_coords, track_conf = track_arrays(track)
-            kept, dropped = kept_offsets(track_coords, window_length, stride)
-            dropped_zero += dropped
-            coords.append(track_coords)
-            conf.append(track_conf)
-            offsets.append(kept)
-            owners.append((video_id, track.person_id, track.frames[0].frame_index))
-
-    counts = [len(kept) for kept in offsets]
-    offsets = np.concatenate(offsets) if offsets else np.empty(0, dtype=np.int64)
-    n_joints = coords[0].shape[2] if coords else 0
-    joints = np.empty((len(offsets), 2, n_joints, window_length), dtype=np.float64)
-    keep = np.ones(len(offsets), dtype=bool)
-    if len(offsets):
-        # Tracks are stacked along time. A kept window never crosses the end of
-        # its track, so each window is one slice of the stacked arrays.
-        track_rows = np.cumsum([0] + [len(c) for c in coords[:-1]])
-        rows = np.repeat(track_rows, counts) + offsets
-        coord_windows = sliding_window_view(np.concatenate(coords), window_length, axis=0)
-        conf_windows = sliding_window_view(np.concatenate(conf), window_length, axis=0)
-        for b0 in range(0, len(rows), BLOCK_ROWS):
-            block = rows[b0 : b0 + BLOCK_ROWS]
-            normalized, n_valid, scale = normalize_block(
-                np.ascontiguousarray(coord_windows[block]), conf_windows[block]
-            )
-            joints[b0 : b0 + BLOCK_ROWS] = normalized
-            keep[b0 : b0 + BLOCK_ROWS] = (n_valid > 0) & ~(scale < SCALE_FLOOR)
-
-    video_ids, person_ids, firsts = zip(*owners) if owners else ((), (), ())
-    table = SnippetTable(
-        video_ids=np.repeat(np.array(video_ids, dtype=object), counts)[keep],
-        person_ids=np.repeat(np.array(person_ids, dtype=np.int64), counts)[keep],
-        starts=(np.repeat(np.array(firsts, dtype=np.int64), counts) + offsets)[keep],
-        joints=joints if keep.all() else joints[keep],
-        dropped_zero=dropped_zero,
-        dropped_degenerate=int((~keep).sum()),
+    stream = SnippetStream(videos, window_length, stride)
+    joints = np.empty((len(stream), 2, stream.n_joints, window_length), dtype=np.float64)
+    n = 0
+    for block in stream:
+        joints[n : n + len(block)] = block
+        n += len(block)
+    meta, dropped_degenerate = stream.kept()
+    return SnippetTable(
+        meta.video_ids, meta.person_ids, meta.starts, joints[:n],
+        stream.dropped_zero, dropped_degenerate,
     )
-    logger.info(
-        "kept %d snippet(s); dropped %d zero-dominated and %d degenerate window(s)",
-        len(table), table.dropped_zero, table.dropped_degenerate,
-    )
-    return table
 
 
 def featurize_snippets(
     table: SnippetTable, dim: int, seed: int
 ) -> tuple[list[str], np.ndarray, SnippetMeta]:
     """Kinematic features of every table row, with the rows' refs and metadata."""
-    refs = table.refs
-    matrix = kinematic_matrix(table.joints, dim, seed)
+    meta = SnippetMeta(table.video_ids, table.person_ids, table.starts)
+    return _checked_features(kinematic_matrix(table.joints, dim, seed), meta)
+
+
+def _checked_features(
+    matrix: np.ndarray, meta: SnippetMeta
+) -> tuple[list[str], np.ndarray, SnippetMeta]:
+    """The rows' refs, features and metadata; a non-finite row is an error naming its ref."""
+    refs = meta.refs
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise NonFiniteError(f"feature for {refs[int(np.argmin(finite))]} has non-finite values")
-    return refs, matrix, SnippetMeta(table.video_ids, table.person_ids, table.starts)
+    return refs, matrix, meta
 
 
 def build_scene_indices(
@@ -219,24 +286,30 @@ def snippet_features(
 ) -> tuple[list[str], np.ndarray, SnippetMeta]:
     """Refs, features and metadata of every snippet of a track file.
 
-    Features are computed from the tracks, or gathered in the tracks' snippet
-    order from the `.skem` file at `features_path` when one is given. A track
-    file that yields no snippet fails the `window` stage.
+    Features are computed from the tracks, one block of windows at a time, or
+    gathered in the tracks' snippet order from the `.skem` file at
+    `features_path` when one is given. A track file that yields no snippet
+    fails the `window` stage.
     """
     videos = stage("load-tracks", load_tracks, tracks_path, cfg.joints)
-    table = stage("window", extract_snippets, videos, cfg.window_length, cfg.stride)
-    del videos  # the track objects are not needed once the joints are windowed
-    if not len(table):
+    stream = stage("window", SnippetStream, videos, cfg.window_length, cfg.stride)
+    del videos  # the track objects are not needed once the tracks are stacked
+    if features_path is None:
+        matrix = stage("featurize", kinematic_matrix, stream, cfg.feature_dim, cfg.seed)
+    else:
+        for _ in stream:  # only which windows are degenerate is needed
+            pass
+    meta, dropped_degenerate = stream.kept()
+    if not len(meta.starts):
         raise StageError("window", SchemaError(
             f"{tracks_path}: no snippet of window_length = {cfg.window_length}; dropped "
-            f"{table.dropped_zero} zero-dominated and {table.dropped_degenerate} "
+            f"{stream.dropped_zero} zero-dominated and {dropped_degenerate} "
             "degenerate window(s)"
         ))
     if features_path is None:
-        return stage("featurize", featurize_snippets, table, cfg.feature_dim, cfg.seed)
+        return stage("featurize", _checked_features, matrix, meta)
     store = stage("load-features", load_embeddings, features_path)
-    refs = table.refs
-    meta = SnippetMeta(table.video_ids, table.person_ids, table.starts)
+    refs = meta.refs
     return refs, stage("featurize", store.rows, refs), meta
 
 

@@ -8,8 +8,9 @@ with exactly one x,y,confidence triple per joint. Coordinates are pixels,
 confidences live in [0, 1]. Lines are split as `config.read_lines` splits them.
 
 Windowing and normalization are array kernels (`track_arrays`,
-`kept_offsets`, `normalize_block`). `pipeline.extract_snippets` runs them over
-all tracks into one `SnippetTable`.
+`kept_offsets`, `normalize_block`). `pipeline.SnippetStream` runs them over
+all tracks, BLOCK_ROWS windows at a time, and `pipeline.extract_snippets`
+collects its blocks into one `SnippetTable`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ SCALE_FLOOR = 1e-12
 # which at this bound is at most 0.43 GB of float64 at 17 joints.
 MAX_TRACK_SPAN = 2**20
 
-# Snippets per block in the batched front end (normalization, featurization):
-# bounds each block's temporaries at BLOCK_ROWS rows whatever the input size.
+# Snippets per block in the streamed front end (normalization, featurization):
+# bounds each block's temporaries, and the windows the front end holds, at
+# BLOCK_ROWS rows whatever the input size.
 BLOCK_ROWS = 256
 
 
@@ -117,8 +119,13 @@ class SnippetTable:
 
     @property
     def refs(self) -> list[str]:
-        columns = (self.video_ids.tolist(), self.person_ids.tolist(), self.starts.tolist())
-        return [make_snippet_ref(v, p, s) for v, p, s in zip(*columns)]
+        return snippet_refs(self.video_ids, self.person_ids, self.starts)
+
+
+def snippet_refs(video_ids: np.ndarray, person_ids: np.ndarray, starts: np.ndarray) -> list[str]:
+    """The ref of every row of a snippet table's id columns."""
+    columns = (video_ids.tolist(), person_ids.tolist(), starts.tolist())
+    return [make_snippet_ref(v, p, s) for v, p, s in zip(*columns)]
 
 
 def make_snippet_ref(video_id: str, person_id: int, start_time: int) -> str:

@@ -7,24 +7,35 @@ for bit. Its features come from a differently ordered sum (chunked GEMMs, not
 one vector-matrix product per row), so they are checked against the forward
 error bound in `featurize.kinematic_matrix`: two K-term sums of the same
 products differ by at most 2 gamma_K * (|raw| @ |P|).
+
+The streamed front end (`pipeline.snippet_features`) is checked against the
+table (`featurize_snippets(extract_snippets(...))`) bit for bit, and for the
+memory it holds.
 """
 
 import logging
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skel_sentinel import featurize, pipeline
 from skel_sentinel.cli import command_dispatch
+from skel_sentinel.config import RunConfig
+from skel_sentinel.errors import StageError
 from skel_sentinel.featurize import (
     _projection,
     descriptors,
     kinematic_matrix,
     load_embeddings,
 )
-from skel_sentinel.pipeline import extract_snippets, featurize_snippets
+from skel_sentinel.pipeline import extract_snippets, featurize_snippets, snippet_features
 from skel_sentinel.pose_io import (
     BLOCK_ROWS,
     MAX_ZERO_FRAME_FRACTION,
@@ -260,6 +271,132 @@ class TestTableViews:
         message = caplog.records[-1].getMessage()
         assert f"{table.dropped_zero} zero-dominated" in message
         assert f"{table.dropped_degenerate} degenerate" in message
+
+
+class DropCounts(logging.Handler):
+    """Keeps the arguments of the pipeline's drop-count log line."""
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.args = []
+
+    def emit(self, record):
+        if record.getMessage().startswith("kept "):
+            self.args.append(record.args)
+
+
+def assert_stream_matches_table(videos, window_length, stride, block_rows, dim=8, seed=3):
+    """snippet_features on the written tracks against the table of the same
+    tracks, bit for bit, with both modules reading `block_rows` as BLOCK_ROWS.
+    Returns the kept rows and the table's drop counts."""
+    cfg = RunConfig(
+        joints=J, window_length=window_length, stride=stride, feature_dim=dim, seed=seed
+    )
+    logger, counts = logging.getLogger("skel_sentinel.pipeline"), DropCounts()
+    level = logger.level
+    logger.addHandler(counts)
+    logger.setLevel(logging.INFO)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(pipeline, "BLOCK_ROWS", block_rows), \
+                mock.patch.object(featurize, "BLOCK_ROWS", block_rows):
+            path = Path(tmp) / "tracks.tsv"
+            write_tracks(videos, path)
+            table = extract_snippets(load_tracks(path, J), window_length, stride)
+            table_refs, table_matrix, table_meta = featurize_snippets(table, dim, seed)
+            try:
+                refs, matrix, meta = snippet_features(cfg, path)
+            except StageError as exc:
+                assert len(table) == 0 and exc.stage == "window"
+                assert (
+                    f"dropped {table.dropped_zero} zero-dominated and "
+                    f"{table.dropped_degenerate} degenerate window(s)"
+                ) in str(exc)
+                refs, matrix, meta = [], np.empty((0, dim)), None
+    finally:
+        logger.removeHandler(counts)
+        logger.setLevel(level)
+    drops = (table.dropped_zero, table.dropped_degenerate)
+    assert counts.args[-1] == (len(table), *drops)  # the stream's own log line
+    assert refs == table_refs
+    assert matrix.shape == table_matrix.shape
+    np.testing.assert_array_equal(matrix.view(np.int64), table_matrix.view(np.int64))
+    if meta is not None:
+        for column in ("video_ids", "person_ids", "starts"):
+            np.testing.assert_array_equal(getattr(meta, column), getattr(table_meta, column))
+    return len(table), drops
+
+
+class TestStreamedFrontEnd:
+    """The stream normalizes BLOCK_ROWS windows at a time and drops degenerate
+    rows, so its blocks reach kinematic_matrix with fewer rows than a block
+    holds. Its GEMM blocks must still be the table's, including a last block
+    of one row, which OpenBLAS computes with gemv."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tracks=st.lists(
+            st.tuples(
+                st.integers(1, 40),  # frames spanned
+                st.integers(0, 9),  # first frame index
+                st.sets(st.integers(1, 38), max_size=6),  # missing frames
+                st.tuples(st.integers(0, 39), st.integers(0, 12)),  # run of all-zero frames
+                st.tuples(st.integers(0, 39), st.integers(0, 14)),  # run of one-point poses
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        window_length=st.integers(2, 6),
+        stride=st.integers(1, 3),
+        block_rows=st.integers(2, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_stream_equals_table(self, tracks, window_length, stride, block_rows, seed):
+        rng = np.random.default_rng(seed)
+        videos = {}
+        for person, (length, start, gaps, (z0, zn), (s0, sn)) in enumerate(tracks):
+            gaps = {t for t in gaps if t < length - 1}
+            video = f"v{person % 2}"
+            videos.setdefault(video, []).append(make_track(
+                video, person, length, start, gaps,
+                set(range(z0, z0 + zn)), set(range(s0, s0 + sn)), rng,
+            ))
+        assert_stream_matches_table(videos, window_length, stride, block_rows, seed=seed)
+
+    def test_dropped_row_moves_block_edge_and_leaves_one_row(self):
+        # Windows of 3 frames at stride 1, normalized 4 at a time: the still
+        # frames 4-8 make windows 4, 5 and 6 degenerate, so the second
+        # normalized block keeps 1 row of 4, and every later GEMM block
+        # starts 3 windows later than its normalization block. 22 frames give
+        # 20 windows; the 17 kept rows end in a GEMM block of one row.
+        videos = {"v": [make_track("v", 0, 22, still=set(range(4, 9)))]}
+        kept, drops = assert_stream_matches_table(videos, 3, 1, block_rows=4)
+        assert (kept, drops) == (17, (0, 3))
+
+    def test_front_end_holds_no_joints_tensor(self, tmp_path):
+        # 32 normalization blocks of 17-joint, 16-frame windows: the table's
+        # (N, 2, J, T) float64 tensor is 35.7 MB; one block of descriptors is
+        # 6.6 MB. NumPy reports its allocations to tracemalloc.
+        n_joints, length, per_track = 17, 16, 8 * BLOCK_ROWS
+        rng = np.random.default_rng(0)
+        with open(tmp_path / "tracks.tsv", "w", encoding="utf-8") as fh:
+            for person in range(4):
+                for frame in range(per_track + length - 1):
+                    pose = ";".join(
+                        f"{x:.3f},{y:.3f},{c:.3f}"
+                        for x, y, c in rng.random((n_joints, 3)) * (100.0, 100.0, 1.0)
+                    )
+                    fh.write(f"v{person % 2}\t{person}\t{frame}\t{pose}\n")
+        cfg = RunConfig(joints=n_joints, window_length=length, feature_dim=16)
+        tracemalloc.start()
+        try:
+            refs, _, _ = snippet_features(cfg, tmp_path / "tracks.tsv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(refs) == 4 * per_track
+        tensor = len(refs) * 2 * n_joints * length * 8
+        assert peak < tensor / 2, f"peak {peak / 1e6:.1f} MB for a {tensor / 1e6:.1f} MB tensor"
 
 
 def test_cli_featurize_writes_reference_bytes(tmp_path):
