@@ -11,26 +11,21 @@ The front end streams. A `SnippetStream` stacks every track along time
 and finds the windows that are not zero-dominated (the `window` stage).
 Featurizing reads the stream: it cuts `pose_io.BLOCK_ROWS` windows at a
 time, normalizes them, drops the degenerate rows and passes the rest to
-`featurize.kinematic_matrix`, which builds their descriptors and projects
-them. Only the (N, D) features and their id columns (`SnippetMeta`) outlive a
-block, so the front end holds O(BLOCK_ROWS) windows, never the
-(N, 2, J, T) joints tensor. The rows reach `kinematic_matrix` in blocks of
-any size, and it regroups them into GEMM blocks of exactly BLOCK_ROWS rows,
-only the last one shorter. So a dropped row moves no GEMM block edge, and a
-one-row block, whose bits differ because OpenBLAS computes it with gemv,
-occurs only where the whole table has one: the features have the bits of
-`featurize_snippets(extract_snippets(...))`, which builds the whole
-`pose_io.SnippetTable` first. `score --features` reads the stream only to
-learn which windows are degenerate.
+`featurize.kinematic_matrix`, which regroups them into GEMM blocks of exactly
+BLOCK_ROWS rows, so the features do not depend on where rows were dropped.
+Only the (N, D) features and their id columns (`SnippetMeta`) outlive a
+block: the front end never holds the (N, 2, J, T) joints tensor that
+`extract_snippets` builds as a `pose_io.SnippetTable` (the CLI calls neither
+it nor `featurize_snippets`), yet `featurize_snippets` of that table gives
+the same bits. `score --features` reads the stream only for its drops.
 
-`extract_snippets` (the table) and `featurize_snippets` run on the same
-stream; the CLI does not call them. The normalized joints and raw
-descriptors are the bits of the frozen one-snippet-at-a-time reference in
-`tests/test_snippet_table.py`; the projected features lie within the
-forward-error bound stated in `featurize.kinematic_matrix`, which also says
-why the projection is summed in fixed K-chunks and not one GEMM.
-`build_scene_indices` sorts the rows by video once and cuts each scene as a
-slice. Each scene's typicality and uniqueness are arrays in its row order
+Every front end rounds the features to the float32 values a `.skem` file
+stores (`_checked_features`), so `score` and `score --features` see the same
+bits. The normalized joints and raw descriptors are the bits of the frozen
+one-snippet-at-a-time reference in `tests/test_snippet_table.py`;
+`kinematic_matrix`'s output lies within the forward-error bound it states.
+`build_scene_indices` cuts each scene as a slice of rows already in video_id
+order. Each scene's typicality and uniqueness are arrays in its row order
 (`VideoScores`), and `scoring.build_score_series` fuses them into a
 column-wise `scoring.ScoreSeries` and its frame scores.
 
@@ -50,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .context import SceneIndex, video_uniqueness_scores
-from .errors import NonFiniteError, SchemaError, StageError, stage
+from .errors import ContractError, NonFiniteError, SchemaError, StageError, stage
 from .featurize import kinematic_matrix, load_embeddings
 from .flow import FlowModel, load_flow, typicality_score
 from .pose_io import (
@@ -193,8 +188,10 @@ def featurize_snippets(
 def _checked_features(
     matrix: np.ndarray, meta: SnippetMeta
 ) -> tuple[list[str], np.ndarray, SnippetMeta]:
-    """The rows' refs, features and metadata; a non-finite row is an error naming its ref."""
+    """The rows' refs, features and metadata; a non-finite row is an error naming its ref.
+    The features are rounded in place to the float32 values a `.skem` file stores."""
     refs = meta.refs
+    matrix[...] = matrix.astype(np.float32)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise NonFiniteError(f"feature for {refs[int(np.argmin(finite))]} has non-finite values")
@@ -206,17 +203,19 @@ def build_scene_indices(
 ) -> dict[str, SceneIndex]:
     """One SceneIndex per video, keyed and ordered by video_id.
 
-    Rows are stably sorted by video once and each scene is a slice, so rows
-    keep their order inside a scene.
-    """
-    order = np.argsort(meta.video_ids, kind="stable")
-    video_ids, refs = meta.video_ids[order], np.array(refs, dtype=object)[order]
-    persons, starts, features = meta.person_ids[order], meta.starts[order], matrix[order]
-    names, firsts = np.unique(video_ids, return_index=True)
-    ends = np.r_[firsts[1:], len(order)]
+    Each scene is a slice of the caller's arrays, so rows keep their order and
+    no feature is copied. The rows must be in video_id order, as every front
+    end yields them: a row out of it is a ContractError naming its ref."""
+    video_ids = meta.video_ids
+    backward = video_ids[1:] < video_ids[:-1]
+    if backward.any():
+        raise ContractError(f"{refs[int(np.argmax(backward)) + 1]} is out of video_id order")
+    cuts = (np.flatnonzero(video_ids[1:] != video_ids[:-1]) + 1).tolist()
+    bounds = zip([0, *cuts], [*cuts, len(video_ids)]) if len(video_ids) else ()
+    persons, starts = meta.person_ids, meta.starts
     return {
-        name: SceneIndex(name, refs[a:b].tolist(), persons[a:b], starts[a:b], features[a:b])
-        for name, a, b in zip(names.tolist(), firsts.tolist(), ends.tolist())
+        video_ids[a]: SceneIndex(video_ids[a], refs[a:b], persons[a:b], starts[a:b], matrix[a:b])
+        for a, b in bounds
     }
 
 

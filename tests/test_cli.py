@@ -577,6 +577,21 @@ class TestPipeline:
         ]
         assert not (tmp_path / "missing").exists()
 
+    def test_score_from_tracks_equals_score_from_their_features(self, small_benchmark, tmp_path):
+        # one value per feature: `score` scores the float32 rows `featurize` stores
+        root = small_benchmark
+        tracks, model, skem = root / "test_tracks.tsv", tmp_path / "model.skfl", tmp_path / "f.skem"
+        cfg = ["--tracks", tracks, "--config", root / "run.cfg"]
+        save_flow(init_flow(16, 2, 8, seed=0), model)
+        assert run_cli("featurize", "--out", skem, *cfg) == 0
+        assert run_cli("score", "--model", model, "--out", tmp_path / "tracks", *cfg) == 0
+        assert run_cli(
+            "score", "--model", model, "--features", skem, "--out", tmp_path / "skem", *cfg
+        ) == 0
+        for output in ("scores.tsv", "details.tsv"):
+            written = (tmp_path / "tracks" / output).read_bytes()
+            assert written and written == (tmp_path / "skem" / output).read_bytes()
+
     def test_featurize_idempotent_byte_identical(self, small_benchmark, tmp_path):
         root = small_benchmark
         for sub in ("a", "b"):

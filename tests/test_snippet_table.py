@@ -3,14 +3,15 @@
 `reference_front_end` is the per-snippet path the table replaced (window each
 track, normalize each window, featurize each snippet), kept here unchanged.
 The table's refs, drop counts and raw descriptors are checked against it bit
-for bit. Its features come from a differently ordered sum (chunked GEMMs, not
-one vector-matrix product per row), so they are checked against the forward
-error bound in `featurize.kinematic_matrix`: two K-term sums of the same
-products differ by at most 2 gamma_K * (|raw| @ |P|).
+for bit. `featurize.kinematic_matrix` projects them by a differently ordered
+sum (chunked GEMMs, not one vector-matrix product per row), so its output is
+checked against the forward error bound it states: two K-term sums of the
+same products differ by at most 2 gamma_K * (|raw| @ |P|). The front end
+returns that output rounded to float32, bit for bit.
 
 The streamed front end (`pipeline.snippet_features`) is checked against the
-table (`featurize_snippets(extract_snippets(...))`) bit for bit, and for the
-memory it holds.
+table (`featurize_snippets(extract_snippets(...))`) and against the `.skem`
+file of its own features bit for bit, and for the memory it holds.
 """
 
 import logging
@@ -28,14 +29,21 @@ from hypothesis import strategies as st
 from skel_sentinel import featurize, pipeline
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.config import RunConfig
-from skel_sentinel.errors import StageError
+from skel_sentinel.errors import ContractError, StageError
 from skel_sentinel.featurize import (
     _projection,
     descriptors,
     kinematic_matrix,
     load_embeddings,
+    write_embeddings,
 )
-from skel_sentinel.pipeline import extract_snippets, featurize_snippets, snippet_features
+from skel_sentinel.pipeline import (
+    SnippetMeta,
+    build_scene_indices,
+    extract_snippets,
+    featurize_snippets,
+    snippet_features,
+)
 from skel_sentinel.pose_io import (
     BLOCK_ROWS,
     MAX_ZERO_FRAME_FRACTION,
@@ -122,6 +130,13 @@ def assert_within_projection_bound(matrix, ref_matrix, raw, dim, seed):
     assert (np.abs(matrix - ref_matrix) <= bound).all()
 
 
+def assert_float32_of(matrix, projected):
+    """Front-end features that are the projection rounded to float32, bit for bit."""
+    assert matrix.dtype == np.float64
+    rounded = projected.astype(np.float32).astype(np.float64)
+    np.testing.assert_array_equal(matrix.view(np.int64), rounded.view(np.int64))
+
+
 def assert_matches_reference(videos, window_length, stride, dim=16, seed=3):
     table = extract_snippets(videos, window_length, stride)
     refs, matrix, meta = featurize_snippets(table, dim, seed)
@@ -132,7 +147,9 @@ def assert_matches_reference(videos, window_length, stride, dim=16, seed=3):
     if refs:
         raw = descriptors(table.joints)
         np.testing.assert_array_equal(raw.view(np.int64), ref_raw.view(np.int64))
-        assert_within_projection_bound(matrix, ref_matrix, ref_raw, dim, seed)
+        projected = kinematic_matrix(table.joints, dim, seed)
+        assert_within_projection_bound(projected, ref_matrix, ref_raw, dim, seed)
+        assert_float32_of(matrix, projected)
     assert matrix.shape == ref_matrix.shape
     assert (table.dropped_zero, table.dropped_degenerate) == (dropped_zero, dropped_degenerate)
     columns = (meta.video_ids.tolist(), meta.person_ids.tolist(), meta.starts.tolist())
@@ -163,6 +180,22 @@ def make_track(video, person, length, start=0, gaps=(), zero=(), still=(), rng=N
             xy, conf = rng.random((J, 2)) * 50.0 + 5.0, rng.random(J)
         frames.append(PoseFrame(start + t, person, xy.copy(), conf))
     return Track(video, person, frames)
+
+
+def generated_videos(tracks, seed):
+    """Videos of the tracks a property test draws: (frames spanned, first
+    frame, missing frames, (first, length) of an all-zero run, (first,
+    length) of a run of one-point poses) each, alternating between 2 videos."""
+    rng = np.random.default_rng(seed)
+    videos = {}
+    for person, (length, start, gaps, (z0, zn), (s0, sn)) in enumerate(tracks):
+        gaps = {t for t in gaps if t < length - 1}
+        video = f"v{person % 2}"
+        videos.setdefault(video, []).append(make_track(
+            video, person, length, start, gaps,
+            set(range(z0, z0 + zn)), set(range(s0, s0 + sn)), rng,
+        ))
+    return videos
 
 
 class TestAgainstReference:
@@ -227,15 +260,7 @@ class TestAgainstReference:
         seed=st.integers(0, 2**16),
     )
     def test_property_matches_reference(self, tracks, window_length, stride, seed):
-        rng = np.random.default_rng(seed)
-        videos = {}
-        for person, (length, start, gaps, (z0, zn), (s0, sn)) in enumerate(tracks):
-            gaps = {t for t in gaps if t < length - 1}
-            video = f"v{person % 2}"
-            videos.setdefault(video, []).append(make_track(
-                video, person, length, start, gaps,
-                set(range(z0, z0 + zn)), set(range(s0, s0 + sn)), rng,
-            ))
+        videos = generated_videos(tracks, seed)
         assert_matches_reference(videos, window_length, stride)
 
     def test_block_boundaries_long_track(self):
@@ -256,7 +281,9 @@ class TestTableViews:
             features = reference_descriptor(joints) @ reference_projection(joints, 16, 5)
             np.testing.assert_array_equal(features.view(np.int64), ref_matrix[i].view(np.int64))
         refs, matrix, _ = featurize_snippets(table, 16, 5)
-        assert_within_projection_bound(matrix, ref_matrix, ref_raw, 16, 5)
+        projected = kinematic_matrix(table.joints, 16, 5)
+        assert_within_projection_bound(projected, ref_matrix, ref_raw, 16, 5)
+        assert_float32_of(matrix, projected)
         np.testing.assert_array_equal(
             descriptors(table.joints[0:1])[0], reference_descriptor(table.joints[0])
         )
@@ -327,6 +354,26 @@ def assert_stream_matches_table(videos, window_length, stride, block_rows, dim=8
     return len(table), drops
 
 
+# the cases of the streamed front end's property tests; see generated_videos
+STREAM_CASES = dict(
+    tracks=st.lists(
+        st.tuples(
+            st.integers(1, 40),  # frames spanned
+            st.integers(0, 9),  # first frame index
+            st.sets(st.integers(1, 38), max_size=6),  # missing frames
+            st.tuples(st.integers(0, 39), st.integers(0, 12)),  # run of all-zero frames
+            st.tuples(st.integers(0, 39), st.integers(0, 14)),  # run of one-point poses
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    window_length=st.integers(2, 6),
+    stride=st.integers(1, 3),
+    block_rows=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+)
+
+
 class TestStreamedFrontEnd:
     """The stream normalizes BLOCK_ROWS windows at a time and drops degenerate
     rows, so its blocks reach kinematic_matrix with fewer rows than a block
@@ -334,34 +381,36 @@ class TestStreamedFrontEnd:
     of one row, which OpenBLAS computes with gemv."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        tracks=st.lists(
-            st.tuples(
-                st.integers(1, 40),  # frames spanned
-                st.integers(0, 9),  # first frame index
-                st.sets(st.integers(1, 38), max_size=6),  # missing frames
-                st.tuples(st.integers(0, 39), st.integers(0, 12)),  # run of all-zero frames
-                st.tuples(st.integers(0, 39), st.integers(0, 14)),  # run of one-point poses
-            ),
-            min_size=1,
-            max_size=5,
-        ),
-        window_length=st.integers(2, 6),
-        stride=st.integers(1, 3),
-        block_rows=st.integers(2, 5),
-        seed=st.integers(0, 2**16),
-    )
+    @given(**STREAM_CASES)
     def test_property_stream_equals_table(self, tracks, window_length, stride, block_rows, seed):
-        rng = np.random.default_rng(seed)
-        videos = {}
-        for person, (length, start, gaps, (z0, zn), (s0, sn)) in enumerate(tracks):
-            gaps = {t for t in gaps if t < length - 1}
-            video = f"v{person % 2}"
-            videos.setdefault(video, []).append(make_track(
-                video, person, length, start, gaps,
-                set(range(z0, z0 + zn)), set(range(s0, s0 + sn)), rng,
-            ))
+        videos = generated_videos(tracks, seed)
         assert_stream_matches_table(videos, window_length, stride, block_rows, seed=seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**STREAM_CASES)
+    def test_property_tracks_equal_their_skem(self, tracks, window_length, stride, block_rows, seed):
+        # `score` and `score --features` of the tracks' `.skem` file score the
+        # same feature bits
+        cfg = RunConfig(
+            joints=J, window_length=window_length, stride=stride, feature_dim=8, seed=seed
+        )
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(pipeline, "BLOCK_ROWS", block_rows), \
+                mock.patch.object(featurize, "BLOCK_ROWS", block_rows):
+            path, skem = Path(tmp) / "tracks.tsv", Path(tmp) / "f.skem"
+            write_tracks(generated_videos(tracks, seed), path)
+            try:
+                refs, matrix, meta = snippet_features(cfg, path)
+            except StageError as exc:
+                assert exc.stage == "window"
+                return
+            write_embeddings(refs, matrix, skem)
+            stored_refs, stored, stored_meta = snippet_features(cfg, path, skem)
+        assert stored_refs == refs
+        assert stored.dtype == matrix.dtype == np.float64
+        np.testing.assert_array_equal(stored.view(np.int64), matrix.view(np.int64))
+        for column in ("video_ids", "person_ids", "starts"):
+            np.testing.assert_array_equal(getattr(stored_meta, column), getattr(meta, column))
 
     def test_dropped_row_moves_block_edge_and_leaves_one_row(self):
         # Windows of 3 frames at stride 1, normalized 4 at a time: the still
@@ -397,6 +446,34 @@ class TestStreamedFrontEnd:
         assert len(refs) == 4 * per_track
         tensor = len(refs) * 2 * n_joints * length * 8
         assert peak < tensor / 2, f"peak {peak / 1e6:.1f} MB for a {tensor / 1e6:.1f} MB tensor"
+
+
+class TestSceneIndices:
+    def test_scenes_are_slices_in_video_order(self):
+        meta = SnippetMeta(
+            np.array(["a", "a", "b", "c", "c"], dtype=object),
+            np.array([0, 1, 0, 2, 3]), np.array([0, 0, 4, 0, 0]),
+        )
+        matrix = np.arange(10.0).reshape(5, 2)
+        indices = build_scene_indices(meta.refs, matrix, meta)
+        assert list(indices) == ["a", "b", "c"]
+        for index, (a, b) in zip(indices.values(), [(0, 2), (2, 3), (3, 5)]):
+            assert index.refs == meta.refs[a:b]
+            assert index.person_ids.tolist() == meta.person_ids[a:b].tolist()
+            assert index.times.tolist() == meta.starts[a:b].tolist()
+            assert np.shares_memory(index.features, matrix)  # a slice, not a copy
+            np.testing.assert_array_equal(index.features, matrix[a:b])
+        empty = SnippetMeta(np.empty(0, dtype=object), np.empty(0, int), np.empty(0, int))
+        assert build_scene_indices([], np.empty((0, 2)), empty) == {}
+
+    def test_rows_out_of_video_order_are_a_contract_error(self):
+        meta = SnippetMeta(
+            np.array(["a", "b", "b", "a", "c", "a"], dtype=object),
+            np.arange(6), np.zeros(6, dtype=np.int64),
+        )
+        first_out_of_order = make_snippet_ref("a", 3, 0)
+        with pytest.raises(ContractError, match=f"^{first_out_of_order} is out of video_id"):
+            build_scene_indices(meta.refs, np.zeros((6, 2)), meta)
 
 
 def test_cli_featurize_writes_reference_bytes(tmp_path):
