@@ -34,10 +34,6 @@ _HEADER = struct.Struct("<4sHII")
 # Descriptor columns per projection GEMM; see kinematic_matrix.
 PROJECTION_CHUNK = 256
 
-# Orthonormal projections keyed by (raw_dim, target_dim, seed); one per run
-# in practice, so a plain dict is enough.
-_projection_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
 
 @dataclass(frozen=True)
 class TextEmbedding:
@@ -139,36 +135,33 @@ def snippet_descriptor(snippet: NormalizedSnippet) -> np.ndarray:
 
 
 def _projection(raw_dim: int, target_dim: int, seed: int) -> np.ndarray:
-    key = (raw_dim, target_dim, seed)
-    cached = _projection_cache.get(key)
-    if cached is not None:
-        return cached
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((raw_dim, target_dim))
     q, r = np.linalg.qr(gauss)
-    q = q * np.sign(np.diag(r))  # canonical sign so the basis is seed-stable
-    _projection_cache[key] = q
-    return q
+    return q * np.sign(np.diag(r))  # canonical sign so the basis is seed-stable
 
 
 def kinematic_matrix(blocks: Iterable[np.ndarray] | np.ndarray, dim: int, seed: int) -> np.ndarray:
     """(N, dim) features of normalized snippets, in the order they arrive.
 
-    `blocks` is an iterable of (B, 2, J, T) blocks of any sizes, or one
-    (N, 2, J, T) array. Whatever the blocks, the rows are regrouped into GEMM
-    blocks of exactly BLOCK_ROWS rows, only the last one shorter, so a row's
-    bits depend on its position in the whole sequence, not on how the rows
-    arrived. That matters: on OpenBLAS 0.3.31, a row of an (M, 256) @
-    (256, 64) product had the bits of the same row in the 256-row product
-    for every M from 2 to 255, but not for M = 1, which goes through gemv;
-    so a stream that dropped a row and then passed on a one-row remainder
-    would change that row's features. Each GEMM block's descriptors are
-    built, then projected by GEMMs over fixed chunks of PROJECTION_CHUNK
-    descriptor columns, summed into the block's output in chunk order. A
-    single full-K GEMM is as fast, but the order in which OpenBLAS sums its K
-    terms depends on the BLAS thread count, so its bits do too; with chunks
-    this short the features are the same bytes at any thread count (checked
-    by a test). Memory is one GEMM block of descriptors plus the output.
+    `blocks` is one (N, 2, J, T) array, or a sized iterable of (B, 2, J, T)
+    blocks of any sizes whose `len` bounds the rows it yields (as
+    `pipeline.SnippetStream`'s does). Whatever the blocks, the rows are
+    regrouped into GEMM blocks of exactly BLOCK_ROWS rows, only the last one
+    shorter, so a row's bits depend on its position in the whole sequence,
+    not on how the rows arrived. That matters: on OpenBLAS 0.3.31, a row of
+    an (M, 256) @ (256, 64) product had the bits of the same row in the
+    256-row product for every M from 2 to 255, but not for M = 1, which goes
+    through gemv; so a stream that dropped a row and then passed on a one-row
+    remainder would change that row's features. Each GEMM block's descriptors
+    are built, then projected by GEMMs over fixed chunks of PROJECTION_CHUNK
+    descriptor columns, summed into the block's rows of the output in chunk
+    order. A single full-K GEMM is as fast, but the order in which OpenBLAS
+    sums its K terms depends on the BLAS thread count, so its bits do too;
+    with chunks this short the features are the same bytes at any thread
+    count (checked by a test). Memory is one GEMM block of descriptors plus
+    one (len(blocks), dim) output, allocated after the dimension check, whose
+    first N rows are returned.
 
     The features are not bit-identical to a one-row-at-a-time product (nor is
     a one-row block to the same row in a larger one): every order of a K-term
@@ -179,38 +172,45 @@ def kinematic_matrix(blocks: Iterable[np.ndarray] | np.ndarray, dim: int, seed: 
     """
     if dim < 4:
         raise DimensionError(f"feature dimension must be >= 4, got {dim}")
+    size = len(blocks)
     if isinstance(blocks, np.ndarray):
         blocks = (blocks,)
-    out: list[np.ndarray] = []
+    out = np.empty((0, dim), dtype=np.float64)  # the features of no rows
+    projection = None
+    n = 0  # rows projected into out
     held: list[np.ndarray] = []  # rows waiting for a full GEMM block
     n_held = 0
     for block in blocks:
         _, _, n_joints, length = block.shape
-        # checked before the block's rows are held or projected; J is 0 only
-        # for a table of no tracks
+        # checked before the output is allocated or the block's rows are held;
+        # J is 0 only for a table of no tracks
         raw_dim = descriptor_width(n_joints, length)
         if n_joints and dim > raw_dim:
             raise DimensionError(f"cannot project {raw_dim} dims up to {dim}")
+        if projection is None and len(block):
+            projection = _projection(raw_dim, dim, seed)
+            out = np.empty((size, dim), dtype=np.float64)
         while len(block):
             held.append(block[: BLOCK_ROWS - n_held])
             block = block[len(held[-1]) :]
             n_held += len(held[-1])
             if n_held == BLOCK_ROWS:
-                out.append(_project(held, dim, seed))
+                n += _project(held, projection, out[n:])
                 held, n_held = [], 0
     if held:
-        out.append(_project(held, dim, seed))
-    return np.concatenate(out) if out else np.empty((0, dim), dtype=np.float64)
+        n += _project(held, projection, out[n:])
+    return out[:n]
 
 
-def _project(held: list[np.ndarray], dim: int, seed: int) -> np.ndarray:
-    """Features of one GEMM block, given as the row runs that make it up."""
+def _project(held: list[np.ndarray], projection: np.ndarray, out: np.ndarray) -> int:
+    """Write the features of one GEMM block, given as the row runs that make
+    it up, into the first rows of `out`, and return how many rows it has."""
     raw = descriptors(held[0] if len(held) == 1 else np.concatenate(held))
-    projection = _projection(raw.shape[1], dim, seed)
-    block = raw[:, :PROJECTION_CHUNK] @ projection[:PROJECTION_CHUNK]
+    out = out[: len(raw)]
+    np.matmul(raw[:, :PROJECTION_CHUNK], projection[:PROJECTION_CHUNK], out=out)
     for k in range(PROJECTION_CHUNK, raw.shape[1], PROJECTION_CHUNK):
-        block += raw[:, k : k + PROJECTION_CHUNK] @ projection[k : k + PROJECTION_CHUNK]
-    return block
+        out += raw[:, k : k + PROJECTION_CHUNK] @ projection[k : k + PROJECTION_CHUNK]
+    return len(raw)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

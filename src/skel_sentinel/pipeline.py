@@ -7,12 +7,13 @@ and `evaluation.run_benchmark` call it, so they share every option and write
 the same bytes. Stage functions are looked up as module attributes at call
 time, so a tracer can wrap them by name.
 
-The front end streams. A `SnippetStream` stacks every track along time
-and finds the windows that are not zero-dominated (the `window` stage).
-Featurizing reads the stream: it cuts `pose_io.BLOCK_ROWS` windows at a
-time, normalizes them, drops the degenerate rows and passes the rest to
-`featurize.kinematic_matrix`, which regroups them into GEMM blocks of exactly
-BLOCK_ROWS rows, so the features do not depend on where rows were dropped.
+The front end streams. A `SnippetStream` writes every track's poses into
+zero-filled arrays stacked along time and finds the windows that are not
+zero-dominated (the `window` stage). Featurizing reads the stream: it cuts
+`pose_io.BLOCK_ROWS` windows at a time, normalizes them, drops the degenerate
+rows and passes the rest to `featurize.kinematic_matrix`, which regroups them
+into GEMM blocks of exactly BLOCK_ROWS rows (so the features do not depend on
+where rows were dropped) and projects each into its rows of one matrix.
 Only the (N, D) features and their id columns (`SnippetMeta`) outlive a
 block: the front end never holds the (N, 2, J, T) joints tensor that
 `extract_snippets` builds as a `pose_io.SnippetTable` (the CLI calls neither
@@ -57,7 +58,6 @@ from .pose_io import (
     load_tracks,
     normalize_block,
     snippet_refs,
-    track_arrays,
 )
 from .scoring import ScoreSeries, build_score_series, smooth_scores
 
@@ -94,15 +94,19 @@ class SnippetStream:
         tracks = [track for video_id in sorted(videos) for track in videos[video_id]]
         n_joints = tracks[0].frames[0].xy.shape[0] if tracks else 0
         ends = np.cumsum([track.length for track in tracks], dtype=np.int64).tolist()
-        self._coords = np.empty((ends[-1] if ends else 0, 2, n_joints), dtype=np.float64)
-        self._conf = np.empty((len(self._coords), n_joints), dtype=np.float64)
+        # Row `first + t` of a track holds its frame `frames[0].frame_index + t`;
+        # the frames missing from a track stay zero, so window timestamps stay
+        # aligned with the source video.
+        self._coords = np.zeros((ends[-1] if ends else 0, 2, n_joints), dtype=np.float64)
+        self._conf = np.zeros((len(self._coords), n_joints), dtype=np.float64)
         rows, starts, counts = [], [], []
         self.dropped_zero = 0
         for track, end in zip(tracks, ends):
-            track_coords, track_conf = track_arrays(track)
-            first = end - len(track_coords)
-            self._coords[first:end], self._conf[first:end] = track_coords, track_conf
-            kept, dropped = kept_offsets(track_coords, window_length, stride)
+            first, poses = end - track.length, track.frames
+            at = first - poses[0].frame_index + np.array([f.frame_index for f in poses])
+            self._coords[at] = np.stack([f.xy for f in poses]).transpose(0, 2, 1)
+            self._conf[at] = np.stack([f.confidence for f in poses])
+            kept, dropped = kept_offsets(self._coords[first:end], window_length, stride)
             self.dropped_zero += dropped
             # A kept window never crosses the end of its track, so each window
             # is one slice of the stacked arrays, from its first row on.
@@ -189,9 +193,11 @@ def _checked_features(
     matrix: np.ndarray, meta: SnippetMeta
 ) -> tuple[list[str], np.ndarray, SnippetMeta]:
     """The rows' refs, features and metadata; a non-finite row is an error naming its ref.
-    The features are rounded in place to the float32 values a `.skem` file stores."""
+    The features are rounded in place to the float32 values a `.skem` file stores,
+    BLOCK_ROWS rows at a time, so no float32 copy of the whole matrix is made."""
     refs = meta.refs
-    matrix[...] = matrix.astype(np.float32)
+    for b0 in range(0, len(matrix), BLOCK_ROWS):
+        matrix[b0 : b0 + BLOCK_ROWS] = matrix[b0 : b0 + BLOCK_ROWS].astype(np.float32)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise NonFiniteError(f"feature for {refs[int(np.argmin(finite))]} has non-finite values")

@@ -7,10 +7,11 @@ Track file format (UTF-8, one pose per line):
 with exactly one x,y,confidence triple per joint. Coordinates are pixels,
 confidences live in [0, 1]. Lines are split as `config.read_lines` splits them.
 
-Windowing and normalization are array kernels (`track_arrays`,
-`kept_offsets`, `normalize_block`). `pipeline.SnippetStream` runs them over
-all tracks, BLOCK_ROWS windows at a time, and `pipeline.extract_snippets`
-collects its blocks into one `SnippetTable`.
+Windowing and normalization are array kernels (`kept_offsets`,
+`normalize_block`). `pipeline.SnippetStream` writes every track's poses into
+one zero-filled stacked array and runs them over it, BLOCK_ROWS windows at a
+time, and `pipeline.extract_snippets` collects its blocks into one
+`SnippetTable`.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ MAX_ZERO_FRAME_FRACTION = 0.5
 SCALE_FLOOR = 1e-12
 
 # Longest track span (last - first + 1 frames) that load_tracks accepts:
-# about 9.7 h at 30 fps. track_arrays holds a track densely over its span,
-# which at this bound is at most 0.43 GB of float64 at 17 joints.
+# about 9.7 h at 30 fps. pipeline.SnippetStream holds a track densely over its
+# span, which at this bound is at most 0.43 GB of float64 at 17 joints.
 MAX_TRACK_SPAN = 2**20
 
 # Snippets per block in the streamed front end (normalization, featurization):
@@ -235,22 +236,6 @@ def write_tracks(videos: dict[str, list[Track]], path: str | Path) -> None:
                         for (x, y), c in zip(frame.xy, frame.confidence)
                     )
                     fh.write(f"{video_id}\t{track.person_id}\t{frame.frame_index}\t{pose}\n")
-
-
-def track_arrays(track: Track) -> tuple[np.ndarray, np.ndarray]:
-    """A track's (L, 2, J) coordinates and (L, J) confidences over its L frames.
-
-    Frames missing from the track are zero-filled, so row t holds frame
-    `first + t` and window timestamps stay aligned with the source video.
-    """
-    first = track.frames[0].frame_index
-    n_joints = track.frames[0].xy.shape[0]
-    rows = np.array([f.frame_index for f in track.frames]) - first
-    coords = np.zeros((track.length, 2, n_joints), dtype=np.float64)
-    conf = np.zeros((track.length, n_joints), dtype=np.float64)
-    coords[rows] = np.stack([f.xy for f in track.frames]).transpose(0, 2, 1)
-    conf[rows] = np.stack([f.confidence for f in track.frames])
-    return coords, conf
 
 
 def kept_offsets(coords: np.ndarray, window_length: int, stride: int) -> tuple[np.ndarray, int]:

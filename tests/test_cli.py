@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from skel_sentinel import blas, cli, flow, pipeline
+from skel_sentinel import blas, cli, errors, flow, pipeline
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.config import RunConfig
 from skel_sentinel.errors import SchemaError
@@ -751,66 +754,167 @@ class TestFullScalePipeline:
         assert micro >= 0.90
 
 
-def malformed_input_argv(root, kind):
-    """argv of one CLI run that reads one malformed input of `kind`, written
-    under `root` beside valid versions of the other inputs."""
+def valid_input_argv(root, kind):
+    """argv of one CLI run that reads valid inputs written under `root`, among
+    them the one that the malformed cases of `kind` corrupt."""
     runs = write_text_inputs(root)
-    select, train = runs["f.skem.idx"], runs["sel/selected_normal.tsv"]
-    pose = ";".join(["1.0,2.0,1.0"] * 17)
+    # one person over 16 frames: one window of the default window_length
+    (root / "tracks.tsv").write_text("".join(
+        f"v\t0\t{frame}\t" + ";".join(f"{j + 1},{2 * j + frame},1" for j in range(17)) + "\n"
+        for frame in range(16)
+    ))
     if kind == "track-line":
-        bad = pose.replace("1.0,2.0,1.0", "1.0,2.0", 1)  # joint 0 lacks its confidence
-        (root / "tracks.tsv").write_text(f"v\t0\t0\t{pose}\nv\t0\t1\t{bad}\n")
         return runs["tracks.tsv"]
     if kind == "truncated-skem":
-        blob = (root / "f.skem").read_bytes()
-        (root / "f.skem").write_bytes(blob[:-3])
-        return train
+        return runs["sel/selected_normal.tsv"]
     if kind == "skfl-magic":
         save_flow(init_flow(16, 1, 4, seed=0), root / "model.skfl")
+        (root / "score.cfg").write_text("joints = 17\nfeature_dim = 16\n")
+        return ["score", "--tracks", root / "tracks.tsv", "--model", root / "model.skfl",
+                "--config", root / "score.cfg", "--out", root / "out"]
+    if kind == "spec-empty-list":
+        return runs["spec.txt"]
+    if kind == "config-range":
+        return [*runs["labels.tsv"], "--config", root / "run.cfg"]
+    if kind == "label-gap":
+        return runs["labels.tsv"]
+    assert kind == "label-ref-sidecar"
+    # rows in another order, so that the last ref has no prefix that is a ref
+    (root / "f.skem.idx").write_text("v1:0:0\nv1:0:16\nv2:0:16\nv2:0:0\n")
+    return runs["f.skem.idx"]
+
+
+def malformed_input_argv(root, kind):
+    """argv of one CLI run that reads the hand-written malformed input of
+    `kind`, written under `root` beside valid versions of the other inputs."""
+    argv = valid_input_argv(root, kind)
+    if kind == "track-line":
+        head, _, pose = (root / "tracks.tsv").read_text().rstrip("\n").rpartition("\t")
+        bad = pose.replace(",1;", ";", 1)  # joint 0 of the last line lacks its confidence
+        (root / "tracks.tsv").write_text(f"{head}\t{bad}\n")
+    elif kind == "truncated-skem":
+        blob = (root / "f.skem").read_bytes()
+        (root / "f.skem").write_bytes(blob[:-3])
+    elif kind == "skfl-magic":
         blob = (root / "model.skfl").read_bytes()
         (root / "model.skfl").write_bytes(b"SKFX" + blob[4:])
-        return ["score", "--tracks", root / "tracks.tsv", "--model", root / "model.skfl",
-                "--out", root / "out"]
-    if kind == "spec-empty-list":
+    elif kind == "spec-empty-list":
         (root / "spec.txt").write_text("prompt = p\n[normal]\nwalk\n[abnormal]\n")
-        return select
-    if kind == "config-range":
+    elif kind == "config-range":
         (root / "run.cfg").write_text("joints = 17\nk_neighbors = 0\n")
-        return runs["run.cfg"]
-    if kind == "label-gap":
+    elif kind == "label-gap":
         (root / "labels.tsv").write_text("v\t0\t0\nv\t2\t1\n")
-        return runs["labels.tsv"]
-    assert kind == "label-ref-sidecar"  # select reads the class embeddings as --features
-    return [root / "t.skem" if arg == root / "f.skem" else arg for arg in select]
+    else:  # select reads the class embeddings as --features
+        argv = [root / "t.skem" if arg == root / "f.skem" else arg for arg in argv]
+    return argv
 
 
-@pytest.mark.parametrize(
-    "kind, error",
-    [
-        ("track-line", "TrackParseError"),
-        ("truncated-skem", "FileFormatError"),
-        ("skfl-magic", "FileFormatError"),
-        ("spec-empty-list", "SchemaError"),
-        ("config-range", "SchemaError"),
-        ("label-gap", "SchemaError"),
-        ("label-ref-sidecar", "SchemaError"),
-    ],
+# The file each kind of malformed input corrupts: a text file with the
+# separator of the fields on its last line, or a binary file with the bytes of
+# the header before its float32 values. Every valid text input above ends in a
+# line of which no nonempty proper prefix is valid, so any truncation of that
+# line is malformed.
+TEXT_TARGETS = {
+    "track-line": ("tracks.tsv", "\t"),
+    "spec-empty-list": ("spec.txt", " "),
+    "config-range": ("run.cfg", " = "),
+    "label-gap": ("labels.tsv", "\t"),
+    "label-ref-sidecar": ("f.skem.idx", ":"),
+}
+BINARY_TARGETS = {"truncated-skem": ("f.skem", 14), "skfl-magic": ("model.skfl", 18)}
+
+# A corruption: a truncation, a flipped byte, or a dropped or an extra field,
+# placed by an integer taken modulo the places it can go.
+CORRUPTIONS = st.tuples(
+    st.sampled_from(["truncate", "flip", "drop", "extra"]), st.integers(0, 2**16)
 )
-def test_cli_process_reports_malformed_input_in_one_line(tmp_path, kind, error):
-    """The CLI run as its own process: exit 1, one error line, no traceback."""
-    argv = [str(a) for a in malformed_input_argv(tmp_path, kind)]
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "skel_sentinel.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 1, done.stderr
-    assert "Traceback" not in done.stdout + done.stderr
-    lines = done.stderr.splitlines()
-    assert len(lines) == 1, done.stderr
-    assert lines[0].startswith(f"error\t{argv[0]}\t{error}\t"), lines[0]
-    assert not (tmp_path / "out").exists()
+
+
+def corrupt(root, kind, how, at):
+    """Corrupt the input of `kind` under `root` so that it cannot be read."""
+    if kind in BINARY_TARGETS:
+        name, header = BINARY_TARGETS[kind]
+        blob = bytearray((root / name).read_bytes())
+        value = header + 4 * (at % ((len(blob) - header) // 4))
+        if how == "truncate":
+            del blob[at % len(blob) :]
+        elif how == "flip":  # a header byte, since any float32 value is valid
+            blob[at % header] ^= 0x80
+        elif how == "drop":
+            del blob[value : value + 4]
+        else:
+            blob[value:value] = bytes(4)
+        (root / name).write_bytes(bytes(blob))
+        return
+    name, sep = TEXT_TARGETS[kind]
+    text = (root / name).read_text()
+    if how == "flip":  # any byte: the inputs are ASCII, so the result is not UTF-8
+        blob = bytearray(text.encode())
+        blob[at % len(blob)] ^= 0x80
+        (root / name).write_bytes(bytes(blob))
+        return
+    *lines, last = text.removesuffix("\n").split("\n")
+    fields = last.split(sep)
+    if how == "truncate":  # keeps at least one character of the last line
+        last = last[: 1 + at % (len(last) - 1)]
+    elif how == "drop":
+        del fields[at % len(fields)]
+        last = sep.join(fields)
+    else:
+        last += f"{sep}x"
+    (root / name).write_text("\n".join([*lines, last]) + ("" if how == "truncate" else "\n"))
+
+
+MALFORMED_KINDS = [
+    ("track-line", "TrackParseError"),
+    ("truncated-skem", "FileFormatError"),
+    ("skfl-magic", "FileFormatError"),
+    ("spec-empty-list", "SchemaError"),
+    ("config-range", "SchemaError"),
+    ("label-gap", "SchemaError"),
+    ("label-ref-sidecar", "SchemaError"),
+]
+
+
+@pytest.mark.parametrize("kind", [kind for kind, _ in MALFORMED_KINDS])
+def test_malformed_input_cases_start_from_valid_inputs(tmp_path, kind):
+    """Uncorrupted, every run below succeeds, so each failure there is the
+    corruption's."""
+    assert run_cli(*valid_input_argv(tmp_path, kind)) == 0
+
+
+@pytest.mark.parametrize("kind, error", MALFORMED_KINDS)
+@settings(max_examples=3, deadline=None)
+@given(corruption=CORRUPTIONS)
+@example(corruption=None)
+def test_cli_process_reports_malformed_input_in_one_line(kind, error, corruption):
+    """The CLI run as its own process on a malformed input of `kind`: exit 1,
+    one error line naming a SentinelError, no traceback, no output. With
+    `corruption` None the input is the hand-written case of `kind`, whose
+    error is `error`; otherwise it is a generated corruption of its file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        if corruption is None:
+            argv = malformed_input_argv(root, kind)
+        else:
+            argv = valid_input_argv(root, kind)
+            corrupt(root, kind, *corruption)
+        argv = [str(a) for a in argv]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "skel_sentinel.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith(f"error\t{argv[0]}\t"), lines[0]
+        name = lines[0].split("\t")[2]
+        assert issubclass(getattr(errors, name, type(None)), errors.SentinelError), lines[0]
+        assert corruption is not None or name == error, lines[0]
+        assert not (root / "out").exists()
 
 
 def test_check_subcommand_passes(capsys):

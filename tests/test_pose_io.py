@@ -88,8 +88,8 @@ class TestLoadTracks:
         ],
     )
     def test_track_span_is_bounded(self, tmp_path, frames, bad_line):
-        # load_tracks never allocates a span; only track_arrays does, so
-        # these tests stay small whatever the bound
+        # load_tracks never allocates a span; only pipeline.SnippetStream
+        # does, so these tests stay small whatever the bound
         xy = np.ones((J, 2))
         lines = [track_line("v0", 0, frame, xy) for frame in frames]
         lines.insert(1, track_line("v0", 1, 10 * MAX_TRACK_SPAN, xy))  # another person, line 2

@@ -447,6 +447,34 @@ class TestStreamedFrontEnd:
         tensor = len(refs) * 2 * n_joints * length * 8
         assert peak < tensor / 2, f"peak {peak / 1e6:.1f} MB for a {tensor / 1e6:.1f} MB tensor"
 
+    def test_front_end_builds_one_feature_matrix(self, tmp_path):
+        # 4-joint windows projected to 256 features: the (N, D) float64
+        # features outweigh everything else the front end holds, so a second
+        # copy of them (a list of block outputs and their concatenation, or a
+        # float32 copy of the whole matrix) would put the peak at twice them
+        n_joints, length, frames, dim = 4, 16, 4096, 256
+        rng = np.random.default_rng(0)
+        with open(tmp_path / "tracks.tsv", "w", encoding="utf-8") as fh:
+            for person in range(4):
+                for frame in range(frames):
+                    pose = ";".join(
+                        f"{x:.3f},{y:.3f},{c:.3f}"
+                        for x, y, c in rng.random((n_joints, 3)) * (100.0, 100.0, 1.0)
+                    )
+                    fh.write(f"v{person % 2}\t{person}\t{frame}\t{pose}\n")
+        cfg = RunConfig(joints=n_joints, window_length=length, feature_dim=dim)
+        tracemalloc.start()
+        try:
+            refs, matrix, _ = snippet_features(cfg, tmp_path / "tracks.tsv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (4 * (frames - length + 1), dim) == (16_324, 256)
+        features = matrix.nbytes
+        assert peak < 1.5 * features, (
+            f"peak {peak / 1e6:.1f} MB for {features / 1e6:.1f} MB of features"
+        )
+
 
 class TestSceneIndices:
     def test_scenes_are_slices_in_video_order(self):
