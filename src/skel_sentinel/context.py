@@ -13,9 +13,12 @@ The search is the brute-force "flat" index done by matrix products (Johnson,
 Douze & Jegou, *Billion-scale similarity search with GPUs*, 2017), as a
 shortlist followed by an exact re-rank:
 
-1. For a block of at most `BLOCK_ROWS` query rows, squared distances to every
-   column come from the Gram identity |a|^2 + |b|^2 - 2 a.b in one BLAS
-   matmul. Masked pairs are set to +inf. Memory stays O(block * (n + k * D)).
+1. For a block of at most `BLOCK_ROWS` = 128 query rows, squared distances
+   to every column come from the Gram identity |a|^2 + |b|^2 - 2 a.b,
+   assembled in place in the (block, n) buffer of one BLAS matmul: the
+   products are scaled by -2, then |a|^2 and |b|^2 are added. Masked pairs
+   are set to +inf. Memory stays O(128 * n + candidates * D): the buffer, a
+   partition copy of it and a few boolean (128, n) masks.
 2. `np.partition` finds each row's k-th smallest Gram value g_k. Every
    admitted column whose Gram value is within `tol` of g_k is a candidate.
 3. Candidates are re-ranked with the scan's own formula and the scan's
@@ -24,7 +27,9 @@ shortlist followed by an exact re-rank:
 Why no true neighbor is missed. With u the unit roundoff and D the feature
 dimension, both the Gram value G and the scan's squared distance S of a pair
 (a, b) lie within gamma_{D+2} (|a| + |b|)^2 of the exact squared distance,
-for any summation order and with or without FMA (gamma_n = n u / (1 - n u)).
+for any summation order and with or without FMA (gamma_n = n u / (1 - n u)):
+so for any order of the three Gram terms, and for the sums a GEMM, a gemv
+(a one-row block) or any block size gives the dot products.
 So |G - S| <= E = 2 gamma_{D+2} R^2, with R = |a| + max |b| over the block.
 The k columns with the smallest G all have S <= g_k + E, so the scan's k-th
 distance comes from some S <= g_k + E. A true member j has a rounded distance
@@ -35,7 +40,8 @@ S_j <= (g_k + E)(1 + 4u), and then G_j <= g_k + 2E + 4u (g_k + E), where
 second half, about 4 (D + 2) u R^2 >= 8u R^2, covers the 4u R^2 term. So
 every true member is a candidate. The candidates' order and distances come
 from the scan's formula, so the kept set, its order and its distances are
-the scan's.
+the scan's. So members, distances and scores do not depend on the block
+size, or on how the Gram value is summed (checked by a test).
 
 Features are assumed finite; the feature stores and the flow reject
 non-finite values before scoring.
@@ -52,7 +58,7 @@ from .errors import DimensionError, SchemaError
 
 logger = logging.getLogger(__name__)
 
-BLOCK_ROWS = 256  # query rows per Gram block
+BLOCK_ROWS = 128  # query rows per Gram block
 
 
 class Neighbors(NamedTuple):
@@ -119,7 +125,11 @@ def _search(
     q_sq = np.einsum("ij,ij->i", queries, queries)
     c_sq = np.einsum("ij,ij->i", columns, columns)
     allowed = admit(rows, cols)
-    gram = q_sq[:, None] + c_sq[None, :] - 2.0 * (queries @ columns.T)
+    # assembled in the one (B, n) buffer the GEMM writes
+    gram = np.matmul(queries, columns.T)
+    gram *= -2.0
+    gram += q_sq[:, None]
+    gram += c_sq
     gram[~allowed] = np.inf
     counts = np.minimum(allowed.sum(axis=1), k)
     if k < len(cols):

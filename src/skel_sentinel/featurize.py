@@ -9,7 +9,7 @@ in row-major order. A UTF-8 sidecar at ``<path>.idx`` lists one snippet_ref
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,19 +102,25 @@ def descriptors(joints: np.ndarray) -> np.ndarray:
 
     Each row holds the coordinates, the frame-to-frame velocities and the
     distance of every joint pair (i < j, in `np.triu_indices` order) in every
-    frame, each flattened in C order.
+    frame, each flattened in C order: the runs of `_descriptor_runs`, side
+    by side.
     """
     n, _, n_joints, length = joints.shape
-    n_coords = 2 * n_joints * length
-    n_velocities = 2 * n_joints * (length - 1)
     out = np.empty((n, descriptor_width(n_joints, length)), dtype=np.float64)
-    out[:, :n_coords] = joints.reshape(n, n_coords)
-    np.subtract(
-        joints[..., 1:], joints[..., :-1],
-        out=out[:, n_coords : n_coords + n_velocities].reshape(n, 2, n_joints, length - 1),
-    )
-    # Joint i against every later joint: one contiguous run of pairs per i.
-    column = n_coords + n_velocities
+    column = 0
+    for run in _descriptor_runs(joints):
+        out[:, column : column + run.shape[1]] = run
+        column += run.shape[1]
+    return out
+
+
+def _descriptor_runs(joints: np.ndarray) -> Iterator[np.ndarray]:
+    """The columns of a block's raw descriptors as consecutive (B, w) runs,
+    the largest 2 J (T - 1) wide: the coordinates, the velocities, then the
+    distances of joint i to every later joint, for each i."""
+    n, _, n_joints, length = joints.shape
+    yield joints.reshape(n, 2 * n_joints * length)
+    yield (joints[..., 1:] - joints[..., :-1]).reshape(n, 2 * n_joints * (length - 1))
     x, y = joints[:, 0], joints[:, 1]
     for i in range(n_joints - 1):
         dx = x[:, i : i + 1] - x[:, i + 1 :]
@@ -122,10 +128,7 @@ def descriptors(joints: np.ndarray) -> np.ndarray:
         dx *= dx
         dy *= dy
         dx += dy
-        end = column + dx.shape[1] * length
-        np.sqrt(dx, out=out[:, column:end].reshape(dx.shape))
-        column = end
-    return out
+        yield np.sqrt(dx, out=dx).reshape(n, dx.shape[1] * length)
 
 
 # perfbench/traced.py (line 128) still counts the descriptor width by this.
@@ -153,15 +156,18 @@ def kinematic_matrix(blocks: Iterable[np.ndarray] | np.ndarray, dim: int, seed: 
     an (M, 256) @ (256, 64) product had the bits of the same row in the
     256-row product for every M from 2 to 255, but not for M = 1, which goes
     through gemv; so a stream that dropped a row and then passed on a one-row
-    remainder would change that row's features. Each GEMM block's descriptors
-    are built, then projected by GEMMs over fixed chunks of PROJECTION_CHUNK
-    descriptor columns, summed into the block's rows of the output in chunk
-    order. A single full-K GEMM is as fast, but the order in which OpenBLAS
-    sums its K terms depends on the BLAS thread count, so its bits do too;
-    with chunks this short the features are the same bytes at any thread
-    count (checked by a test). Memory is one GEMM block of descriptors plus
-    one (len(blocks), dim) output, allocated after the dimension check, whose
-    first N rows are returned.
+    remainder would change that row's features. Each GEMM block is projected
+    by GEMMs over fixed chunks of PROJECTION_CHUNK descriptor columns, summed
+    into the block's rows of the output in chunk order; each chunk's
+    descriptor columns are built into one reused (rows, PROJECTION_CHUNK)
+    slab just before its GEMM. A single full-K GEMM is as fast, but the order
+    in which OpenBLAS sums its K terms depends on the BLAS thread count, so
+    its bits do too; with chunks this short the features are the same bytes
+    at any thread count (checked by a test). Memory is the projection, one
+    slab, the largest descriptor run (the (rows, 2 J (T - 1)) velocities;
+    never a block's whole (rows, K) descriptors, 6.6 MB at J = 17, T = 16)
+    and one (len(blocks), dim) output, allocated after the dimension check,
+    whose first N rows are returned.
 
     The features are not bit-identical to a one-row-at-a-time product (nor is
     a one-row block to the same row in a larger one): every order of a K-term
@@ -205,12 +211,32 @@ def kinematic_matrix(blocks: Iterable[np.ndarray] | np.ndarray, dim: int, seed: 
 def _project(held: list[np.ndarray], projection: np.ndarray, out: np.ndarray) -> int:
     """Write the features of one GEMM block, given as the row runs that make
     it up, into the first rows of `out`, and return how many rows it has."""
-    raw = descriptors(held[0] if len(held) == 1 else np.concatenate(held))
-    out = out[: len(raw)]
-    np.matmul(raw[:, :PROJECTION_CHUNK], projection[:PROJECTION_CHUNK], out=out)
-    for k in range(PROJECTION_CHUNK, raw.shape[1], PROJECTION_CHUNK):
-        out += raw[:, k : k + PROJECTION_CHUNK] @ projection[k : k + PROJECTION_CHUNK]
-    return len(raw)
+    block = held[0] if len(held) == 1 else np.concatenate(held)
+    out = out[: len(block)]
+    for k, slab in zip(range(0, projection.shape[0], PROJECTION_CHUNK), _slabs(block)):
+        if k == 0:
+            np.matmul(slab, projection[: slab.shape[1]], out=out)
+        else:
+            out += slab @ projection[k : k + slab.shape[1]]
+    return len(block)
+
+
+def _slabs(joints: np.ndarray) -> Iterator[np.ndarray]:
+    """A block's raw descriptors, PROJECTION_CHUNK columns at a time, each
+    built in one reused (B, PROJECTION_CHUNK) buffer, so a slab holds its
+    values only until the next is yielded; the last may be narrower."""
+    slab = np.empty((len(joints), PROJECTION_CHUNK), dtype=np.float64)
+    filled = 0
+    for run in _descriptor_runs(joints):
+        while run.shape[1]:
+            take = min(PROJECTION_CHUNK - filled, run.shape[1])
+            slab[:, filled : filled + take] = run[:, :take]
+            run, filled = run[:, take:], filled + take
+            if filled == PROJECTION_CHUNK:
+                yield slab
+                filled = 0
+    if filled:
+        yield slab[:, :filled]
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

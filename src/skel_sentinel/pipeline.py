@@ -7,13 +7,16 @@ and `evaluation.run_benchmark` call it, so they share every option and write
 the same bytes. Stage functions are looked up as module attributes at call
 time, so a tracer can wrap them by name.
 
-The front end streams. A `SnippetStream` writes every track's poses into
-zero-filled arrays stacked along time and finds the windows that are not
+The front end streams. `pose_io.read_tracks` reads the track file as
+columns (the `load-tracks` stage). A `SnippetStream` scatters them into one
+zero-filled array of every track's frames stacked along time (a file with no
+missing frame is already that array) and finds the windows that are not
 zero-dominated (the `window` stage). Featurizing reads the stream: it cuts
 `pose_io.BLOCK_ROWS` windows at a time, normalizes them, drops the degenerate
 rows and passes the rest to `featurize.kinematic_matrix`, which regroups them
 into GEMM blocks of exactly BLOCK_ROWS rows (so the features do not depend on
-where rows were dropped) and projects each into its rows of one matrix.
+where rows were dropped) and projects each into its rows of one matrix, one
+`featurize.PROJECTION_CHUNK`-column slab of descriptors at a time.
 Only the (N, D) features and their id columns (`SnippetMeta`) outlive a
 block: the front end never holds the (N, 2, J, T) joints tensor that
 `extract_snippets` builds as a `pose_io.SnippetTable` (the CLI calls neither
@@ -54,10 +57,12 @@ from .pose_io import (
     SCALE_FLOOR,
     SnippetTable,
     Track,
+    TrackColumns,
     kept_offsets,
-    load_tracks,
     normalize_block,
+    read_tracks,
     snippet_refs,
+    track_columns,
 )
 from .scoring import ScoreSeries, build_score_series, smooth_scores
 
@@ -80,43 +85,50 @@ class SnippetMeta:
 class SnippetStream:
     """Every track's windows, normalized BLOCK_ROWS windows at a time.
 
-    Building the stream stacks every track along time and finds the windows
-    that are not zero-dominated, in video_id order, then track order, then
-    start time; nothing is normalized yet. Iterating normalizes one block of
+    Building the stream from `TrackColumns` stacks every track along time
+    (holding the columns' own value array when no track misses a frame) and
+    finds the windows that are not zero-dominated, in video_id order, then
+    track order, then start time; nothing is normalized yet. Iterating normalizes one block of
     windows at a time and yields the block's non-degenerate rows, as a
     (B, 2, J, T) array with B >= 1; a block with none is skipped. Once the
     stream has been read, `kept()` gives the kept rows' id columns and the
     degenerate count, and logs both drop counts.
     """
 
-    def __init__(self, videos: dict[str, list[Track]], window_length: int, stride: int):
-        owners = [video_id for video_id in sorted(videos) for _ in videos[video_id]]
-        tracks = [track for video_id in sorted(videos) for track in videos[video_id]]
-        n_joints = tracks[0].frames[0].xy.shape[0] if tracks else 0
-        ends = np.cumsum([track.length for track in tracks], dtype=np.int64).tolist()
-        # Row `first + t` of a track holds its frame `frames[0].frame_index + t`;
-        # the frames missing from a track stay zero, so window timestamps stay
-        # aligned with the source video.
-        self._coords = np.zeros((ends[-1] if ends else 0, 2, n_joints), dtype=np.float64)
-        self._conf = np.zeros((len(self._coords), n_joints), dtype=np.float64)
+    def __init__(self, columns: TrackColumns, window_length: int, stride: int):
+        frames, values = columns.frame_indices, columns.values
+        bounds = columns.track_starts()
+        first_rows = bounds[:-1]
+        first_frames = frames[first_rows]
+        spans = frames[bounds[1:] - 1] - first_frames + 1
+        ends = np.cumsum(spans)
+        # Row `ends[t] - spans[t] + i` of the stack holds frame
+        # `first_frames[t] + i` of track t; the frames missing from a track
+        # stay zero, so window timestamps stay aligned with the source video.
+        # A file with no missing frame is its own stack.
+        if not len(frames) or ends[-1] == len(frames):
+            self._poses = values
+        else:
+            track = np.repeat(np.arange(len(first_rows)), np.diff(bounds))
+            self._poses = np.zeros((ends[-1], *values.shape[1:]), dtype=np.float64)
+            self._poses[(ends - spans - first_frames)[track] + frames] = values
         rows, starts, counts = [], [], []
         self.dropped_zero = 0
-        for track, end in zip(tracks, ends):
-            first, poses = end - track.length, track.frames
-            at = first - poses[0].frame_index + np.array([f.frame_index for f in poses])
-            self._coords[at] = np.stack([f.xy for f in poses]).transpose(0, 2, 1)
-            self._conf[at] = np.stack([f.confidence for f in poses])
-            kept, dropped = kept_offsets(self._coords[first:end], window_length, stride)
+        for end, span, first_frame in zip(ends.tolist(), spans.tolist(), first_frames.tolist()):
+            kept, dropped = kept_offsets(
+                self._poses[end - span : end, :, :2], window_length, stride
+            )
             self.dropped_zero += dropped
             # A kept window never crosses the end of its track, so each window
-            # is one slice of the stacked arrays, from its first row on.
-            rows.append(first + kept)
-            starts.append(track.frames[0].frame_index + kept)
+            # is one slice of the stack, from its first row on.
+            rows.append(end - span + kept)
+            starts.append(first_frame + kept)
             counts.append(len(kept))
         self._rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        video_ids = np.array(columns.video_ids, dtype=object)
         self._windows = SnippetMeta(
-            np.repeat(np.array(owners, dtype=object), counts),
-            np.repeat(np.array([track.person_id for track in tracks], dtype=np.int64), counts),
+            np.repeat(video_ids[columns.video_codes[first_rows]], counts),
+            np.repeat(columns.person_ids[first_rows], counts),
             np.concatenate(starts) if starts else np.empty(0, dtype=np.int64),
         )
         self._window_length = window_length
@@ -128,13 +140,16 @@ class SnippetStream:
 
     @property
     def n_joints(self) -> int:
-        return self._coords.shape[2]
+        return self._poses.shape[1]
 
     def __iter__(self) -> Iterator[np.ndarray]:
         self._keep = []
         if len(self._rows):
-            coord_windows = sliding_window_view(self._coords, self._window_length, axis=0)
-            conf_windows = sliding_window_view(self._conf, self._window_length, axis=0)
+            # (windows, 2, J, T) and (windows, J, T) views of the stack
+            coord_windows = sliding_window_view(
+                self._poses[:, :, :2], self._window_length, axis=0
+            ).transpose(0, 2, 1, 3)
+            conf_windows = sliding_window_view(self._poses[:, :, 2], self._window_length, axis=0)
             for b0 in range(0, len(self._rows), BLOCK_ROWS):
                 block = self._rows[b0 : b0 + BLOCK_ROWS]
                 normalized, n_valid, scale = normalize_block(
@@ -165,10 +180,10 @@ def extract_snippets(
 ) -> SnippetTable:
     """Window and normalize every track into one SnippetTable.
 
-    The table holds the rows of a `SnippetStream` and both drop counts, and
-    the counts are logged.
+    The table holds the rows of a `SnippetStream` of the tracks' columns and
+    both drop counts, and the counts are logged.
     """
-    stream = SnippetStream(videos, window_length, stride)
+    stream = SnippetStream(track_columns(videos), window_length, stride)
     joints = np.empty((len(stream), 2, stream.n_joints, window_length), dtype=np.float64)
     n = 0
     for block in stream:
@@ -296,9 +311,9 @@ def snippet_features(
     `features_path` when one is given. A track file that yields no snippet
     fails the `window` stage.
     """
-    videos = stage("load-tracks", load_tracks, tracks_path, cfg.joints)
-    stream = stage("window", SnippetStream, videos, cfg.window_length, cfg.stride)
-    del videos  # the track objects are not needed once the tracks are stacked
+    columns = stage("load-tracks", read_tracks, tracks_path, cfg.joints)
+    stream = stage("window", SnippetStream, columns, cfg.window_length, cfg.stride)
+    del columns  # the stream holds the poses it needs
     if features_path is None:
         matrix = stage("featurize", kinematic_matrix, stream, cfg.feature_dim, cfg.seed)
     else:

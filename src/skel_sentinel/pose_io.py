@@ -7,15 +7,24 @@ Track file format (UTF-8, one pose per line):
 with exactly one x,y,confidence triple per joint. Coordinates are pixels,
 confidences live in [0, 1]. Lines are split as `config.read_lines` splits them.
 
+`read_tracks` reads a track file into `TrackColumns`: a video, person and
+frame column and one (L, J, 3) array of pose values, sorted by (video_id,
+person_id, frame_index). It parses the file in bulk, a chunk of lines at a
+time, and makes no object per line; a file the bulk parse refuses is read
+again by the per-line reference loop, which raises the first error. The
+`PoseFrame` and `Track` objects remain as a bridge: `load_tracks` builds them
+from the columns and `track_columns` turns them back into columns.
+
 Windowing and normalization are array kernels (`kept_offsets`,
-`normalize_block`). `pipeline.SnippetStream` writes every track's poses into
-one zero-filled stacked array and runs them over it, BLOCK_ROWS windows at a
-time, and `pipeline.extract_snippets` collects its blocks into one
-`SnippetTable`.
+`normalize_block`). `pipeline.SnippetStream` scatters the columns into one
+zero-filled stack of every track's frames and runs them over it, BLOCK_ROWS
+windows at a time, and `pipeline.extract_snippets` collects its blocks into
+one `SnippetTable`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +39,7 @@ MAX_ZERO_FRAME_FRACTION = 0.5
 
 SCALE_FLOOR = 1e-12
 
-# Longest track span (last - first + 1 frames) that load_tracks accepts:
+# Longest track span (last - first + 1 frames) that read_tracks accepts:
 # about 9.7 h at 30 fps. pipeline.SnippetStream holds a track densely over its
 # span, which at this bound is at most 0.43 GB of float64 at 17 joints.
 MAX_TRACK_SPAN = 2**20
@@ -150,16 +159,151 @@ def ref_video(ref: str, where: str) -> str:
     raise SchemaError(f"{where}: bad snippet ref {ref!r}")
 
 
-def load_tracks(path: str | Path, joints: int) -> dict[str, list[Track]]:
-    """Read a track file into Tracks grouped by video_id.
+@dataclass(frozen=True, eq=False)
+class TrackColumns:
+    """Pose lines as columns, one row per pose.
 
-    Every record must hold `joints` x,y,c triples. Tracks come back sorted by
-    (video_id, person_id) with frames sorted by frame_index. A malformed line
-    is a TrackParseError, and a repeated record a DuplicateRecordError, whose
+    A track is a run of rows sharing a video and a person, in strictly
+    increasing frame order. `read_tracks` sorts the rows by (video_id,
+    person_id, frame_index); `track_columns` keeps a Track dict's order.
+    """
+
+    video_ids: list[str]  # the distinct video ids, sorted
+    video_codes: np.ndarray  # (L,) int64 position of each row's video in video_ids
+    person_ids: np.ndarray  # (L,) int64
+    frame_indices: np.ndarray  # (L,) int64
+    values: np.ndarray  # (L, J, 3) float64: x, y and confidence of every joint
+
+    def __len__(self) -> int:
+        return len(self.frame_indices)
+
+    def track_starts(self) -> np.ndarray:
+        """The first row of every track, then the number of rows."""
+        if not len(self):
+            return np.zeros(1, dtype=np.int64)
+        videos, persons = self.video_codes, self.person_ids
+        new = (videos[1:] != videos[:-1]) | (persons[1:] != persons[:-1])
+        return np.concatenate([[0], np.flatnonzero(new) + 1, [len(self)]])
+
+
+# Bytes of track file parsed at a time by the bulk reader: bounds its
+# temporaries (the chunk's text, its tokens and their values) at about 1.5 MB.
+CHUNK_BYTES = 1 << 17
+
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b"\t\n,;")))
+_TO_COMMA = str.maketrans("\t;\n", ",,,")
+
+
+def read_tracks(path: str | Path, joints: int) -> TrackColumns:
+    """Read a track file into columns sorted by (video_id, person_id, frame_index).
+
+    Every record must hold `joints` x,y,c triples. A malformed line is a
+    TrackParseError, and a repeated record a DuplicateRecordError, whose
     message starts with `<path>, line N: `. A track whose span would exceed
     MAX_TRACK_SPAN frames is a TrackParseError naming the line that stretches
     it, before anything is allocated for the span.
+
+    Lines are split by the `config.read_lines` rule. The file is parsed in
+    chunks of CHUNK_BYTES, each in bulk, into columns allocated once for the
+    file's line count, and its rows are sorted by one gather only when they
+    are out of order. A file the bulk parse refuses, for any reason, is read
+    again by the per-line reference loop, which raises the first error.
     """
+    columns = _read_bulk(path, joints)
+    return columns if columns is not None else _read_by_line(path, joints)
+
+
+def _read_bulk(path: str | Path, joints: int) -> TrackColumns | None:
+    """The columns of a valid track file, or None where `_read_by_line`
+    might raise (the bulk checks accept no file that it refuses).
+
+    A chunk's separators (tabs, commas, semicolons, line ends) must be the
+    layout of whole valid lines, so each line has its four fields and its
+    `joints` triples before any value is parsed. Values are parsed by the
+    same `int` and `float` as the reference, on the same text: the one `\r`
+    the reference strips from a line end is left on the last value, which
+    `float` ignores as it ignores any surrounding whitespace.
+    """
+    if Path(path).is_dir():
+        return None
+    with open(path, "rb") as fh:
+        capacity = sum(block.count(b"\n") for block in iter(lambda: fh.read(CHUNK_BYTES), b""))
+        capacity += 1  # room for a last line without a line end
+    width = 3 + 3 * joints  # tokens per line
+    layout = b"\t\t\t" + b",,;" * (joints - 1) + b",,\n"  # the separators of a line
+    videos: dict[str, int] = {}  # video id -> code, in order of first appearance
+    codes = np.empty(capacity, dtype=np.int64)
+    persons = np.empty(capacity, dtype=np.int64)
+    frames = np.empty(capacity, dtype=np.int64)
+    values = np.empty((capacity, joints, 3), dtype=np.float64)
+    n = 0
+    for chunk in _line_chunks(path):
+        m = chunk.count(b"\n")
+        if chunk.translate(None, _NOT_SEPARATORS) != layout * m:
+            return None
+        try:
+            tokens = chunk.decode("utf-8").translate(_TO_COMMA).split(",")
+            tokens.pop()  # after the last line end
+            table = np.array(tokens, dtype=object).reshape(m, width)
+            del tokens
+            codes[n : n + m] = [videos.setdefault(v, len(videos)) for v in table[:, 0].tolist()]
+            persons[n : n + m] = np.fromiter(map(int, table[:, 1]), np.int64, m)
+            frames[n : n + m] = np.fromiter(map(int, table[:, 2]), np.int64, m)
+            values[n : n + m] = np.fromiter(
+                map(float, table[:, 3:].ravel()), np.float64, m * 3 * joints
+            ).reshape(m, joints, 3)
+        except (ValueError, OverflowError):  # a bad number, or not UTF-8
+            return None
+        n += m
+    codes, persons, frames, values = codes[:n], persons[:n], frames[:n], values[:n]
+    if (persons < 0).any() or (frames < 0).any() or not np.isfinite(values[:, :, :2]).all():
+        return None
+    confidence = values[:, :, 2]
+    if not ((confidence >= 0) & (confidence <= 1)).all():  # NaN fails too
+        return None
+    del confidence
+
+    names = sorted(videos)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[[videos[name] for name in names]] = np.arange(len(names))
+    codes = rank[codes]
+    order = np.lexsort((frames, persons, codes))
+    if (order != np.arange(n)).any():  # the file is out of order
+        codes, persons, frames, values = codes[order], persons[order], frames[order], values[order]
+    del order
+    same_track = (codes[1:] == codes[:-1]) & (persons[1:] == persons[:-1])
+    if (same_track & (frames[1:] == frames[:-1])).any():  # a repeated record
+        return None
+    columns = TrackColumns(names, codes, persons, frames, values)
+    starts = columns.track_starts()
+    spans = frames[starts[1:] - 1] - frames[starts[:-1]] + 1
+    return None if (spans > MAX_TRACK_SPAN).any() else columns
+
+
+def _line_chunks(path: str | Path) -> Iterator[bytes]:
+    """A file's non-blank lines, as chunks of whole lines, each line ending
+    in `\n`: one chunk per CHUNK_BYTES read, and one for an unended last line."""
+    with open(path, "rb") as fh:
+        tail = b""
+        while block := fh.read(CHUNK_BYTES):
+            block = tail + block
+            cut = block.rfind(b"\n") + 1
+            yield _without_blank_lines(block[:cut])
+            tail = block[cut:]
+        yield _without_blank_lines(tail + b"\n" if tail else tail)
+
+
+def _without_blank_lines(chunk: bytes) -> bytes:
+    """`chunk` without its blank lines (empty, or one `\r`)."""
+    if b"\n\n" in chunk or b"\n\r\n" in chunk or chunk.startswith((b"\n", b"\r\n")):
+        lines = chunk.split(b"\n")[:-1]
+        chunk = b"".join(line + b"\n" for line in lines if line not in (b"", b"\r"))
+    return chunk
+
+
+def _read_by_line(path: str | Path, joints: int) -> TrackColumns:
+    """`read_tracks` one line at a time: the reference the bulk parse must
+    match, and the source of every error message."""
     records: dict[tuple[str, int], dict[int, PoseFrame]] = {}
     spans: dict[tuple[str, int], tuple[int, int]] = {}  # first and last frame index
 
@@ -180,6 +324,8 @@ def load_tracks(path: str | Path, joints: int) -> dict[str, list[Track]]:
             raise bad(f"bad integer field: {exc}")
         if person_id < 0 or frame_index < 0:
             raise bad("person_id and frame_index must be >= 0")
+        if person_id >= 2**63 or frame_index >= 2**63:  # they are int64 columns
+            raise bad("person_id and frame_index must be < 2**63")
 
         triples = pose_text.split(";")
         if len(triples) != joints:
@@ -217,12 +363,61 @@ def load_tracks(path: str | Path, joints: int) -> dict[str, list[Track]]:
         except SchemaError as exc:
             raise bad(str(exc))
 
+    keys = sorted(records)
+    names = sorted({video_id for video_id, _ in keys})
+    code = {name: i for i, name in enumerate(names)}
+    rows = [len(records[key]) for key in keys]
+    poses = [records[key][f] for key in keys for f in sorted(records[key])]
+    return TrackColumns(
+        names,
+        np.repeat(np.array([code[video_id] for video_id, _ in keys], dtype=np.int64), rows),
+        np.repeat(np.array([person_id for _, person_id in keys], dtype=np.int64), rows),
+        np.array([pose.frame_index for pose in poses], dtype=np.int64),
+        _pose_values(poses, joints),
+    )
+
+
+def _pose_values(poses: list[PoseFrame], joints: int) -> np.ndarray:
+    values = np.empty((len(poses), joints, 3), dtype=np.float64)
+    if poses:
+        values[:, :, :2] = np.stack([pose.xy for pose in poses])
+        values[:, :, 2] = np.stack([pose.confidence for pose in poses])
+    return values
+
+
+# perfbench/traced.py (lines 119-120) still reads Track.frames from this.
+def load_tracks(path: str | Path, joints: int) -> dict[str, list[Track]]:
+    """`read_tracks` as Tracks grouped by video_id, sorted by (video_id,
+    person_id), each with its frames sorted by frame_index."""
+    columns = read_tracks(path, joints)
+    starts = columns.track_starts().tolist()
+    persons, frames = columns.person_ids.tolist(), columns.frame_indices.tolist()
+    xy, conf = columns.values[:, :, :2], columns.values[:, :, 2]
     videos: dict[str, list[Track]] = {}
-    for (video_id, person_id) in sorted(records):
-        frames = records[(video_id, person_id)]
-        ordered = [frames[i] for i in sorted(frames)]
-        videos.setdefault(video_id, []).append(Track(video_id, person_id, ordered))
+    for a, b in zip(starts, starts[1:]):
+        video_id = columns.video_ids[columns.video_codes[a]]
+        poses = [PoseFrame(frames[i], persons[i], xy[i], conf[i]) for i in range(a, b)]
+        videos.setdefault(video_id, []).append(Track(video_id, persons[a], poses))
     return videos
+
+
+# perfbench/traced.py (lines 159-161 and 267-269) still passes Track dicts to
+# pipeline.extract_snippets, which reads them through this.
+def track_columns(videos: dict[str, list[Track]]) -> TrackColumns:
+    """The columns of Tracks grouped by video_id: videos in sorted order, each
+    video's tracks in list order."""
+    names = sorted(videos)
+    tracks = [(code, track) for code, name in enumerate(names) for track in videos[name]]
+    poses = [pose for _, track in tracks for pose in track.frames]
+    joints = poses[0].xy.shape[0] if poses else 0
+    rows = [len(track.frames) for _, track in tracks]
+    return TrackColumns(
+        names,
+        np.repeat(np.array([code for code, _ in tracks], dtype=np.int64), rows),
+        np.repeat(np.array([track.person_id for _, track in tracks], dtype=np.int64), rows),
+        np.array([pose.frame_index for pose in poses], dtype=np.int64),
+        _pose_values(poses, joints),
+    )
 
 
 def write_tracks(videos: dict[str, list[Track]], path: str | Path) -> None:
@@ -241,8 +436,8 @@ def write_tracks(videos: dict[str, list[Track]], path: str | Path) -> None:
 def kept_offsets(coords: np.ndarray, window_length: int, stride: int) -> tuple[np.ndarray, int]:
     """Offsets of a track's kept windows, and how many were zero-dominated.
 
-    `coords` is a track's (L, 2, J) array. A window whose zero-frame fraction
-    exceeds MAX_ZERO_FRAME_FRACTION is dropped.
+    `coords` is a track's (L, J, 2) coordinates. A window whose zero-frame
+    fraction exceeds MAX_ZERO_FRAME_FRACTION is dropped.
     """
     if window_length < 2:
         raise SchemaError("window_length must be >= 2")

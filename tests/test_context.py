@@ -1,12 +1,16 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skel_sentinel import context
 from skel_sentinel.context import (
     BLOCK_ROWS,
+    Neighbors,
     SceneIndex,
     cross_person_neighbors,
     self_inspection_neighbors,
@@ -352,3 +356,70 @@ def test_engine_agrees_with_math_sqrt_oracle(idx, k, alpha, window_length):
         branches = [k * float(np.mean([d for _, d in w])) for w in (want_c, want_s) if w]
         assert bits([scores[row]]) == bits([max(branches, default=0.0)])
         assert (ref in isolated) == (not branches)
+
+
+def both_graphs(idx, k, alpha, window_length, block_rows):
+    with mock.patch.object(context, "BLOCK_ROWS", block_rows):
+        return (
+            cross_person_neighbors(idx, k),
+            self_inspection_neighbors(idx, k, alpha, window_length),
+        )
+
+
+def assert_same_graphs(got, want):
+    for graph, other in zip(got, want):
+        for field in Neighbors._fields:
+            a, b = getattr(graph, field), getattr(other, field)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# 1 row is a gemv per block; the rest are GEMMs whose sums may differ in order
+QUERY_BLOCKS = [1, 3, 128, 256]
+
+
+class TestQueryBlockSize:
+    """The Gram values of a block depend on its size, through the BLAS call
+    that computes them, but the exact re-rank makes the graph independent of it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        idx=small_scenes(),
+        k=st.integers(1, 20),
+        alpha=st.floats(0.0, 8.0, allow_nan=False),
+        window_length=st.integers(2, 24),
+    )
+    def test_small_scenes(self, idx, k, alpha, window_length):
+        want = both_graphs(idx, k, alpha, window_length, QUERY_BLOCKS[0])
+        for block_rows in QUERY_BLOCKS[1:]:
+            assert_same_graphs(both_graphs(idx, k, alpha, window_length, block_rows), want)
+
+    def test_multiple_query_blocks_scene(self):
+        idx = oracle_scene(9, n=600, persons=2, dim=4, duplicates=50)
+        want = both_graphs(idx, 6, 4.0, 16, QUERY_BLOCKS[0])
+        for block_rows in QUERY_BLOCKS[1:]:
+            assert len(idx) > 2 * block_rows
+            assert_same_graphs(both_graphs(idx, 6, 4.0, 16, block_rows), want)
+
+
+def test_cross_person_search_holds_few_gram_blocks():
+    # 1,700 rows of 64 features in 8 persons: a (256, n) float64 Gram block is
+    # 3.5 MB. Assembling the Gram value in the GEMM's own buffer, 128 query
+    # rows at a time, keeps the search under 2.5 such blocks; three
+    # temporaries of 256 rows read 3.6. NumPy reports its allocations to
+    # tracemalloc.
+    rng = np.random.default_rng(0)
+    n = 1700
+    persons = rng.integers(0, 8, n)
+    times = np.arange(n)
+    refs = [f"v:{p}:{t}" for p, t in zip(persons, times)]
+    idx = SceneIndex("v", refs, persons, times, rng.standard_normal((n, 64)))
+    tracemalloc.start()
+    try:
+        graph = cross_person_neighbors(idx, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.counts.tolist() == [16] * n
+    block = 256 * n * 8
+    assert peak < 2.5 * block, f"peak {peak / block:.2f} Gram blocks of 256 rows"

@@ -447,6 +447,23 @@ class TestStreamedFrontEnd:
         tensor = len(refs) * 2 * n_joints * length * 8
         assert peak < tensor / 2, f"peak {peak / 1e6:.1f} MB for a {tensor / 1e6:.1f} MB tensor"
 
+    def test_projection_never_holds_a_blocks_raw_descriptors(self):
+        # one GEMM block of 17-joint, 16-frame windows: its (256, 3,230)
+        # float64 raw descriptors are 6.6 MB. 16 features keep the (3,230, 16)
+        # projection and its QR small next to them. NumPy reports its
+        # allocations to tracemalloc.
+        n_joints, length = 17, 16
+        block = np.random.default_rng(0).standard_normal((BLOCK_ROWS, 2, n_joints, length))
+        tracemalloc.start()
+        try:
+            matrix = kinematic_matrix(block, 16, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (BLOCK_ROWS, 16)
+        raw = BLOCK_ROWS * featurize.descriptor_width(n_joints, length) * 8
+        assert peak < raw, f"peak {peak / 1e6:.1f} MB for {raw / 1e6:.1f} MB of descriptors"
+
     def test_front_end_builds_one_feature_matrix(self, tmp_path):
         # 4-joint windows projected to 256 features: the (N, D) float64
         # features outweigh everything else the front end holds, so a second
