@@ -219,7 +219,9 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     normal_refs = _read_selection(selection / "selected_normal.tsv")
     abnormal_refs = _read_selection(selection / "selected_abnormal.tsv")
     data_n, data_a = store.rows(normal_refs), store.rows(abnormal_refs)
-    model = init_flow(store.dimension, cfg.flow_layers, cfg.hidden_width, cfg.seed)
+    dimension = store.dimension
+    del store  # its matrix, refs and index are not read again: free them before training
+    model = init_flow(dimension, cfg.flow_layers, cfg.hidden_width, cfg.seed)
     model, history = train_flow(model, data_n, data_a, cfg)
     _write_resolved(cfg, out, "train")
     save_flow(model, out / "model.skfl")

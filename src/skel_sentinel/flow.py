@@ -23,21 +23,32 @@ dependency), which keeps the model checkable against finite differences.
 
 Forward and backward passes run in a workspace of preallocated buffers,
 sized for the largest batch and used through row views [:n]. For training
-it holds each layer's forward cache (layer input, normalized input, both
-hidden activations, tanh of the log-scale pre-activation and
-exp(log_scale)), the backward scratch and one gradient vector laid out like
-the trained part of `flat`; `train_flow` allocates one and reuses it for
-every step, and runs Adam as one elementwise pass over that vector with one
-pair of moment vectors. For inference every layer shares one set of
-buffers. Every floating-point operation is the one an allocating
-implementation would do, in the same order and on the same shapes and
-strides, so losses, gradients and trained parameters are bit-identical to
-it. The gradient dict returned by `nll_loss_and_grad` holds views of the
-workspace's gradient vector and is overwritten by its next call.
+it holds each layer's forward cache, only what the backward pass cannot
+cheaply rebuild (the layer output, both hidden activations and tanh of the
+log-scale pre-activation); one normalized input `a` and one exp(log_scale)
+buffer shared by all layers; the backward scratch; and one gradient vector
+laid out like the trained part of `flat`. `train_flow` allocates one and
+reuses it for every step, and runs Adam as one elementwise pass over that
+vector with one pair of moment vectors. The log-scale is computed in the
+exp(log_scale) buffer. The backward pass rebuilds each layer's `a` and
+exp(log_scale) from its input and tanh_u with the forward pass's own
+operations, forms the tanh derivatives in place in tanh_u, hs and ht after
+their last read, and g_a * x in g_out; the loss's squared difference is
+formed in g_a. At the default geometry (1,024 rows, D = 64, W = 128, 4
+layers) the training workspace holds 16.3 MiB. For inference every layer
+shares one set of buffers. Every floating-point
+operation is the one an allocating implementation would do, in the same
+order and on the same shapes and strides, and a rebuilt buffer is the same
+operations on the same operands, so losses, gradients and trained
+parameters are bit-identical to it. The gradient dict returned by
+`nll_loss_and_grad` holds views of the workspace's gradient vector and is
+overwritten by its next call.
 
 A coupling's scale net (s_*, and the log-determinant) and shift net (t_*)
 are independent given the layer's input. In a training workspace they read
-the same inputs and write disjoint buffers and gradient views, so
+the same inputs and write disjoint buffers and gradient views (hs, tanh_u
+and the shared exp(log_scale) belong to the scale net, ht to the shift net,
+and the shared `a` is written before either starts), so
 `train_flow` runs them on two threads, forward and backward, at one BLAS
 thread each; the shift net's input gradient is added after the scale net's,
 as a serial pass adds it. Each operation is the one a serial pass does, so
@@ -213,29 +224,32 @@ def _split(a: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _LayerCache:
-    """One layer's forward buffers, (rows, width) each."""
+    """One layer's forward buffers, (rows, width) each: what its backward
+    pass reads and cannot cheaply rebuild."""
 
-    a: np.ndarray  # normalized input; its halves are cond and trans
     out: np.ndarray  # layer output, the next layer's input
     hs: np.ndarray
     ht: np.ndarray
     tanh_u: np.ndarray
-    exp_ls: np.ndarray  # exp(log_scale)
 
 
 class _Workspace:
     """Buffers for the forward and backward passes, allocated once for `rows`.
 
-    A batch of n <= rows rows uses the row views [:n]. With `training`, each
-    layer has its own forward cache, and the backward scratch and the
-    gradient exist too: `grad`, laid out like `model.trained`, with FlowLayer
-    views `grad_layers` and the same views by name in `grads`. The scale and
-    shift nets each have their own backward scratch, so a training
-    workspace given an `executor` runs them concurrently (`pair`). Without
-    `training`, every layer shares one set of forward buffers (and hs/ht,
-    tanh_u/log_scale/exp_ls share storage), so inference memory is
-    O(rows x hidden_width) whatever the depth, and the nets run serially.
-    Nothing derived from the parameters is kept from one call to the next.
+    A batch of n <= rows rows uses the row views [:n]. Every layer writes
+    its normalized input to `a` and its log-scale, then exp(log_scale), to
+    `exp_ls`. With `training`, each layer has its own forward cache (out,
+    hs, ht, tanh_u), while `a` and `exp_ls` are shared by all layers and
+    rebuilt by the backward pass from the layer's input and tanh_u; the
+    backward scratch and the gradient exist too: `grad`, laid out like
+    `model.trained`, with FlowLayer views `grad_layers` and the same views
+    by name in `grads`. The scale and shift nets each have their own
+    backward scratch, so a training workspace given an `executor` runs them
+    concurrently (`pair`). Without `training`, every layer shares one set
+    of forward buffers (and hs/ht, tanh_u/exp_ls share storage), so
+    inference memory is O(rows x hidden_width) whatever the depth, and the
+    nets run serially. Nothing derived from the parameters is kept from one
+    call to the next.
     """
 
     def __init__(
@@ -249,32 +263,27 @@ class _Workspace:
 
         self.rows = rows
         self.training = training
+        self.a = buf(dim)
         if training:
             self.layers = [
-                _LayerCache(buf(dim), buf(dim), buf(width), buf(width), buf(half), buf(half))
-                for _ in model.layers
+                _LayerCache(buf(dim), buf(width), buf(width), buf(half)) for _ in model.layers
             ]
-            self.log_scale = buf(half)
+            self.exp_ls = buf(half)
             # backward scratch
             self.g_out = buf(dim)
             self.g_a = buf(dim)
-            self.prod = buf(dim)
             self.g_u = buf(half)
-            self.gate = buf(half)
             self.g_mm = buf(half)
             self.g_hidden = buf(width)
-            self.hidden_gate = buf(width)
             # the shift net's own backward scratch
             self.t_g_mm = buf(half)
             self.t_g_hidden = buf(width)
-            self.t_hidden_gate = buf(width)
             self.grad = np.zeros(model.trained.size)
             self.grad_layers, self.grads = _layer_views(self.grad, len(model.layers), dim, width)
         else:
             hidden, gate = buf(width), buf(half)
-            shared = _LayerCache(buf(dim), buf(dim), hidden, hidden, gate, gate)
-            self.layers = [shared] * len(model.layers)
-            self.log_scale = gate
+            self.layers = [_LayerCache(buf(dim), hidden, hidden, gate)] * len(model.layers)
+            self.exp_ls = gate
         self.shift = buf(half)
         self.executor = executor if training else None
 
@@ -299,10 +308,16 @@ def _dense_tanh(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
     np.tanh(out, out=out)
 
 
-def _one_minus_square(x: np.ndarray, out: np.ndarray) -> None:
-    """out = 1 - x*x, the tanh derivative."""
-    np.multiply(x, x, out=out)
-    np.subtract(1.0, out, out=out)
+def _one_minus_square(x: np.ndarray) -> None:
+    """x = 1 - x*x, the tanh derivative, in place."""
+    np.multiply(x, x, out=x)
+    np.subtract(1.0, x, out=x)
+
+
+def _normalize(x: np.ndarray, layer: FlowLayer, out: np.ndarray) -> None:
+    """out = x * exp(norm_log_scale) + norm_bias, the layer's normalized input."""
+    np.multiply(x, np.exp(layer.norm_log_scale), out=out)
+    np.add(out, layer.norm_bias, out=out)
 
 
 def _forward(model: FlowModel, x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -310,27 +325,26 @@ def _forward(model: FlowModel, x: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
 
     The scale net runs before the shift net, or beside it (`ws.pair`). The
     order matters for an inference workspace, where hs and ht share
-    storage, and so do tanh_u, log_scale and exp_ls: hs is consumed before
-    ht is written, and log_scale is summed before exp() overwrites it.
+    storage, and so do tanh_u and exp_ls: hs is consumed before ht is
+    written, and tanh_u is read once, into the log-scale that exp_ls holds
+    until it is summed and exp() overwrites it.
     """
     n = x.shape[0]
     logdet = np.zeros(n)
-    log_scale, shift = ws.log_scale[:n], ws.shift[:n]
+    a, exp_ls, shift = ws.a[:n], ws.exp_ls[:n], ws.shift[:n]
     current = x
     for layer, cache in zip(model.layers, ws.layers):
-        a, out = cache.a[:n], cache.out[:n]
-        hs, ht, tanh_u, exp_ls = cache.hs[:n], cache.ht[:n], cache.tanh_u[:n], cache.exp_ls[:n]
-        np.multiply(current, np.exp(layer.norm_log_scale), out=a)
-        np.add(a, layer.norm_bias, out=a)
+        out, hs, ht, tanh_u = cache.out[:n], cache.hs[:n], cache.ht[:n], cache.tanh_u[:n]
+        _normalize(current, layer, a)
         cond, trans = _split(a, layer.parity)
         out_cond, scaled = _split(out, layer.parity)
 
         def scale_net() -> None:
             _dense_tanh(cond, layer.s_w1, layer.s_b1, hs)
             _dense_tanh(hs, layer.s_w2, layer.s_b2, tanh_u)
-            np.multiply(LOG_SCALE_BOUND, tanh_u, out=log_scale)
-            np.add(logdet, layer.norm_log_scale.sum() + log_scale.sum(axis=1), out=logdet)
-            np.exp(log_scale, out=exp_ls)
+            np.multiply(LOG_SCALE_BOUND, tanh_u, out=exp_ls)
+            np.add(logdet, layer.norm_log_scale.sum() + exp_ls.sum(axis=1), out=logdet)
+            np.exp(exp_ls, out=exp_ls)
 
         def shift_net() -> None:
             _dense_tanh(cond, layer.t_w1, layer.t_b1, ht)
@@ -400,38 +414,43 @@ def _backward(model: FlowModel, ws: _Workspace, x: np.ndarray, g_logdet: np.ndar
     """Accumulate parameter gradients for one batch into ws.grad.
 
     On entry ws.g_out[:n] holds dLoss/dz; g_logdet is dLoss/dlogdet per
-    sample. The forward caches must still hold this batch's forward pass.
+    sample. The forward caches must still hold this batch's forward pass;
+    each layer's pass leaves its hs, ht and tanh_u holding tanh derivatives.
     """
     n = x.shape[0]
-    g_out, g_a, prod = ws.g_out[:n], ws.g_a[:n], ws.prod[:n]
-    g_u, gate, g_mm = ws.g_u[:n], ws.gate[:n], ws.g_mm[:n]
-    g_hidden, hidden_gate = ws.g_hidden[:n], ws.hidden_gate[:n]
-    t_g_mm, t_g_hidden, t_hidden_gate = ws.t_g_mm[:n], ws.t_g_hidden[:n], ws.t_hidden_gate[:n]
+    a, exp_ls, g_out, g_a = ws.a[:n], ws.exp_ls[:n], ws.g_out[:n], ws.g_a[:n]
+    g_u, g_mm, g_hidden = ws.g_u[:n], ws.g_mm[:n], ws.g_hidden[:n]
+    t_g_mm, t_g_hidden = ws.t_g_mm[:n], ws.t_g_hidden[:n]
     g_ld_total = g_logdet.sum()
     for i in range(len(model.layers) - 1, -1, -1):
         layer, cache, grad = model.layers[i], ws.layers[i], ws.grad_layers[i]
         x_in = x if i == 0 else ws.layers[i - 1].out[:n]
-        cond, trans = _split(cache.a[:n], layer.parity)
-        hs, ht, tanh_u, exp_ls = cache.hs[:n], cache.ht[:n], cache.tanh_u[:n], cache.exp_ls[:n]
+        hs, ht, tanh_u = cache.hs[:n], cache.ht[:n], cache.tanh_u[:n]
+        _normalize(x_in, layer, a)  # as the forward pass built it
+        cond, trans = _split(a, layer.parity)
         g_cond_out, g_scaled = _split(g_out, layer.parity)
         g_cond, g_trans = _split(g_a, layer.parity)
 
         def scale_net() -> None:
+            # exp(log_scale), as the forward pass built it
+            np.multiply(LOG_SCALE_BOUND, tanh_u, out=exp_ls)
+            np.exp(exp_ls, out=exp_ls)
             np.multiply(g_scaled, exp_ls, out=g_trans)
             # g_log_scale = g_scaled * trans * exp_ls + g_logdet
             np.multiply(g_scaled, trans, out=g_u)
             np.multiply(g_u, exp_ls, out=g_u)
             np.add(g_u, g_logdet[:, None], out=g_u)
-            # g_u = g_log_scale * (LOG_SCALE_BOUND * (1 - tanh_u^2))
-            _one_minus_square(tanh_u, gate)
-            np.multiply(LOG_SCALE_BOUND, gate, out=gate)
-            np.multiply(g_u, gate, out=g_u)
+            # g_u = g_log_scale * (LOG_SCALE_BOUND * (1 - tanh_u^2)); each
+            # tanh derivative is formed in place after its tanh's last read
+            _one_minus_square(tanh_u)
+            np.multiply(LOG_SCALE_BOUND, tanh_u, out=tanh_u)
+            np.multiply(g_u, tanh_u, out=g_u)
 
             grad.s_w2 += hs.T @ g_u
             grad.s_b2 += g_u.sum(axis=0)
             np.matmul(g_u, layer.s_w2.T, out=g_hidden)
-            _one_minus_square(hs, hidden_gate)
-            np.multiply(g_hidden, hidden_gate, out=g_hidden)
+            _one_minus_square(hs)
+            np.multiply(g_hidden, hs, out=g_hidden)
             grad.s_w1 += cond.T @ g_hidden
             grad.s_b1 += g_hidden.sum(axis=0)
             np.matmul(g_hidden, layer.s_w1.T, out=g_mm)
@@ -441,8 +460,8 @@ def _backward(model: FlowModel, ws: _Workspace, x: np.ndarray, g_logdet: np.ndar
             grad.t_w2 += ht.T @ g_scaled
             grad.t_b2 += g_scaled.sum(axis=0)
             np.matmul(g_scaled, layer.t_w2.T, out=t_g_hidden)
-            _one_minus_square(ht, t_hidden_gate)
-            np.multiply(t_g_hidden, t_hidden_gate, out=t_g_hidden)
+            _one_minus_square(ht)
+            np.multiply(t_g_hidden, ht, out=t_g_hidden)
             grad.t_w1 += cond.T @ t_g_hidden
             grad.t_b1 += t_g_hidden.sum(axis=0)
             np.matmul(t_g_hidden, layer.t_w1.T, out=t_g_mm)
@@ -451,7 +470,8 @@ def _backward(model: FlowModel, ws: _Workspace, x: np.ndarray, g_logdet: np.ndar
         np.add(g_cond, t_g_mm, out=g_cond)
 
         exp_nls = np.exp(layer.norm_log_scale)
-        np.multiply(g_a, x_in, out=prod)
+        # dLoss/dout is spent: g_out holds g_a * x_in until it takes dLoss/dx_in
+        prod = np.multiply(g_a, x_in, out=g_out)
         grad.norm_log_scale += prod.sum(axis=0) * exp_nls + g_ld_total
         grad.norm_bias += g_a.sum(axis=0)
         if i > 0:  # layer 0's input gradient, dLoss/dx, is never read
@@ -490,7 +510,7 @@ def nll_loss_and_grad(
         n = batch.shape[0]
         z, logdet = _forward(model, batch, ws)
         diff = np.subtract(z, mu, out=ws.g_out[:n])
-        sq = np.multiply(diff, diff, out=ws.prod[:n])
+        sq = np.multiply(diff, diff, out=ws.g_a[:n])
         loss += float((-model.base_log_norm + 0.5 * sq.sum(axis=1) - logdet).mean())
         np.divide(diff, n, out=diff)
         _backward(model, ws, batch, np.full(n, -1.0 / n))

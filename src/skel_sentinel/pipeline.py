@@ -68,6 +68,13 @@ from .scoring import ScoreSeries, build_score_series, smooth_scores
 
 logger = logging.getLogger(__name__)
 
+# Most frames a video's score series may span (max(start) + window_length):
+# about 39 h at 30 fps, four times pose_io.MAX_TRACK_SPAN. Each float64 array
+# over the series (the frame scores, their smoothing's running sums) is 32 MiB
+# at this bound; a video whose windows start further out is refused before
+# its series is allocated.
+MAX_VIDEO_FRAMES = 2**22
+
 
 @dataclass(frozen=True)
 class SnippetMeta:
@@ -292,11 +299,17 @@ def fuse_video(vs: VideoScores | ScoreSeries, cfg: RunConfig) -> tuple[ScoreSeri
     ablations do.
 
     The series ends at max(start) + T; a tail no window covers is left to
-    `evaluation.evaluate` to pad.
+    `evaluation.evaluate` to pad. A series longer than MAX_VIDEO_FRAMES is a
+    SchemaError.
     """
+    length = int(vs.start_times.max()) + cfg.window_length
+    if length > MAX_VIDEO_FRAMES:
+        raise SchemaError(
+            f"video {vs.video_id!r} would span {length} frames, more than {MAX_VIDEO_FRAMES}"
+        )
     series = build_score_series(
         vs.video_id, vs.refs, vs.person_ids, vs.start_times, vs.typicality, vs.uniqueness,
-        int(vs.start_times.max()) + cfg.window_length, cfg.window_length, cfg.epsilon,
+        length, cfg.window_length, cfg.epsilon,
     )
     return series, smooth_scores(series.frame_scores, cfg.smoothing_window)
 

@@ -345,6 +345,34 @@ class TestHelpAndUsage:
             f"track (v, 0) would span {10**13 + 1} frames, more than {2**20}"
         ]
 
+    def test_far_frame_indices_are_typed_error(self, tmp_path):
+        # each track spans 20 frames, but the video's score series would span
+        # 10**12 + 20: 7.28 TiB of float64 if it reached an allocation
+        pose = ";".join(f"{j}.0,{2 * j}.0,1.0" for j in range(17))
+        tracks = tmp_path / "tracks.tsv"
+        tracks.write_text("".join(
+            f"v\t{person}\t{first + t}\t{pose}\n"
+            for person, first in ((0, 0), (1, 10**12)) for t in range(20)
+        ))
+        assert run_cli("featurize", "--tracks", tracks, "--out", tmp_path / "f.skem") == 0
+        model = tmp_path / "model.skfl"
+        save_flow(init_flow(64, 2, 8, seed=0), model)
+        out = tmp_path / "out"
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "skel_sentinel.cli", "score", "--tracks", str(tracks),
+             "--model", str(model), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
+        assert done.stderr.splitlines() == [
+            f"error\tscore\tSchemaError\tseries: video 'v' would span {10**12 + 20} frames, "
+            f"more than {2**22}"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["classes-without-text-out", "classes-name-no-video"])
     def test_featurize_classes_failure_writes_nothing(
         self, small_benchmark, tmp_path, capsys, case

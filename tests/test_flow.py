@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import sys
@@ -620,6 +621,31 @@ def loss_batches(seed, n_normal, n_abnormal, dim=6):
     return normal, abnormal
 
 
+def held_bytes(obj):
+    """Bytes of the distinct arrays that `obj`'s attributes hold, through
+    lists, dicts and dataclasses; a view counts as the array it views, and
+    an array held twice counts once."""
+    owners = {}
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            while value.base is not None:
+                value = value.base
+            owners[id(value)] = value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+        elif dataclasses.is_dataclass(value):
+            for field in dataclasses.fields(value):
+                walk(getattr(value, field.name))
+
+    walk(vars(obj))
+    return sum(array.nbytes for array in owners.values())
+
+
 class TestWorkspace:
     # three layers: both coupling parities, and a layer of each after the other
     @pytest.fixture(scope="class")
@@ -666,6 +692,11 @@ class TestWorkspace:
         nll_loss_and_grad(model, other_n, other_a, _Workspace(model, 9))
         for name, g in grads.items():
             np.testing.assert_array_equal(g.view(np.int64), kept[name].view(np.int64), name)
+
+    def test_training_workspace_size(self):
+        # the default geometry and batch: 4 layers of D = 64, W = 128, 1,024 rows
+        workspace = _Workspace(init_flow(64, 4, 128, seed=0), 1024)
+        assert held_bytes(workspace) <= 16.5 * 2**20
 
     @pytest.mark.parametrize("n_abnormal", [None, 7, 40], ids=["full-shot", "few", "many"])
     def test_train_flow_matches_oracle_train_loop(self, n_abnormal):
