@@ -237,12 +237,12 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     from .pipeline import score_tracks
     from .scoring import write_frame_scores, write_snippet_details
 
-    run = score_tracks(cfg, args.tracks, args.model, args.features)
+    series = score_tracks(cfg, args.tracks, args.model, args.features)
     _write_resolved(cfg, out, "score")
-    write_frame_scores(run.frame_scores, out / "scores.tsv")
-    write_snippet_details(run.series, out / "details.tsv")
-    snippets = sum(len(series.refs) for series in run.series.values())
-    print(f"scored {len(run.frame_scores)} videos ({snippets} snippets)")
+    write_frame_scores({vid: s.frame_scores for vid, s in series.items()}, out / "scores.tsv")
+    write_snippet_details(series, out / "details.tsv")
+    snippets = sum(len(s.refs) for s in series.values())
+    print(f"scored {len(series)} videos ({snippets} snippets)")
     return 0
 
 

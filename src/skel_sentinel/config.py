@@ -82,6 +82,27 @@ _AT_LEAST_ONE = ("joints", "stride", "flow_layers", "hidden_width", "k_neighbors
 _NON_NEGATIVE = ("alpha", "learning_rate", "epochs", "smoothing_window", "seed")
 _FRACTIONS = ("beta_normal", "beta_abnormal")
 
+# The largest value of each integer key: up to it, a value reaches the stage
+# that uses it without overflowing an index or an array size on the way.
+MAX_INT_VALUES = {
+    "joints": 2**27,  # a pose line holds at least 6 bytes a joint: 768 MiB here
+    # pose_io.MAX_TRACK_SPAN: no track is longer, so no longer window is ever
+    # kept, and a longer stride keeps only each track's first window
+    "window_length": 2**20,
+    "stride": 2**20,
+    "epochs": 2**20,  # about 16 h of training at the quick start's 55 ms an epoch
+    "seed": 2**63 - 1,  # the largest int64
+    # Sizes and counts of what a run holds: 2**40 float64 values are 8 TiB.
+    # A larger feature_dim, flow_layers or hidden_width is refused where it
+    # is used, a larger smoothing_window is clamped, and a larger k_neighbors
+    # or batch_size takes every row, as this one does.
+    **dict.fromkeys(
+        ("feature_dim", "flow_layers", "hidden_width", "k_neighbors", "batch_size",
+         "smoothing_window"),
+        2**40,
+    ),
+}
+
 
 def _range_problem(name: str, value) -> str | None:
     """Why `value` is out of range for the RunConfig field `name`, or None."""
@@ -102,6 +123,8 @@ def _range_problem(name: str, value) -> str | None:
         return f"{name} must be >= 0, got {value!r}"
     if name in _FRACTIONS and not 0 < value <= 1:
         return f"{name} must lie in (0, 1], got {value!r}"
+    if name in MAX_INT_VALUES and value > MAX_INT_VALUES[name]:
+        return f"{name} must be <= {MAX_INT_VALUES[name]}, got {value!r}"
     return None
 
 

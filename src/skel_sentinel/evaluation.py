@@ -146,14 +146,12 @@ def evaluate(labels: dict[str, np.ndarray], scores: dict[str, np.ndarray]) -> Ev
     )
 
 
-@dataclass
-class BenchmarkReport:
-    micro: float
+@dataclass(frozen=True)
+class BenchmarkReport(Evaluation):
+    """`evaluate`'s result, with the single-family ablations and the run's frames."""
+
     micro_typicality: float
     micro_uniqueness: float
-    per_video_auc: dict[str, float]
-    videos: int
-    frames: int
     wall_seconds: float
     frame_scores: dict[str, np.ndarray] = field(repr=False)
     frame_scores_typicality: dict[str, np.ndarray] = field(repr=False)
@@ -191,19 +189,19 @@ def run_benchmark(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     labels = stage("load-labels", read_labels, labels_path)
-    run = score_tracks(cfg, tracks_path, model_path, features_path)
-    write_frame_scores(run.frame_scores, out_dir / "scores.tsv")
-    write_snippet_details(run.series, out_dir / "details.tsv")
+    series = score_tracks(cfg, tracks_path, model_path, features_path)
+    write_frame_scores({vid: s.frame_scores for vid, s in series.items()}, out_dir / "scores.tsv")
+    write_snippet_details(series, out_dir / "details.tsv")
     frame_scores = stage("load-scores", read_frame_scores, out_dir / "scores.tsv")
 
-    frames_typ = {
-        vid: fuse_video(replace(series, uniqueness=np.zeros_like(series.uniqueness)), cfg)[1]
-        for vid, series in run.series.items()
-    }
-    frames_unq = {
-        vid: fuse_video(replace(series, typicality=np.zeros_like(series.typicality)), cfg)[1]
-        for vid, series in run.series.items()
-    }
+    def without(family: str) -> dict[str, np.ndarray]:
+        """Every video's frames fused with `family` set to zeros."""
+        return {
+            vid: fuse_video(replace(s, **{family: np.zeros(len(s.refs))}), cfg).frame_scores
+            for vid, s in series.items()
+        }
+
+    frames_typ, frames_unq = without("uniqueness"), without("typicality")
     result = stage("evaluate", evaluate, labels, frame_scores)
     micro_typ = evaluate(labels, frames_typ).micro
     micro_unq = evaluate(labels, frames_unq).micro
@@ -211,16 +209,8 @@ def run_benchmark(
 
     ablations = (("micro_auc_typicality", micro_typ), ("micro_auc_uniqueness", micro_unq))
     write_report(result.report_entries(wall, ablations), out_dir / "report.txt")
-
     return BenchmarkReport(
-        micro=result.micro,
-        micro_typicality=micro_typ,
-        micro_uniqueness=micro_unq,
-        per_video_auc=result.per_video_auc,
-        videos=result.videos,
-        frames=result.frames,
-        wall_seconds=wall,
-        frame_scores=frame_scores,
-        frame_scores_typicality=frames_typ,
-        frame_scores_uniqueness=frames_unq,
+        **vars(result), micro_typicality=micro_typ, micro_uniqueness=micro_unq,
+        wall_seconds=wall, frame_scores=frame_scores,
+        frame_scores_typicality=frames_typ, frame_scores_uniqueness=frames_unq,
     )

@@ -29,9 +29,10 @@ bits. The normalized joints and raw descriptors are the bits of the frozen
 one-snippet-at-a-time reference in `tests/test_snippet_table.py`;
 `kinematic_matrix`'s output lies within the forward-error bound it states.
 `build_scene_indices` cuts each scene as a slice of rows already in video_id
-order. Each scene's typicality and uniqueness are arrays in its row order
-(`VideoScores`), and `scoring.build_score_series` fuses them into a
-column-wise `scoring.ScoreSeries` and its frame scores.
+order. A `scoring.ScoreSeries` is the one record of a scored video:
+`score_scene` gives a scene's columns, typicality, uniqueness and isolated
+refs, and `fuse_video` fuses them into the series `score_tracks` returns,
+whose frame scores are the smoothed frames `scores.tsv` holds.
 
 Each stage runs through `errors.stage`, which names it in any error. The CLI
 runs every command, `train` included, at one OpenBLAS thread (`blas`).
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,34 +248,15 @@ def build_scene_indices(
     }
 
 
-@dataclass(frozen=True)
-class VideoScores:
-    """One scene's snippet columns and raw scores, in its index row order."""
-
-    video_id: str
-    refs: list[str]
-    person_ids: np.ndarray
-    start_times: np.ndarray
-    typicality: np.ndarray
-    uniqueness: np.ndarray
-    isolated: set[str]
-
-
-def score_scene(
-    model: FlowModel, index: SceneIndex, cfg: RunConfig
-) -> VideoScores:
+def score_scene(model: FlowModel, index: SceneIndex, cfg: RunConfig) -> ScoreSeries:
+    """The unfused series of one scene: its columns, both raw score families
+    and its isolated refs."""
     st = typicality_score(model, index.features)
     su, isolated = video_uniqueness_scores(
         index, cfg.k_neighbors, cfg.alpha, cfg.window_length
     )
-    return VideoScores(
-        video_id=index.video_id,
-        refs=index.refs,
-        person_ids=index.person_ids,
-        start_times=index.times,
-        typicality=st,
-        uniqueness=su,
-        isolated=isolated,
+    return ScoreSeries(
+        index.video_id, index.refs, index.person_ids, index.times, st, su, isolated=isolated
     )
 
 
@@ -283,7 +265,7 @@ def score_scenes(
     indices: dict[str, SceneIndex],
     cfg: RunConfig,
     threads: int = 1,
-) -> dict[str, VideoScores]:
+) -> dict[str, ScoreSeries]:
     """Score each video independently; results keyed and ordered by video_id.
 
     `threads` is unused: perfbench/traced.py (line 176) still passes it.
@@ -291,27 +273,29 @@ def score_scenes(
     return {vid: score_scene(model, indices[vid], cfg) for vid in sorted(indices)}
 
 
-def fuse_video(vs: VideoScores | ScoreSeries, cfg: RunConfig) -> tuple[ScoreSeries, np.ndarray]:
-    """Fused series and smoothed frame scores of one video.
+def fuse_video(series: ScoreSeries, cfg: RunConfig) -> ScoreSeries:
+    """`series` fused: its holistic scores, and its frame scores smoothed as
+    `scores.tsv` holds them.
 
-    Only the snippet columns of `vs` are read, so a `ScoreSeries` with one
-    family replaced is fused afresh, as `evaluation.run_benchmark`'s
+    Only the raw columns and `isolated` of `series` are read, so a series
+    with one family replaced is fused afresh, as `evaluation.run_benchmark`'s
     ablations do.
 
-    The series ends at max(start) + T; a tail no window covers is left to
-    `evaluation.evaluate` to pad. A series longer than MAX_VIDEO_FRAMES is a
-    SchemaError.
+    The series ends at max(start) + T, so no window is clipped; a tail no
+    window covers is left to `evaluation.evaluate` to pad. A series longer
+    than MAX_VIDEO_FRAMES is a SchemaError.
     """
-    length = int(vs.start_times.max()) + cfg.window_length
+    length = int(series.start_times.max()) + cfg.window_length
     if length > MAX_VIDEO_FRAMES:
         raise SchemaError(
-            f"video {vs.video_id!r} would span {length} frames, more than {MAX_VIDEO_FRAMES}"
+            f"video {series.video_id!r} would span {length} frames, more than {MAX_VIDEO_FRAMES}"
         )
-    series = build_score_series(
-        vs.video_id, vs.refs, vs.person_ids, vs.start_times, vs.typicality, vs.uniqueness,
-        length, cfg.window_length, cfg.epsilon,
+    fused = build_score_series(
+        series.video_id, series.refs, series.person_ids, series.start_times, series.typicality,
+        series.uniqueness, length, cfg.window_length, cfg.epsilon,
     )
-    return series, smooth_scores(series.frame_scores, cfg.smoothing_window)
+    frames = smooth_scores(fused.frame_scores, cfg.smoothing_window)
+    return replace(fused, frame_scores=frames, isolated=series.isolated)
 
 
 def snippet_features(
@@ -346,19 +330,13 @@ def snippet_features(
     return refs, stage("featurize", store.rows, refs), meta
 
 
-@dataclass(frozen=True)
-class ScoredRun:
-    series: dict[str, ScoreSeries]
-    frame_scores: dict[str, np.ndarray]
-
-
 def score_tracks(
     cfg: RunConfig,
     tracks_path: str | Path,
     model_path: str | Path,
     features_path: str | Path | None = None,
-) -> ScoredRun:
-    """Tracks in, per-video series and frame scores out, keyed by video_id.
+) -> dict[str, ScoreSeries]:
+    """Tracks in, each video's fused series out (`fuse_video`), keyed by video_id.
 
     Features come from `snippet_features`. Each stage's failure is raised as
     a StageError naming it.
@@ -367,8 +345,4 @@ def score_tracks(
     refs, matrix, meta = snippet_features(cfg, tracks_path, features_path)
     indices = stage("index", build_scene_indices, refs, matrix, meta)
     scored = stage("score", score_scenes, model, indices, cfg)
-    fused = stage("series", lambda: {vid: fuse_video(vs, cfg) for vid, vs in scored.items()})
-    return ScoredRun(
-        series={vid: series for vid, (series, _) in fused.items()},
-        frame_scores={vid: frames for vid, (_, frames) in fused.items()},
-    )
+    return stage("series", lambda: {vid: fuse_video(s, cfg) for vid, s in scored.items()})

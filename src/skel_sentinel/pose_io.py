@@ -217,7 +217,9 @@ def _read_bulk(path: str | Path, joints: int) -> TrackColumns | None:
     """The columns of a valid track file, or None where `_read_by_line`
     might raise (the bulk checks accept no file that it refuses).
 
-    A chunk's separators (tabs, commas, semicolons, line ends) must be the
+    The first non-blank line must hold the separators (tabs, commas,
+    semicolons) of `joints` triples before anything is built or allocated
+    for `joints`. Then a chunk's separators, line ends included, must be the
     layout of whole valid lines, so each line has its four fields and its
     `joints` triples before any value is parsed. Values are parsed by the
     same `int` and `float` as the reference, on the same text: the one `\r`
@@ -229,6 +231,10 @@ def _read_bulk(path: str | Path, joints: int) -> TrackColumns | None:
     with open(path, "rb") as fh:
         capacity = sum(block.count(b"\n") for block in iter(lambda: fh.read(CHUNK_BYTES), b""))
         capacity += 1  # room for a last line without a line end
+        fh.seek(0)
+        first = next((line for line in fh if line.strip()), b"")
+    if len(first.rstrip(b"\n").translate(None, _NOT_SEPARATORS)) != 2 + 3 * joints:
+        return None
     width = 3 + 3 * joints  # tokens per line
     layout = b"\t\t\t" + b",,;" * (joints - 1) + b",,\n"  # the separators of a line
     videos: dict[str, int] = {}  # video id -> code, in order of first appearance

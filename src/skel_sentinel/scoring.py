@@ -8,22 +8,23 @@ Snippet scores spread over the frames their window covers; frames see the
 maximum over persons, and frames nobody covers fall back to the video's
 minimum snippet score.
 
-A `ScoreSeries` holds one video's snippets as columns (refs, person ids,
-start times and the three scores) next to its frame scores. The frames come
-from one scatter-max of every snippet over `start + arange(T)`: the maximum
-over persons of each person's maximum over its covering snippets is the
-maximum over all covering snippets, so no per-person pass is needed. Ties
-keep their bits as well: equal floats have equal bits except +0.0 and -0.0,
-and a fused score is never -0.0, because uniqueness distances are never -0.0
-and so neither is their z-score.
+A `ScoreSeries` is the one record of a scored video: its snippets as
+columns (refs, person ids, start times and the three scores), its frame
+scores and its isolated refs; unfused, it has no fused or frame scores. The
+frames come from one scatter-max of every snippet over `start + arange(T)`:
+the maximum over persons of each person's maximum over its covering
+snippets is the maximum over all covering snippets, so no per-person pass is
+needed. Ties keep their bits as well: equal floats have equal bits except
++0.0 and -0.0, and a fused score is never -0.0, because uniqueness distances
+are never -0.0 and so neither is their z-score.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Set
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ScoreSeries:
-    """One video's snippet scores as columns, in scene row order, plus its frame scores."""
+    """One video's snippet scores as columns, in scene row order, plus its
+    frame scores and its isolated refs."""
 
     video_id: str
     refs: list[str]
@@ -50,8 +52,9 @@ class ScoreSeries:
     start_times: np.ndarray  # (N,) int64
     typicality: np.ndarray  # (N,) S^t
     uniqueness: np.ndarray  # (N,) S^u
-    holistic: np.ndarray  # (N,) fused S
-    frame_scores: np.ndarray
+    holistic: np.ndarray = field(default_factory=lambda: np.empty(0))  # (N,) fused S
+    frame_scores: np.ndarray = field(default_factory=lambda: np.empty(0))
+    isolated: Set[str] = frozenset()
 
 
 def standardize(values: np.ndarray, epsilon: float) -> np.ndarray:

@@ -2,6 +2,7 @@ import dataclasses
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from skel_sentinel.errors import SchemaError, StageError
 from skel_sentinel.evaluation import run_benchmark, write_labels
 from skel_sentinel.featurize import FeatureStore, class_prototypes
 from skel_sentinel.flow import init_flow, save_flow, train_flow
-from skel_sentinel.pipeline import extract_snippets, featurize_snippets
+from skel_sentinel.pipeline import extract_snippets, featurize_snippets, score_tracks
 from skel_sentinel.pose_io import write_tracks
 from skel_sentinel.synth import make_benchmark
 from skel_sentinel.typicality import select_typical
@@ -114,6 +115,30 @@ class TestRunBenchmark:
         # report.txt carries 6 decimals
         assert "micro_auc = " + f"{report.micro:.6f}" in lines
 
+
+    def test_ablations_standardize_one_family(self, small_run, tmp_path):
+        """Each ablation's frames, recomputed without the fusion code: the one
+        family z-scored, then a max over the frames of every window."""
+        root, cfg = small_run
+        report = run_benchmark(
+            root / "tracks.tsv", root / "model.skfl", root / "labels.tsv", tmp_path, cfg
+        )
+        series = score_tracks(cfg, root / "tracks.tsv", root / "model.skfl")
+        for family, frames in (
+            ("typicality", report.frame_scores_typicality),
+            ("uniqueness", report.frame_scores_uniqueness),
+        ):
+            assert sorted(frames) == sorted(series)
+            for vid, s in series.items():
+                values = getattr(s, family)
+                std = values.std()
+                z = (values - values.mean()) / std if std >= cfg.epsilon else np.zeros_like(values)
+                want = np.full(s.start_times.max() + cfg.window_length, -np.inf)
+                for start, score in zip(s.start_times.tolist(), z.tolist()):
+                    window = want[start : start + cfg.window_length]
+                    np.maximum(window, score, out=window)
+                want[want == -np.inf] = z.min()
+                np.testing.assert_array_equal(frames[vid].view(np.int64), want.view(np.int64))
 
     def test_features_path_matches_score_features(self, small_run, tmp_path):
         root, cfg = small_run

@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from skel_sentinel import blas, cli, errors, flow, pipeline
 from skel_sentinel.cli import command_dispatch
-from skel_sentinel.config import RunConfig
+from skel_sentinel.config import MAX_INT_VALUES, RunConfig
 from skel_sentinel.errors import SchemaError
 from skel_sentinel.evaluation import write_labels
 from skel_sentinel.featurize import load_embeddings, load_text_embeddings, write_embeddings
@@ -331,6 +333,42 @@ class TestHelpAndUsage:
         self, small_benchmark, tmp_path, capsys, line, message
     ):
         assert_score_rejects_config(small_benchmark, tmp_path, capsys, f"{line}\n", message)
+
+    @pytest.mark.parametrize("value", [2**63, 10**30])
+    @pytest.mark.parametrize(
+        "key", [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"]
+    )
+    def test_oversized_integer_config_value_is_typed_error(
+        self, small_benchmark, tmp_path, capsys, key, value
+    ):
+        # each once ended in an OverflowError or IndexError traceback, ran, or
+        # named no key
+        bound = "1" if key == "threads" else f"<= {MAX_INT_VALUES[key]}"
+        message = f"{key} must be {bound}, got {value}"
+        text = f"{key} = {value}\n"
+        assert_score_rejects_config(small_benchmark, tmp_path, capsys, text, message)
+
+    def test_joints_far_above_the_file_is_typed_error(self, tmp_path, capsys):
+        # the columns for 10**8 joints would be 8.94 GiB for these 3 lines
+        pose = ";".join(["1.0,2.0,1.0"] * 17)
+        (tmp_path / "tracks.tsv").write_text("".join(f"v\t0\t{i}\t{pose}\n" for i in range(3)))
+        (tmp_path / "run.cfg").write_text("joints = 100000000\n")
+        tracemalloc.start()
+        try:
+            status = run_cli(
+                "featurize", "--tracks", tmp_path / "tracks.tsv",
+                "--out", tmp_path / "out" / "f.skem", "--config", tmp_path / "run.cfg",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error\tfeaturize\tTrackParseError\tload-tracks: {tmp_path / 'tracks.tsv'}, "
+            "line 1: expected 100000000 joints, got 17"
+        ]
+        assert not (tmp_path / "out").exists()
+        assert peak < 64 * 2**20
 
     def test_track_span_beyond_bound_is_typed_error(self, tmp_path, capsys):
         # featurize would allocate the whole span densely (petabytes here)
@@ -851,15 +889,18 @@ TEXT_TARGETS = {
 }
 BINARY_TARGETS = {"truncated-skem": ("f.skem", 14), "skfl-magic": ("model.skfl", 18)}
 
-# A corruption: a truncation, a flipped byte, or a dropped or an extra field,
-# placed by an integer taken modulo the places it can go.
+# A corruption: a truncation, a flipped byte, a dropped or an extra field, or
+# in a config an integer value of 2**63 or more, placed or sized by an integer
+# taken modulo the places it can go.
 CORRUPTIONS = st.tuples(
-    st.sampled_from(["truncate", "flip", "drop", "extra"]), st.integers(0, 2**16)
+    st.sampled_from(["truncate", "flip", "drop", "extra", "oversize"]), st.integers(0, 2**16)
 )
 
 
 def corrupt(root, kind, how, at):
     """Corrupt the input of `kind` under `root` so that it cannot be read."""
+    if how == "oversize" and kind != "config-range":
+        how = "extra"  # only a config's integers have upper bounds
     if kind in BINARY_TARGETS:
         name, header = BINARY_TARGETS[kind]
         blob = bytearray((root / name).read_bytes())
@@ -888,6 +929,8 @@ def corrupt(root, kind, how, at):
     elif how == "drop":
         del fields[at % len(fields)]
         last = sep.join(fields)
+    elif how == "oversize":
+        last = sep.join([*fields[:-1], str(2**63 * (1 + at))])
     else:
         last += f"{sep}x"
     (root / name).write_text("\n".join([*lines, last]) + ("" if how == "truncate" else "\n"))
@@ -915,6 +958,7 @@ def test_malformed_input_cases_start_from_valid_inputs(tmp_path, kind):
 @settings(max_examples=3, deadline=None)
 @given(corruption=CORRUPTIONS)
 @example(corruption=None)
+@example(corruption=("oversize", 0))
 def test_cli_process_reports_malformed_input_in_one_line(kind, error, corruption):
     """The CLI run as its own process on a malformed input of `kind`: exit 1,
     one error line naming a SentinelError, no traceback, no output. With
