@@ -104,6 +104,30 @@ MAX_INT_VALUES = {
 }
 
 
+# Rows per block on the score path: the normalized windows, the projection
+# GEMMs, the flow's inference workspace and the k-NN Gram blocks each hold at
+# most this many rows, whatever the input size.
+BLOCK_ROWS = 64
+
+
+def next_block_rows(held: int, block_rows: int, ended: bool) -> int:
+    """Rows of the next block of at most `block_rows` (BLOCK_ROWS, or a
+    module's patched copy of it) to cut from the `held` rows of a stream, or
+    0 to wait for more input; `ended` says no more rows will come.
+
+    No block holds one row unless the whole input is one row: a full block
+    is cut only once two more rows are held behind it, and block_rows + 1
+    final rows are cut as block_rows - 1 and 2. A one-row GEMM goes through
+    gemv, whose sums may round otherwise (OpenBLAS 0.3.31), so with this rule
+    a row gets the same bits however the rows arrive.
+    """
+    if ended and held == block_rows + 1:
+        return block_rows - 1
+    if ended or held >= block_rows + 2:
+        return min(held, block_rows)
+    return 0
+
+
 def _range_problem(name: str, value) -> str | None:
     """Why `value` is out of range for the RunConfig field `name`, or None."""
     if isinstance(value, float) and not math.isfinite(value):

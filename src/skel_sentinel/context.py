@@ -13,12 +13,15 @@ The search is the brute-force "flat" index done by matrix products (Johnson,
 Douze & Jegou, *Billion-scale similarity search with GPUs*, 2017), as a
 shortlist followed by an exact re-rank:
 
-1. For a block of at most `BLOCK_ROWS` = 128 query rows, squared distances
-   to every column come from the Gram identity |a|^2 + |b|^2 - 2 a.b,
-   assembled in place in the (block, n) buffer of one BLAS matmul: the
-   products are scaled by -2, then |a|^2 and |b|^2 are added. Masked pairs
-   are set to +inf. Memory stays O(128 * n + candidates * D): the buffer, a
-   partition copy of it and a few boolean (128, n) masks.
+1. Each group of columns (the whole scene, or one person) has its features
+   and squared norms gathered once. For a block of at most `BLOCK_ROWS` = 64
+   query rows, squared distances to every column come from the Gram identity
+   |a|^2 + |b|^2 - 2 a.b, assembled in place in the group's one (64, n)
+   buffer, which one BLAS matmul writes: the products are scaled by -2, then
+   |a|^2 and |b|^2 are added. Masked pairs are set to +inf. Memory stays
+   O(64 * n + n * D + candidates * D): the buffer, one partition buffer,
+   both reused by every block, a few boolean (64, n) masks and the gathered
+   columns.
 2. `np.partition` finds each row's k-th smallest Gram value g_k. Every
    admitted column whose Gram value is within `tol` of g_k is a candidate.
 3. Candidates are re-ranked with the scan's own formula and the scan's
@@ -54,11 +57,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .config import BLOCK_ROWS  # query rows per Gram block
 from .errors import DimensionError, SchemaError
 
 logger = logging.getLogger(__name__)
-
-BLOCK_ROWS = 128  # query rows per Gram block
 
 
 class Neighbors(NamedTuple):
@@ -112,63 +114,77 @@ class SceneIndex:
 Admit = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _search(
-    index: SceneIndex, rows: np.ndarray, cols: np.ndarray, admit: Admit, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact k nearest admitted `cols` of each of `rows` (see the module docstring).
-
-    Returns `(members, dists, counts)`: row i keeps `counts[i]` neighbors,
-    scene rows `members[i, :counts[i]]` at distances `dists[i, :counts[i]]`.
-    """
-    features = index.features
-    queries, columns = features[rows], features[cols]
-    q_sq = np.einsum("ij,ij->i", queries, queries)
-    c_sq = np.einsum("ij,ij->i", columns, columns)
-    allowed = admit(rows, cols)
-    # assembled in the one (B, n) buffer the GEMM writes
-    gram = np.matmul(queries, columns.T)
-    gram *= -2.0
-    gram += q_sq[:, None]
-    gram += c_sq
-    gram[~allowed] = np.inf
-    counts = np.minimum(allowed.sum(axis=1), k)
-    if k < len(cols):
-        kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
-    else:
-        kth = np.full(len(rows), np.inf)
-    reach = np.sqrt(q_sq) + np.sqrt(c_sq.max(initial=0.0))
-    tol = 4 * (features.shape[1] + 2) * np.finfo(np.float64).eps * reach * reach
-    qi, cj = np.nonzero(allowed & (gram <= (kth + tol)[:, None]))
-
-    diff = features[cols[cj]] - features[rows[qi]]
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    order = np.lexsort((index._ref_rank[cols[cj]], dist, qi))
-    qi, cj, dist = qi[order], cj[order], dist[order]
-    slot = np.arange(len(qi)) - np.searchsorted(qi, qi)
-    keep = slot < counts[qi]
-    qi, slot = qi[keep], slot[keep]
-    width = min(k, len(cols))
-    members = np.zeros((len(rows), width), dtype=np.int64)
-    dists = np.zeros((len(rows), width))
-    members[qi, slot] = cols[cj[keep]]
-    dists[qi, slot] = dist[keep]
-    return members, dists, counts
-
-
 def _branch(index: SceneIndex, k: int, groups: list[np.ndarray], admit: Admit) -> Neighbors:
     """Search each group's rows against the group's own rows (disjoint groups
     covering the scene), BLOCK_ROWS query rows at a time."""
     n = len(index)
-    members = np.zeros((n, min(k, n)), dtype=np.int64)
-    distances = np.zeros((n, min(k, n)))
-    counts = np.zeros(n, dtype=np.int64)
+    graph = Neighbors(
+        np.zeros((n, min(k, n)), dtype=np.int64), np.zeros((n, min(k, n))),
+        np.zeros(n, dtype=np.int64),
+    )
     for group in groups:
-        for start in range(0, len(group), BLOCK_ROWS):
-            rows = group[start:start + BLOCK_ROWS]
-            block_members, block_dists, counts[rows] = _search(index, rows, group, admit, k)
-            members[rows, :block_members.shape[1]] = block_members
-            distances[rows, :block_dists.shape[1]] = block_dists
-    return Neighbors(members, distances, counts)
+        _search(index, group, admit, k, graph)
+    return graph
+
+
+def _search(index: SceneIndex, group: np.ndarray, admit: Admit, k: int, graph: Neighbors) -> None:
+    """Exact k nearest admitted `group` rows of each `group` row (see the
+    module docstring), written into the group's rows of `graph`.
+
+    The group's features and squared norms are gathered once, and one Gram
+    buffer and one partition buffer of BLOCK_ROWS rows serve every block.
+    """
+    columns = index.features[group]
+    c_sq = np.einsum("ij,ij->i", columns, columns)
+    c_reach = np.sqrt(c_sq.max(initial=0.0))
+    slack = 4 * (columns.shape[1] + 2) * np.finfo(np.float64).eps
+    rank = index._ref_rank[group]
+    m = len(group)
+    gram_buffer = np.empty((min(BLOCK_ROWS, m), m))
+    partition_buffer = np.empty_like(gram_buffer)
+    for start in range(0, m, BLOCK_ROWS):
+        rows = group[start : start + BLOCK_ROWS]
+        block = slice(start, start + len(rows))
+        allowed = admit(rows, group)
+        # assembled in the one (B, m) buffer the GEMM writes
+        gram = np.matmul(columns[block], columns.T, out=gram_buffer[: len(rows)])
+        gram *= -2.0
+        gram += c_sq[block, None]
+        gram += c_sq
+        gram[~allowed] = np.inf
+        if k < m:
+            kth = partition_buffer[: len(rows)]
+            np.copyto(kth, gram)
+            kth.partition(k - 1, axis=1)
+            kth = kth[:, k - 1]
+        else:
+            kth = np.full(len(rows), np.inf)
+        # a row whose k-th Gram value is finite has k admitted columns
+        counts = np.full(len(rows), k)
+        short = np.flatnonzero(kth == np.inf)
+        counts[short] = np.minimum(allowed[short].sum(axis=1), k)
+        graph.counts[rows] = counts
+        reach = np.sqrt(c_sq[block]) + c_reach
+        bound = kth + slack * reach * reach
+        within = gram <= bound[:, None]
+        # a finite bound already leaves the masked (+inf) columns out
+        unbounded = np.flatnonzero(bound == np.inf)
+        within[unbounded] &= allowed[unbounded]
+        # flat indices: a 2-D nonzero is several times slower
+        qi, cj = np.divmod(np.flatnonzero(within), m)
+        # candidates in the scan's (distance, ref) order, and the first
+        # counts[i] of row i kept
+        diff = columns[cj]
+        diff -= columns[start + qi]
+        diff *= diff
+        dist = np.sqrt(diff.sum(axis=1))
+        order = np.lexsort((rank[cj], dist, qi))
+        qi, cj, dist = qi[order], cj[order], dist[order]
+        slot = np.arange(len(qi)) - np.searchsorted(qi, qi)
+        keep = slot < counts[qi]
+        qi, slot = qi[keep], slot[keep]
+        graph.members[rows[qi], slot] = group[cj[keep]]
+        graph.distances[rows[qi], slot] = dist[keep]
 
 
 def cross_person_neighbors(index: SceneIndex, k: int) -> Neighbors:

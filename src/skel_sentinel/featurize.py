@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_lines
+from .config import next_block_rows, read_lines
 from .errors import (
     DegenerateVectorError,
     DimensionError,
@@ -33,6 +33,15 @@ _HEADER = struct.Struct("<4sHII")
 
 # Descriptor columns per projection GEMM; see kinematic_matrix.
 PROJECTION_CHUNK = 256
+
+# Most values (K x D) of the random projection kinematic_matrix builds.
+# Building it peaks at three (K, D) float64 arrays (its Gaussian, the QR's
+# copy and the basis; measured with tracemalloc), so this bound holds the
+# build to 768 MiB, the order of the 0.43 GB pose_io.MAX_TRACK_SPAN allows
+# the stacked poses. The default geometry (J = 17, T = 16, D = 64) needs
+# 206,720 values. Larger geometries that fit in memory are refused too, for
+# example J = 25, T = 128, D = 1024: K x D = 52,377,600, a 1.3 GB build.
+MAX_PROJECTION_VALUES = 2**25
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,20 @@ def descriptor_width(n_joints: int, length: int) -> int:
             + n_joints * (n_joints - 1) // 2 * length)
 
 
+def check_projection(n_joints: int, length: int, dim: int) -> None:
+    """A DimensionError unless a (K, dim) projection of the descriptors of J
+    joints over T frames can be built: dim <= K and K * dim <= MAX_PROJECTION_VALUES."""
+    raw_dim = descriptor_width(n_joints, length)
+    if dim > raw_dim:
+        raise DimensionError(f"cannot project {raw_dim} dims up to {dim}")
+    if raw_dim * dim > MAX_PROJECTION_VALUES:
+        raise DimensionError(
+            f"J = {n_joints} joints over T = {length} frames give K = {raw_dim} descriptor "
+            f"values; a projection to D = {dim} features would hold K x D = {raw_dim * dim}, "
+            f"more than {MAX_PROJECTION_VALUES}"
+        )
+
+
 def descriptors(joints: np.ndarray) -> np.ndarray:
     """Raw kinematic descriptors of a (B, 2, J, T) block, one row per snippet.
 
@@ -150,24 +173,29 @@ def kinematic_matrix(blocks: Iterable[np.ndarray] | np.ndarray, dim: int, seed: 
     `blocks` is one (N, 2, J, T) array, or a sized iterable of (B, 2, J, T)
     blocks of any sizes whose `len` bounds the rows it yields (as
     `pipeline.SnippetStream`'s does). Whatever the blocks, the rows are
-    regrouped into GEMM blocks of exactly BLOCK_ROWS rows, only the last one
-    shorter, so a row's bits depend on its position in the whole sequence,
-    not on how the rows arrived. That matters: on OpenBLAS 0.3.31, a row of
-    an (M, 256) @ (256, 64) product had the bits of the same row in the
-    256-row product for every M from 2 to 255, but not for M = 1, which goes
-    through gemv; so a stream that dropped a row and then passed on a one-row
-    remainder would change that row's features. Each GEMM block is projected
-    by GEMMs over fixed chunks of PROJECTION_CHUNK descriptor columns, summed
-    into the block's rows of the output in chunk order; each chunk's
-    descriptor columns are built into one reused (rows, PROJECTION_CHUNK)
-    slab just before its GEMM. A single full-K GEMM is as fast, but the order
-    in which OpenBLAS sums its K terms depends on the BLAS thread count, so
-    its bits do too; with chunks this short the features are the same bytes
-    at any thread count (checked by a test). Memory is the projection, one
-    slab, the largest descriptor run (the (rows, 2 J (T - 1)) velocities;
-    never a block's whole (rows, K) descriptors, 6.6 MB at J = 17, T = 16)
-    and one (len(blocks), dim) output, allocated after the dimension check,
-    whose first N rows are returned.
+    regrouped into GEMM blocks of BLOCK_ROWS rows, and the last rows into one
+    shorter block, or, when N = q BLOCK_ROWS + 1 with q >= 1, into blocks of
+    BLOCK_ROWS - 1 and 2 rows (`config.next_block_rows`): a full block is
+    projected only once two more rows have arrived after it. So a row's bits
+    depend on its position in the whole sequence, not on how the rows arrived,
+    and no row is projected in a block of one unless N = 1. That matters: on
+    OpenBLAS 0.3.31, a row of an (M, 256) @ (256, 64) product had the bits of
+    the same row in the 256-row product for every M from 2 to 256, but not for
+    M = 1, which goes through gemv. (Before blocks of 64 rows with this rule,
+    the last row of an N = 256 q + 1 input, q >= 1, was projected alone; it
+    now gets the bits of a multi-row block, and every other row kept its
+    bits.) Each GEMM block is projected by GEMMs over fixed chunks of
+    PROJECTION_CHUNK descriptor columns, summed into the block's rows of the
+    output in chunk order; each chunk's descriptor columns are built into one
+    reused (rows, PROJECTION_CHUNK) slab just before its GEMM. A single full-K
+    GEMM is as fast, but the order in which OpenBLAS sums its K terms depends
+    on the BLAS thread count, so its bits do too; with chunks this short the
+    features are the same bytes at any thread count (checked by a test).
+    Memory is the projection, at most BLOCK_ROWS + 1 held rows, one slab, the
+    largest descriptor run (the (rows, 2 J (T - 1)) velocities; never a
+    block's whole (rows, K) descriptors, 1.7 MB at J = 17, T = 16) and one
+    (len(blocks), dim) output, allocated after `check_projection`, whose first
+    N rows are returned.
 
     The features are not bit-identical to a one-row-at-a-time product (nor is
     a one-row block to the same row in a larger one): every order of a K-term
@@ -184,28 +212,43 @@ def kinematic_matrix(blocks: Iterable[np.ndarray] | np.ndarray, dim: int, seed: 
     out = np.empty((0, dim), dtype=np.float64)  # the features of no rows
     projection = None
     n = 0  # rows projected into out
-    held: list[np.ndarray] = []  # rows waiting for a full GEMM block
+    held: list[np.ndarray] = []  # row runs waiting for their GEMM block
     n_held = 0
     for block in blocks:
         _, _, n_joints, length = block.shape
         # checked before the output is allocated or the block's rows are held;
         # J is 0 only for a table of no tracks
-        raw_dim = descriptor_width(n_joints, length)
-        if n_joints and dim > raw_dim:
-            raise DimensionError(f"cannot project {raw_dim} dims up to {dim}")
-        if projection is None and len(block):
-            projection = _projection(raw_dim, dim, seed)
+        if n_joints:
+            check_projection(n_joints, length, dim)
+        if not len(block):
+            continue
+        if projection is None:
+            projection = _projection(descriptor_width(n_joints, length), dim, seed)
             out = np.empty((size, dim), dtype=np.float64)
-        while len(block):
-            held.append(block[: BLOCK_ROWS - n_held])
-            block = block[len(held[-1]) :]
-            n_held += len(held[-1])
-            if n_held == BLOCK_ROWS:
-                n += _project(held, projection, out[n:])
-                held, n_held = [], 0
-    if held:
-        n += _project(held, projection, out[n:])
+        held.append(block)
+        n_held += len(block)
+        while rows := next_block_rows(n_held, BLOCK_ROWS, ended=False):
+            n += _project(_take_rows(held, rows), projection, out[n:])
+            n_held -= rows
+    while rows := next_block_rows(n_held, BLOCK_ROWS, ended=True):
+        n += _project(_take_rows(held, rows), projection, out[n:])
+        n_held -= rows
     return out[:n]
+
+
+def _take_rows(runs: list[np.ndarray], count: int) -> list[np.ndarray]:
+    """The first `count` rows of the row runs `runs`, as runs; they are
+    removed from `runs`."""
+    taken = []
+    while count:
+        run = runs[0]
+        taken.append(run[:count])
+        if len(run) > count:
+            runs[0] = run[count:]
+        else:
+            del runs[0]
+        count -= len(taken[-1])
+    return taken
 
 
 def _project(held: list[np.ndarray], projection: np.ndarray, out: np.ndarray) -> int:

@@ -36,7 +36,10 @@ operations, forms the tanh derivatives in place in tanh_u, hs and ht after
 their last read, and g_a * x in g_out; the loss's squared difference is
 formed in g_a. At the default geometry (1,024 rows, D = 64, W = 128, 4
 layers) the training workspace holds 16.3 MiB. For inference every layer
-shares one set of buffers. Every floating-point
+shares one set of buffers, and `typicality_score` scores a scene
+`config.BLOCK_ROWS` (64) rows at a time in one such workspace, about 160 KB
+at the default geometry whatever the scene's size (a workspace for a whole
+1,738-row scene was 4.4 MB). Every floating-point
 operation is the one an allocating implementation would do, in the same
 order and on the same shapes and strides, and a rebuilt buffer is the same
 operations on the same operands, so losses, gradients and trained
@@ -74,7 +77,7 @@ from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .config import RunConfig
+from .config import BLOCK_ROWS, RunConfig, next_block_rows
 from .errors import (
     ContractError,
     DimensionError,
@@ -392,10 +395,10 @@ def flow_inverse(model: FlowModel, z: np.ndarray) -> np.ndarray:
     return current
 
 
-def log_prob(model: FlowModel, x: np.ndarray) -> np.ndarray:
-    """Log-density of each row of an (n, D) batch under the normal center."""
-    batch = _as_batch(x, model.dimension)
-    z, logdet = _forward(model, batch, _Workspace(model, batch.shape[0], training=False))
+def _log_density(model: FlowModel, batch: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Log-density of each row of `batch` under the normal center, computed
+    in `ws`; a non-finite value is a NonFiniteError."""
+    z, logdet = _forward(model, batch, ws)
     diff = np.subtract(z, model.mu_normal, out=z)
     sq = np.multiply(diff, diff, out=diff)
     values = model.base_log_norm - 0.5 * sq.sum(axis=1) + logdet
@@ -404,10 +407,33 @@ def log_prob(model: FlowModel, x: np.ndarray) -> np.ndarray:
     return values
 
 
+def log_prob(model: FlowModel, x: np.ndarray) -> np.ndarray:
+    """Log-density of each row of an (n, D) batch under the normal center."""
+    batch = _as_batch(x, model.dimension)
+    return _log_density(model, batch, _Workspace(model, batch.shape[0], training=False))
+
+
 def typicality_score(model: FlowModel, features: np.ndarray) -> np.ndarray:
     """Negative log-likelihood of each row under the normal center; higher =
-    more anomalous."""
-    return -log_prob(model, features)
+    more anomalous.
+
+    The rows are scored one block at a time (`config.next_block_rows`) in
+    one inference workspace of at most BLOCK_ROWS rows, so memory is
+    O(BLOCK_ROWS x hidden_width) beside the (n,) scores, whatever n. Every
+    operation is row-wise, and no row is scored in a block of one unless
+    n = 1. So the scores have the bits of one whole-batch `log_prob` (checked
+    by a test).
+    """
+    batch = _as_batch(features, model.dimension)
+    n = batch.shape[0]
+    scores = np.empty(n)
+    ws = _Workspace(model, min(n, BLOCK_ROWS), training=False)
+    start = 0
+    while rows := next_block_rows(n - start, BLOCK_ROWS, ended=True):
+        block = slice(start, start + rows)
+        np.negative(_log_density(model, batch[block], ws), out=scores[block])
+        start += rows
+    return scores
 
 
 def _backward(model: FlowModel, ws: _Workspace, x: np.ndarray, g_logdet: np.ndarray) -> None:

@@ -11,11 +11,13 @@ The front end streams. `pose_io.read_tracks` reads the track file as
 columns (the `load-tracks` stage). A `SnippetStream` scatters them into one
 zero-filled array of every track's frames stacked along time (a file with no
 missing frame is already that array) and finds the windows that are not
-zero-dominated (the `window` stage). Featurizing reads the stream: it cuts
-`pose_io.BLOCK_ROWS` windows at a time, normalizes them, drops the degenerate
-rows and passes the rest to `featurize.kinematic_matrix`, which regroups them
-into GEMM blocks of exactly BLOCK_ROWS rows (so the features do not depend on
-where rows were dropped) and projects each into its rows of one matrix, one
+zero-dominated (the `window` stage). Featurizing checks that the projection
+can be built (`featurize.check_projection`), then reads the stream: it cuts
+`config.BLOCK_ROWS` (64) windows at a time, normalizes them, drops the
+degenerate rows and passes the rest to `featurize.kinematic_matrix`, which
+regroups them into GEMM blocks of BLOCK_ROWS rows, none of one row unless
+there is only one (so the features do not depend on where rows were
+dropped), and projects each into its rows of one matrix, one
 `featurize.PROJECTION_CHUNK`-column slab of descriptors at a time.
 Only the (N, D) features and their id columns (`SnippetMeta`) outlive a
 block: the front end never holds the (N, 2, J, T) joints tensor that
@@ -29,7 +31,10 @@ bits. The normalized joints and raw descriptors are the bits of the frozen
 one-snippet-at-a-time reference in `tests/test_snippet_table.py`;
 `kinematic_matrix`'s output lies within the forward-error bound it states.
 `build_scene_indices` cuts each scene as a slice of rows already in video_id
-order. A `scoring.ScoreSeries` is the one record of a scored video:
+order. Scoring holds BLOCK_ROWS-row buffers too: the flow scores a scene
+BLOCK_ROWS rows at a time, and the k-NN search assembles each Gram block of
+BLOCK_ROWS query rows in one reused buffer per group of columns.
+A `scoring.ScoreSeries` is the one record of a scored video:
 `score_scene` gives a scene's columns, typicality, uniqueness and isolated
 refs, and `fuse_video` fuses them into the series `score_tracks` returns,
 whose frame scores are the smoothed frames `scores.tsv` holds.
@@ -51,7 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import RunConfig
 from .context import SceneIndex, video_uniqueness_scores
 from .errors import ContractError, NonFiniteError, SchemaError, StageError, stage
-from .featurize import kinematic_matrix, load_embeddings
+from .featurize import check_projection, kinematic_matrix, load_embeddings
 from .flow import FlowModel, load_flow, typicality_score
 from .pose_io import (
     BLOCK_ROWS,
@@ -312,6 +317,11 @@ def snippet_features(
     stream = stage("window", SnippetStream, columns, cfg.window_length, cfg.stride)
     del columns  # the stream holds the poses it needs
     if features_path is None:
+        if len(stream):  # before a block is read or the projection is built
+            stage(
+                "featurize", check_projection, stream.n_joints, cfg.window_length,
+                cfg.feature_dim,
+            )
         matrix = stage("featurize", kinematic_matrix, stream, cfg.feature_dim, cfg.seed)
     else:
         for _ in stream:  # only which windows are degenerate is needed

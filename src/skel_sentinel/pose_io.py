@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_lines
+from .config import BLOCK_ROWS, read_lines
 from .errors import DuplicateRecordError, SchemaError, TrackParseError
 
 # Windows with more than this fraction of zero-filled frames are dropped,
@@ -43,11 +43,6 @@ SCALE_FLOOR = 1e-12
 # about 9.7 h at 30 fps. pipeline.SnippetStream holds a track densely over its
 # span, which at this bound is at most 0.43 GB of float64 at 17 joints.
 MAX_TRACK_SPAN = 2**20
-
-# Snippets per block in the streamed front end (normalization, featurization):
-# bounds each block's temporaries, and the windows the front end holds, at
-# BLOCK_ROWS rows whatever the input size.
-BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skel_sentinel import blas, cli, errors, flow, pipeline
+from skel_sentinel import blas, cli, errors, featurize, flow, pipeline
 from skel_sentinel.cli import command_dispatch
 from skel_sentinel.config import MAX_INT_VALUES, RunConfig
 from skel_sentinel.errors import SchemaError
@@ -441,6 +442,30 @@ class TestHelpAndUsage:
         assert status == 1
         assert capsys.readouterr().err.splitlines() == [
             "error\tfeaturize\tDimensionError\tfeaturize: cannot project 3230 dims up to 1000000000"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_projection_beyond_bound_is_typed_error(self, tmp_path, capsys):
+        # 17 joints over 20,000 frames give K = 4,079,966 descriptor values: a
+        # (K, 64) projection is 1.95 GiB of float64, refused before any
+        # window is normalized or the projection is built
+        pose = ";".join(f"{j}.0,{2 * j}.0,1.0" for j in range(17))
+        tracks = tmp_path / "tracks.tsv"
+        tracks.write_text("".join(f"v\t0\t{i}\t{pose}\n" for i in range(20_000)))
+        (tmp_path / "run.cfg").write_text("window_length = 20000\n")
+        refuse = mock.Mock(side_effect=AssertionError("read a block"))
+        with mock.patch.object(pipeline, "normalize_block", refuse), \
+                mock.patch.object(featurize, "_projection", refuse):
+            status = run_cli(
+                "featurize", "--tracks", tracks, "--out", tmp_path / "out" / "f.skem",
+                "--config", tmp_path / "run.cfg",
+            )
+        assert status == 1
+        k = 4_079_966
+        assert capsys.readouterr().err.splitlines() == [
+            f"error\tfeaturize\tDimensionError\tfeaturize: J = 17 joints over T = 20000 "
+            f"frames give K = {k} descriptor values; a projection to D = 64 features would "
+            f"hold K x D = {k * 64}, more than {2**25}"
         ]
         assert not (tmp_path / "out").exists()
 

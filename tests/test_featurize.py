@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import skel_sentinel
+from skel_sentinel.config import BLOCK_ROWS
 from skel_sentinel.errors import (
     DegenerateVectorError,
     DimensionError,
@@ -47,6 +48,20 @@ def make_table(frames=16, rng=None, constant=False):
         xy = base if constant else base + rng.random((J, 2))
         out.append(PoseFrame(i, 0, xy.copy(), np.ones(J)))
     return extract_snippets({"v0": [Track("v0", 0, out)]}, frames, 1)
+
+
+class RowBlocks:
+    """Row blocks that arrive one at a time, sized by their rows, as
+    `pipeline.SnippetStream` passes them to kinematic_matrix."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+    def __len__(self):
+        return sum(map(len, self.blocks))
+
+    def __iter__(self):
+        return iter(self.blocks)
 
 
 class TestKinematicFeatures:
@@ -100,6 +115,24 @@ class TestKinematicFeatures:
         joints = np.zeros((rows, 2, J, 16))
         with pytest.raises(DimensionError, match="cannot project 470 dims up to 1000000000"):
             kinematic_matrix(joints, 10**9, seed=0)
+
+    # N = 1 (mod BLOCK_ROWS); 257 = 1 (mod 256) too, the old block size
+    @pytest.mark.parametrize("n", [65, 129, 257])
+    def test_no_row_is_projected_alone(self, n):
+        # With N = q BLOCK_ROWS + 1 rows the last go in blocks of BLOCK_ROWS - 1
+        # and 2, not BLOCK_ROWS and 1: a one-row GEMM goes through gemv. Each
+        # block projected on its own is the same computation, so the same
+        # bits on any BLAS, however the rows arrive.
+        joints = np.random.default_rng(n).standard_normal((n, 2, J, 16))
+        sizes = [BLOCK_ROWS] * (n // BLOCK_ROWS - 1) + [BLOCK_ROWS - 1, 2]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        want = np.concatenate(
+            [kinematic_matrix(joints[a:b], 16, seed=2) for a, b in zip(bounds, bounds[1:])]
+        )
+        cuts = np.sort(np.random.default_rng(n + 1).choice(np.arange(1, n), n // 3, replace=False))
+        for arrival in (joints, RowBlocks(np.split(joints, cuts)), RowBlocks(np.split(joints, n))):
+            got = kinematic_matrix(arrival, 16, seed=2)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_same_bytes_at_any_blas_thread_count(self):
         # A single (256, K) @ (K, dim) GEMM changes its last bits between one

@@ -18,8 +18,9 @@ from skel_sentinel.checks import (
     make_perturbed_flow,
     numeric_logdet,
     roundtrip_error_z,
+    run_self_tests,
 )
-from skel_sentinel.config import RunConfig
+from skel_sentinel.config import BLOCK_ROWS, RunConfig, next_block_rows
 from skel_sentinel.errors import (
     ContractError,
     DimensionError,
@@ -144,6 +145,13 @@ class TestLogProb:
         model = make_perturbed_flow(2, 4, 16, seed=4, scale=0.05)
         assert density_integral(model) == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**32, 2**63 - 1])
+    def test_self_tests_pass(self, seed):
+        # a fixed +-8 grid around mu_normal integrated 0.8887 at seed 12345,
+        # 0.9526 at 2**32 and 0.9321 at 2**63 - 1: the flow's mass lay outside it
+        results = run_self_tests(seed)
+        assert [name for name, passed, _ in results if not passed] == [], results
+
     def test_typicality_score_is_negative_log_prob(self):
         model = make_perturbed_flow(6, 2, 8, seed=11, scale=0.1)
         x = np.random.default_rng(12).standard_normal(6)
@@ -155,6 +163,41 @@ class TestLogProb:
         assert typicality_score(model, model.mu_normal[None])[0] < typicality_score(
             model, (model.mu_normal + v)[None]
         )[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129])
+    def test_typicality_in_blocks_has_the_bits_of_one_batch(self, n):
+        # scored BLOCK_ROWS = 64 rows at a time, never in a block of one row
+        # unless n = 1 (a one-row GEMM goes through gemv); -log_prob scores
+        # the n rows as one batch
+        model = make_perturbed_flow(64, 4, 128, seed=15, scale=0.05)
+        x = np.random.default_rng(n).standard_normal((n, 64))
+        blocks, left = [], n
+        while rows := next_block_rows(left, BLOCK_ROWS, ended=True):
+            blocks.append(rows)
+            left -= rows
+        assert sum(blocks) == n
+        assert all(1 < rows <= BLOCK_ROWS for rows in blocks) or n == 1
+        scores = typicality_score(model, x)
+        want = -log_prob(model, x)
+        np.testing.assert_array_equal(scores.view(np.int64), want.view(np.int64))
+
+    def test_typicality_holds_one_block_workspace(self):
+        # 10,000 rows at the default geometry: a workspace for every row
+        # would be about 25.6 MB; one of BLOCK_ROWS rows is 164 KB. NumPy
+        # reports its allocations to tracemalloc.
+        n, width = 10_000, 128
+        model = make_perturbed_flow(64, 4, width, seed=16, scale=0.05)
+        x = np.random.default_rng(17).standard_normal((n, 64))
+        tracemalloc.start()
+        try:
+            scores = typicality_score(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (n,)
+        # the (n,) scores plus eight (BLOCK_ROWS, width) float64 buffers
+        bound = n * 8 + 8 * BLOCK_ROWS * width * 8
+        assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
     def test_shift_invariance_of_argmax(self):
         model = make_perturbed_flow(6, 2, 8, seed=13, scale=0.1)

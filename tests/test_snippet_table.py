@@ -204,8 +204,11 @@ class TestAgainstReference:
         assert_matches_reference(data.corpus_videos, 16, 1, dim=64, seed=0)
         assert_matches_reference(data.test_videos, 16, 5, dim=64, seed=0)
 
+    # the edges of BLOCK_ROWS blocks, and of 256-row blocks, whose N = 1
+    # (mod 256) inputs (257, 513; also 1 mod 64) once ended in a one-row block
     @pytest.mark.parametrize(
-        "n_rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+        "n_rows",
+        sorted({BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 255, 256, 257, 513}),
     )
     def test_row_counts_around_block_boundaries(self, n_rows):
         rng = np.random.default_rng(n_rows)
@@ -377,8 +380,9 @@ STREAM_CASES = dict(
 class TestStreamedFrontEnd:
     """The stream normalizes BLOCK_ROWS windows at a time and drops degenerate
     rows, so its blocks reach kinematic_matrix with fewer rows than a block
-    holds. Its GEMM blocks must still be the table's, including a last block
-    of one row, which OpenBLAS computes with gemv."""
+    holds. Its GEMM blocks must still be the table's, including the last two
+    when one row is left over (BLOCK_ROWS - 1 and 2 rows: a one-row block
+    would go through gemv)."""
 
     @settings(max_examples=60, deadline=None)
     @given(**STREAM_CASES)
@@ -417,15 +421,16 @@ class TestStreamedFrontEnd:
         # frames 4-8 make windows 4, 5 and 6 degenerate, so the second
         # normalized block keeps 1 row of 4, and every later GEMM block
         # starts 3 windows later than its normalization block. 22 frames give
-        # 20 windows; the 17 kept rows end in a GEMM block of one row.
+        # 20 windows; the 17 kept rows end in GEMM blocks of 3 and 2 rows, not
+        # 4 and 1.
         videos = {"v": [make_track("v", 0, 22, still=set(range(4, 9)))]}
         kept, drops = assert_stream_matches_table(videos, 3, 1, block_rows=4)
         assert (kept, drops) == (17, (0, 3))
 
     def test_front_end_holds_no_joints_tensor(self, tmp_path):
         # 32 normalization blocks of 17-joint, 16-frame windows: the table's
-        # (N, 2, J, T) float64 tensor is 35.7 MB; one block of descriptors is
-        # 6.6 MB. NumPy reports its allocations to tracemalloc.
+        # (N, 2, J, T) float64 tensor is 8.9 MB; one block of descriptors is
+        # 1.7 MB. NumPy reports its allocations to tracemalloc.
         n_joints, length, per_track = 17, 16, 8 * BLOCK_ROWS
         rng = np.random.default_rng(0)
         with open(tmp_path / "tracks.tsv", "w", encoding="utf-8") as fh:
@@ -448,8 +453,8 @@ class TestStreamedFrontEnd:
         assert peak < tensor / 2, f"peak {peak / 1e6:.1f} MB for a {tensor / 1e6:.1f} MB tensor"
 
     def test_projection_never_holds_a_blocks_raw_descriptors(self):
-        # one GEMM block of 17-joint, 16-frame windows: its (256, 3,230)
-        # float64 raw descriptors are 6.6 MB. 16 features keep the (3,230, 16)
+        # one GEMM block of 17-joint, 16-frame windows: its (64, 3,230)
+        # float64 raw descriptors are 1.7 MB. 16 features keep the (3,230, 16)
         # projection and its QR small next to them. NumPy reports its
         # allocations to tracemalloc.
         n_joints, length = 17, 16
